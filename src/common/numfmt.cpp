@@ -47,4 +47,28 @@ formatDouble(double v, int precision)
     return out;
 }
 
+bool
+parseU64(const std::string &s, std::uint64_t *out, int base)
+{
+    const char *last = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), last, *out, base);
+    return ec == std::errc() && p == last;
+}
+
+bool
+parseInt(const std::string &s, int *out)
+{
+    const char *last = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), last, *out);
+    return ec == std::errc() && p == last;
+}
+
+bool
+parseDouble(const std::string &s, double *out)
+{
+    const char *last = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), last, *out);
+    return ec == std::errc() && p == last;
+}
+
 } // namespace tcm

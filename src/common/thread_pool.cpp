@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/env.hpp"
 
@@ -77,138 +76,6 @@ ThreadPool::parallelFor(std::size_t n,
     for (std::size_t i = 0; i < n; ++i)
         if (errors[i])
             std::rethrow_exception(errors[i]);
-}
-
-SpinGang::SpinGang(int lanes)
-{
-    lanes_ = lanes > 0 ? lanes : 1;
-    if (lanes_ == 1)
-        return; // inline mode: run() executes on the caller
-    // Busy-spinning only helps when every lane has its own hardware
-    // thread; on an oversubscribed host a spinning lane burns the very
-    // timeslice the working lane needs, so go straight to yield there.
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw != 0 && static_cast<unsigned>(lanes_) > hw)
-        spinLimit_ = 0;
-    workers_.reserve(lanes_ - 1);
-    for (int i = 0; i < lanes_ - 1; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i + 1); });
-}
-
-SpinGang::~SpinGang()
-{
-    stop_.store(true, std::memory_order_release);
-    // Wake anything parked; spinners observe stop_ on their own.
-    epoch_.fetch_add(1, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> lock(parkMutex_);
-    }
-    parkCv_.notify_all();
-    for (std::thread &w : workers_)
-        w.join();
-}
-
-void
-SpinGang::drainTasks(int lane)
-{
-    for (;;) {
-        std::size_t i = next_.fetch_add(1, std::memory_order_acq_rel);
-        if (i >= n_)
-            return;
-        // Lane timing is opt-in: detached, the claim loop never reads
-        // the clock. Each lane touches only its own slot; the join's
-        // release/acquire edge publishes it to the run() caller.
-        std::chrono::steady_clock::time_point t0;
-        if (laneBusyNs_ != nullptr)
-            t0 = std::chrono::steady_clock::now();
-        try {
-            (*fn_)(i);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(errorMutex_);
-            if (!error_ || i < errorIndex_) {
-                error_ = std::current_exception();
-                errorIndex_ = i;
-            }
-        }
-        if (laneBusyNs_ != nullptr) {
-            auto dt = std::chrono::steady_clock::now() - t0;
-            laneBusyNs_[lane] += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                    .count());
-            if (laneTasks_ != nullptr)
-                ++laneTasks_[lane];
-        }
-    }
-}
-
-void
-SpinGang::workerLoop(int lane)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        // Fork edge: spin briefly, then yield, then park. A parked
-        // worker cannot skip an epoch — run() waits for its arrival.
-        int spins = 0;
-        while (epoch_.load(std::memory_order_acquire) == seen) {
-            if (stop_.load(std::memory_order_acquire))
-                return;
-            if (++spins < spinLimit_) {
-                // busy spin
-            } else if (spins < spinLimit_ + 2048) {
-                std::this_thread::yield();
-            } else {
-                std::unique_lock<std::mutex> lock(parkMutex_);
-                parked_.fetch_add(1, std::memory_order_relaxed);
-                parkCv_.wait(lock, [this, seen] {
-                    return stop_.load(std::memory_order_acquire) ||
-                           epoch_.load(std::memory_order_acquire) != seen;
-                });
-                parked_.fetch_sub(1, std::memory_order_relaxed);
-            }
-        }
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        ++seen;
-        drainTasks(lane);
-        arrived_.fetch_add(1, std::memory_order_release);
-    }
-}
-
-void
-SpinGang::run(std::size_t n, const std::function<void(std::size_t)> &fn)
-{
-    if (n == 0)
-        return;
-    if (workers_.empty()) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-    // The previous run() joined on every worker's arrival, so no worker
-    // can be inside drainTasks here: republishing the job is race-free.
-    error_ = nullptr;
-    n_ = n;
-    fn_ = &fn;
-    arrived_.store(0, std::memory_order_relaxed);
-    next_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    if (parked_.load(std::memory_order_relaxed) > 0) {
-        { std::lock_guard<std::mutex> lock(parkMutex_); }
-        parkCv_.notify_all();
-    }
-    drainTasks(0); // the caller is a lane too
-    // Join edge: wait for every worker, not just every task, so the
-    // next run() can safely reuse the job slots.
-    const int want = static_cast<int>(workers_.size());
-    int spins = 0;
-    while (arrived_.load(std::memory_order_acquire) < want) {
-        if (++spins >= spinLimit_) {
-            std::this_thread::yield();
-            spins = 0;
-        }
-    }
-    if (error_)
-        std::rethrow_exception(error_);
 }
 
 int

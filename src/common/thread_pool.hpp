@@ -14,9 +14,7 @@
 
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <future>
@@ -94,98 +92,6 @@ class ThreadPool
     std::mutex mutex_;
     std::condition_variable cv_;
     bool stop_ = false;
-};
-
-/**
- * Persistent fork/join gang for fine-grained intra-run parallelism.
- *
- * ThreadPool's condvar handoff costs microseconds per dispatch — fine
- * for whole-simulation tasks, fatal when the unit of work is one
- * controller stepping a few hundred nanoseconds' worth of cycles. A
- * SpinGang keeps its workers alive across calls and synchronizes each
- * run() with two spin barriers (an epoch release to fork, an
- * arrival count to join), so the round-trip overhead is a few atomic
- * operations. Workers back off to yield() and finally park on a
- * condvar when idle long enough, so a gang owned by a simulator that
- * is currently in a serial phase does not burn CPU.
- *
- * run(n, fn) executes fn(0..n-1) across the gang (the calling thread
- * participates) and returns only after every index completed — tasks
- * submitted by one run() are never in flight during the next, which is
- * the barrier-ordering contract the deterministic replay relies on.
- * If tasks throw, the exception of the lowest failing index is
- * rethrown after the join (same rule as ThreadPool::parallelFor).
- * A gang of 1 spawns no threads; run() executes inline.
- */
-class SpinGang
-{
-  public:
-    /** @param lanes total execution lanes including the caller (>= 1). */
-    explicit SpinGang(int lanes);
-    ~SpinGang();
-
-    SpinGang(const SpinGang &) = delete;
-    SpinGang &operator=(const SpinGang &) = delete;
-
-    int lanes() const { return lanes_; }
-
-    /** Run fn(0)..fn(n-1) across the gang; blocks until all complete. */
-    void run(std::size_t n, const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Optional per-lane instrumentation: @p busyNs / @p tasks point at
-     * lanes() slots (caller is lane 0, workers 1..lanes()-1). Each lane
-     * adds task-execution nanoseconds and claimed-task counts to its own
-     * slot only; a lane's writes are published to the run() caller by
-     * the join's release/acquire edge, so the owner may read the slots
-     * between runs without synchronization. Null (the default) disables
-     * all timing — the hot claim loop then never touches the clock.
-     */
-    void
-    setLaneProfile(std::uint64_t *busyNs, std::uint64_t *tasks)
-    {
-        laneBusyNs_ = busyNs;
-        laneTasks_ = tasks;
-    }
-
-  private:
-    void workerLoop(int lane);
-    void drainTasks(int lane);
-
-    int lanes_;
-    // Busy-spin iterations before backing off to yield()/parking; 0 on
-    // oversubscribed hosts (more lanes than hardware threads), where
-    // spinning steals cycles from the lane doing the work.
-    int spinLimit_ = 2048;
-    std::vector<std::thread> workers_;
-
-    // Sense-reversing barrier with full membership: every worker
-    // participates in every epoch (late is fine, absent is not), so by
-    // the time run() returns, no worker can still be inside the claim
-    // loop — which is what makes republishing fn_/n_/next_ on the next
-    // run() race-free.
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<std::size_t> next_{0};
-    std::atomic<int> arrived_{0};
-    std::size_t n_ = 0;
-    const std::function<void(std::size_t)> *fn_ = nullptr;
-
-    // Per-lane profile slots (see setLaneProfile); null when detached.
-    std::uint64_t *laneBusyNs_ = nullptr;
-    std::uint64_t *laneTasks_ = nullptr;
-
-    // Lowest-index exception wins, decided after the join.
-    std::mutex errorMutex_;
-    std::size_t errorIndex_ = 0;
-    std::exception_ptr error_;
-
-    // Idle parking: workers that spun too long wait here until the next
-    // epoch bump (or shutdown) notifies them. run() always waits for
-    // every worker to arrive, so parking can never skip an epoch.
-    std::mutex parkMutex_;
-    std::condition_variable parkCv_;
-    std::atomic<int> parked_{0};
-    std::atomic<bool> stop_{false};
 };
 
 } // namespace tcm

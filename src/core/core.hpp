@@ -73,37 +73,6 @@ class Core
     bool wouldSubmitAt(Cycle now);
 
     /**
-     * Non-mutating lower bound on the first cycle >= @p now at which
-     * this core's fetch could place a memory access at the fetch head —
-     * i.e. the first cycle a tick might consult or mutate a memory
-     * controller. The intra-run parallel driver ends a decoupled span
-     * strictly before this cycle, so core ticks inside the span are
-     * provably controller-free. Conservative in three ways: fetch is
-     * assumed to consume the pending plain gap at the full fetch width
-     * every cycle (anything slower only delays the touch), an unseen
-     * trace item is assumed to carry a zero gap, and a dormant window
-     * (head miss not completed) wakes no earlier than the miss's known
-     * ready time — or never within the span, when the completion itself
-     * can only arrive at a future barrier.
-     */
-    Cycle
-    earliestMemTouchBound(Cycle now) const
-    {
-        if (!havePending_)
-            return now;
-        Cycle start = now;
-        if (occupancy_ >= params_.windowSize && !window_.empty() &&
-            window_.front().plain == 0) {
-            auto it = done_.find(window_.front().missId);
-            if (it == done_.end())
-                return kCycleNever;
-            start = it->second > now ? it->second : now;
-        }
-        return start +
-               pendingGap_ / static_cast<std::uint64_t>(params_.fetchWidth);
-    }
-
-    /**
      * Number of cycles starting at @p now (capped at @p maxSpan) that
      * this core can provably advance with no externally visible effect
      * other than counter updates, under the span guarantee that no

@@ -36,10 +36,6 @@ Channel::notifyObservers(CommandKind kind, BankId b, RowId row, Cycle now,
     ev.kind = kind;
     ev.row = row;
     ev.autoPre = autoPre;
-    if (eventBuffer_ != nullptr) {
-        eventBuffer_->push_back(ev);
-        return;
-    }
     for (CommandObserver *obs : observers_)
         obs->onCommand(ev);
 }

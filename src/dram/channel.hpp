@@ -45,27 +45,6 @@ class Channel
      */
     void addObserver(CommandObserver *observer);
 
-    /**
-     * Deferred-observation mode for decoupled (parallel) stepping: when
-     * @p buffer is non-null, issued-command events append to it instead
-     * of dispatching to observers; the owner later replays them through
-     * dispatch() in the canonical cross-channel order. Pass nullptr to
-     * restore immediate dispatch. Events are buffered in issue order,
-     * i.e. already cycle-sorted per channel.
-     */
-    void bufferEvents(std::vector<CommandEvent> *buffer)
-    {
-        eventBuffer_ = buffer;
-    }
-
-    /** Deliver one (buffered) event to every registered observer. */
-    void
-    dispatch(const CommandEvent &event) const
-    {
-        for (CommandObserver *obs : observers_)
-            obs->onCommand(event);
-    }
-
     int numBanks() const { return static_cast<int>(banks_.size()); }
     int numRanks() const { return static_cast<int>(ranks_.size()); }
 
@@ -153,7 +132,6 @@ class Channel
     std::vector<Rank> ranks_;
     std::vector<Bank> banks_;
     std::vector<CommandObserver *> observers_;
-    std::vector<CommandEvent> *eventBuffer_ = nullptr;
     Cycle cmdBusFreeAt_ = 0;
     Cycle dataBusFreeAt_ = 0;
     Cycle lastColCmdAt_ = 0;    //!< last column command (tCCD base)

@@ -1,7 +1,6 @@
 #include "mem/controller.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "prof/profiler.hpp"
 #include "telemetry/sink.hpp"
@@ -32,40 +31,6 @@ MemoryController::MemoryController(ChannelId id,
     }
     rankLastActiveAt_.resize(timing.ranksPerChannel, 0);
     openRowScratch_.resize(timing.banksPerChannel, kNoRow);
-}
-
-void
-MemoryController::beginDeferred()
-{
-    assert(deferredHooks_.empty() && deferredLifecycles_.empty() &&
-           deferredEvents_.empty());
-    deferring_ = true;
-    channel_.bufferEvents(&deferredEvents_);
-}
-
-void
-MemoryController::endDeferred()
-{
-    deferring_ = false;
-    channel_.bufferEvents(nullptr);
-}
-
-std::size_t
-MemoryController::stepSpan(Cycle from, Cycle to)
-{
-    std::size_t ticks = 0;
-    for (Cycle u = from; u < to;) {
-        tick(u);
-        ++ticks;
-        // Ticks before the controller's own event horizon are
-        // state-preserving no-ops — jump them, independently of what the
-        // other workers' controllers are doing.
-        Cycle next = nextEventAt(u + 1);
-        if (next == kCycleNever)
-            break;
-        u = next;
-    }
-    return ticks;
 }
 
 void
@@ -484,11 +449,7 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
     dram::IssueResult res = channel_.issue(cmd, req.bank, req.row, now);
     stats_.bankBusyCycles += res.occupancy;
     rankLastActiveAt_[channel_.rankOf(req.bank)] = now;
-    if (deferring_)
-        deferredHooks_.push_back(DeferredHook{
-            DeferredHook::Kind::Command, cmd, now, res.occupancy, req});
-    else
-        sched_->onCommand(req, cmd, now, res.occupancy);
+    sched_->onCommand(req, cmd, now, res.occupancy);
 
     switch (cmd) {
       case CommandKind::Activate:
@@ -507,25 +468,15 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
             req.thread, req.missId, res.dataEnd + timing_->mcToCpuDelay});
         latency_.record(req.thread,
                         res.dataEnd + timing_->mcToCpuDelay - req.issuedAt);
-        if (lifecycle_) {
-            if (deferring_)
-                deferredLifecycles_.push_back(DeferredLifecycle{
-                    now, req.thread, now - req.arrivedAt,
-                    res.dataEnd + timing_->mcToCpuDelay - now});
-            else
-                lifecycle_->recordLifecycle(
-                    req.thread, now - req.arrivedAt,
-                    res.dataEnd + timing_->mcToCpuDelay - now);
-        }
+        if (lifecycle_)
+            lifecycle_->recordLifecycle(
+                req.thread, now - req.arrivedAt,
+                res.dataEnd + timing_->mcToCpuDelay - now);
         queue_.removeRead(best);
         // Departure is stamped at the end of the data burst: a request
         // is "outstanding" (Table 2's load counters) until serviced, not
         // merely until its column command issues.
-        if (deferring_)
-            deferredHooks_.push_back(DeferredHook{
-                DeferredHook::Kind::Depart, cmd, now, res.dataEnd, req});
-        else
-            sched_->onDepart(req, res.dataEnd);
+        sched_->onDepart(req, res.dataEnd);
         maybeAutoPrecharge(req);
         break;
       case CommandKind::Write:
@@ -533,11 +484,7 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
         if (!req.sawActivate)
             ++stats_.rowHits;
         queue_.removeWrite(best);
-        if (deferring_)
-            deferredHooks_.push_back(DeferredHook{
-                DeferredHook::Kind::Depart, cmd, now, res.dataEnd, req});
-        else
-            sched_->onDepart(req, res.dataEnd);
+        sched_->onDepart(req, res.dataEnd);
         maybeAutoPrecharge(req);
         break;
       case CommandKind::Refresh:
@@ -566,12 +513,7 @@ MemoryController::tick(Cycle now)
             for (const Request &req : arrived) {
                 if (!req.isWrite)
                     keyHi[slot++] = packedKeyHi(req.thread, req.marked);
-                if (deferring_)
-                    deferredHooks_.push_back(DeferredHook{
-                        DeferredHook::Kind::Arrival, CommandKind::Read, now,
-                        now, req});
-                else
-                    sched_->onArrival(req, now);
+                sched_->onArrival(req, now);
             }
             nextTryAt_ = now; // a fresh request may be issuable at once
         }

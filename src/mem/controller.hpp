@@ -160,88 +160,6 @@ class MemoryController : public QueueAccess
     /** Advance one CPU cycle: admit arrivals, refresh, issue a command. */
     void tick(Cycle now);
 
-    // -- decoupled (intra-run parallel) stepping -----------------------------
-    //
-    // In deferred mode every externally visible side effect of tick()
-    // other than channel/queue/stats mutation — scheduler hooks, command
-    // observer events, lifecycle records — is logged instead of
-    // delivered, so multiple controllers can step concurrently without
-    // touching shared state. The simulator replays the logs at the next
-    // barrier in the canonical serial order (cycle-major, channel-minor)
-    // and then drains completions(), making the parallel schedule
-    // bit-identical to the serial one. Completions stay queued in
-    // completions() as usual; their delayed delivery is invisible
-    // because readyAt is always at least the read latency in the
-    // future, and spans never exceed it.
-
-    /** One deferred scheduler hook, in intra-tick call order. */
-    struct DeferredHook
-    {
-        enum class Kind : std::uint8_t
-        {
-            Arrival,
-            Depart,
-            Command,
-        };
-        Kind kind;
-        dram::CommandKind cmd; //!< Command hooks only
-        Cycle cycle;           //!< tick cycle (replay ordering)
-        Cycle arg;             //!< now / dataEnd / occupancy per kind
-        Request req;
-    };
-
-    /** One deferred lifecycle record. */
-    struct DeferredLifecycle
-    {
-        Cycle cycle;
-        ThreadId thread;
-        Cycle queueing;
-        Cycle service;
-    };
-
-    /** Enter deferred mode; logs must be empty (previously replayed). */
-    void beginDeferred();
-
-    /** Leave deferred mode (logs stay for the owner to replay+clear). */
-    void endDeferred();
-
-    /**
-     * Step this controller over [from, to) in deferred mode, pacing
-     * itself with its own event horizon: cycles where tick() would be a
-     * state-preserving no-op are skipped outright, so each worker jumps
-     * its controller's dead cycles independently inside the span.
-     * Returns the number of ticks actually executed (diagnostic; see
-     * the simulator's intra-parallel counter shards).
-     */
-    std::size_t stepSpan(Cycle from, Cycle to);
-
-    std::vector<DeferredHook> &deferredHooks() { return deferredHooks_; }
-    std::vector<DeferredLifecycle> &deferredLifecycles()
-    {
-        return deferredLifecycles_;
-    }
-    std::vector<dram::CommandEvent> &deferredEvents()
-    {
-        return deferredEvents_;
-    }
-
-    /** Deliver one replayed scheduler hook to @p target. */
-    static void
-    replayHook(SchedulerPolicy &target, const DeferredHook &h)
-    {
-        switch (h.kind) {
-          case DeferredHook::Kind::Arrival:
-            target.onArrival(h.req, h.arg);
-            break;
-          case DeferredHook::Kind::Depart:
-            target.onDepart(h.req, h.arg);
-            break;
-          case DeferredHook::Kind::Command:
-            target.onCommand(h.req, h.cmd, h.cycle, h.arg);
-            break;
-        }
-    }
-
     /**
      * Earliest cycle >= @p now at which tick() could do externally
      * visible work, assuming no new submissions before then (the
@@ -296,11 +214,9 @@ class MemoryController : public QueueAccess
 
     /**
      * Attach a profiler shard (nullptr detaches): tick and read-scan
-     * wall time plus SoA scan-efficiency counters accumulate there. In
-     * gang mode the shard is written by whichever lane steps this
-     * controller and read by the owner after the join barrier; nothing
-     * measured feeds back into simulated state. Detached cost is one
-     * branch per tick/scan.
+     * wall time plus SoA scan-efficiency counters accumulate there.
+     * Nothing measured feeds back into simulated state. Detached cost is
+     * one branch per tick/scan.
      */
     void
     setProfile(prof::ControllerShard *shard)
@@ -314,7 +230,6 @@ class MemoryController : public QueueAccess
 
     // QueueAccess
     std::vector<Request> &readQueue() override { return queue_.reads(); }
-    Cycle nextArrivalAt() const override { return queue_.nextArrivalAt(); }
 
   private:
     /** Next DRAM command needed to advance @p req, given bank state. */
@@ -432,12 +347,6 @@ class MemoryController : public QueueAccess
     // indexed by bank.
     bool soaRankOk_ = true;
     std::vector<RowId> openRowScratch_;
-
-    // Deferred-mode logs (see beginDeferred); empty in immediate mode.
-    bool deferring_ = false;
-    std::vector<DeferredHook> deferredHooks_;
-    std::vector<DeferredLifecycle> deferredLifecycles_;
-    std::vector<dram::CommandEvent> deferredEvents_;
 };
 
 } // namespace tcm::mem

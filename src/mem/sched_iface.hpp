@@ -50,14 +50,6 @@ class QueueAccess
     virtual std::vector<Request> &readQueue() = 0;
 
     /**
-     * Arrival time of this queue's next in-transport request
-     * (kCycleNever when nothing is in flight). Lets a policy bound how
-     * far ahead its hook-driven state can possibly change (see
-     * SchedulerPolicy::decoupleHorizon).
-     */
-    virtual Cycle nextArrivalAt() const { return kCycleNever; }
-
-    /**
      * Invoke @p fn on every queued read. Templated so scheduler hot
      * loops pay one virtual call per scan instead of one indirect
      * std::function call per request.
@@ -169,25 +161,6 @@ class SchedulerPolicy
      * per-cycle accrual ignore it.
      */
     virtual void syncTo(Cycle /*now*/) {}
-
-    /**
-     * Latest cycle T >= @p now such that every tick() in [now, T) is a
-     * state-preserving no-op *even if observation hooks fire at any
-     * cycle in the span and are only delivered afterwards*. This is the
-     * intra-run parallel kernel's barrier bound: controllers may step
-     * [now, T) concurrently with their hooks deferred, because nothing
-     * the policy would have done in that window can depend on them.
-     *
-     * Contrast with nextEventAt(), whose contract lets the caller
-     * re-query after every executed cycle (so hook-driven changes are
-     * always seen); decoupleHorizon() must stay valid with hooks
-     * withheld for the whole span. Policies whose timed events are pure
-     * timers (quantum/shuffle/interval clocks) can return
-     * nextEventAt(now); policies whose tick work is armed by hooks
-     * (PAR-BS batch formation) must bound how soon a withheld hook
-     * could arm it. The default never decouples, which is always safe.
-     */
-    virtual Cycle decoupleHorizon(Cycle now) const { return now; }
 
     /**
      * Monotonically increasing counter bumped whenever the rank vector

@@ -16,8 +16,6 @@ phaseName(Phase p)
     case Phase::CtrlTick: return "ctrl.tick";
     case Phase::ReadScan: return "ctrl.scan";
     case Phase::CoreTick: return "core.tick";
-    case Phase::GangRun: return "gang.run";
-    case Phase::Replay: return "replay";
     case Phase::Telemetry: return "telemetry";
     case Phase::Serialize: return "serialize";
     }
@@ -32,8 +30,6 @@ phaseKey(Phase p)
     case Phase::CtrlTick: return "ctrl_tick";
     case Phase::ReadScan: return "ctrl_scan";
     case Phase::CoreTick: return "core_tick";
-    case Phase::GangRun: return "gang_run";
-    case Phase::Replay: return "replay";
     case Phase::Telemetry: return "telemetry";
     case Phase::Serialize: return "serialize";
     }
@@ -75,14 +71,11 @@ skipLengthLadder()
 }
 
 void
-Profiler::configure(int numCores, int numChannels, int gangLanes)
+Profiler::configure(int numCores, int numChannels)
 {
     controllers_.assign(static_cast<std::size_t>(std::max(numChannels, 1)),
                         ControllerShard{});
     coreRegimes_.assign(static_cast<std::size_t>(std::max(numCores, 1)), {});
-    gangLanes_ = std::max(gangLanes, 1);
-    laneBusyNs_.assign(static_cast<std::size_t>(gangLanes_), 0);
-    laneTasks_.assign(static_cast<std::size_t>(gangLanes_), 0);
 }
 
 Profiler::Pulse
@@ -123,9 +116,6 @@ Profiler::report() const
     r.skipCycles = skipCycles_;
     r.skipLengths = skipLengths_;
     r.coreRegimes = coreRegimes_;
-    r.gangLanes = gangLanes_;
-    r.laneBusyNs = laneBusyNs_;
-    r.laneTasks = laneTasks_;
     return r;
 }
 
@@ -184,15 +174,6 @@ ProfileReport::merge(const ProfileReport &other)
         for (int r = 0; r < kRegimeCount; ++r)
             coreRegimes[c][r] += other.coreRegimes[c][r];
     scan.addFrom(other.scan);
-    gangLanes = std::max(gangLanes, other.gangLanes);
-    if (laneBusyNs.size() < other.laneBusyNs.size())
-        laneBusyNs.resize(other.laneBusyNs.size(), 0);
-    for (std::size_t l = 0; l < other.laneBusyNs.size(); ++l)
-        laneBusyNs[l] += other.laneBusyNs[l];
-    if (laneTasks.size() < other.laneTasks.size())
-        laneTasks.resize(other.laneTasks.size(), 0);
-    for (std::size_t l = 0; l < other.laneTasks.size(); ++l)
-        laneTasks[l] += other.laneTasks[l];
 }
 
 std::vector<std::pair<std::string, double>>
@@ -273,17 +254,7 @@ ProfileReport::toJson() const
     out << "  \"scan\": {\"soa_scans\": " << scan.soaScans
         << ", \"reads_examined\": " << scan.readsExamined
         << ", \"dominance_skipped\": " << scan.dominanceSkipped
-        << ", \"fallback_scans\": " << scan.fallbackScans << "},\n";
-    out << "  \"lanes\": [";
-    for (std::size_t l = 0; l < laneBusyNs.size(); ++l) {
-        if (l)
-            out << ", ";
-        std::uint64_t tasks = l < laneTasks.size() ? laneTasks[l] : 0;
-        out << "{\"busy_ms\": "
-            << num(static_cast<double>(laneBusyNs[l]) / 1e6)
-            << ", \"tasks\": " << tasks << "}";
-    }
-    out << "]\n}\n";
+        << ", \"fallback_scans\": " << scan.fallbackScans << "}\n}\n";
     return out.str();
 }
 
@@ -346,18 +317,6 @@ ProfileReport::print(std::FILE *out) const
                      static_cast<unsigned long long>(scan.dominanceSkipped),
                      skipPct,
                      static_cast<unsigned long long>(scan.fallbackScans));
-    }
-    if (gangLanes > 1 && !laneBusyNs.empty()) {
-        double gangMs = phaseMs(Phase::GangRun);
-        std::fprintf(out, "  gang: %d lanes over %.3f ms dispatched;",
-                     gangLanes, gangMs);
-        for (std::size_t l = 0; l < laneBusyNs.size(); ++l) {
-            std::uint64_t tasks = l < laneTasks.size() ? laneTasks[l] : 0;
-            std::fprintf(out, " lane%zu %.3f ms/%llu tasks", l,
-                         static_cast<double>(laneBusyNs[l]) / 1e6,
-                         static_cast<unsigned long long>(tasks));
-        }
-        std::fprintf(out, "\n");
     }
 }
 

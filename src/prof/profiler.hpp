@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulator self-profiling: wall-clock phase timers, cycle-skip horizon
- * attribution, regime occupancy, scan efficiency and gang imbalance.
+ * attribution, regime occupancy and scan efficiency.
  *
  * The profiler is a detachable observer of the *simulator*, not of the
  * simulated system: it may read the wall clock, but nothing it measures
@@ -10,10 +10,8 @@
  * detached every instrumentation site reduces to a null-pointer check —
  * no clock reads, no allocation.
  *
- * Threading contract: each gang lane writes only its own shards
- * (per-channel ControllerShard, per-lane busy slots); the owner reads
- * them after the gang join, whose release/acquire edge publishes the
- * writes. Everything else is owner-thread only.
+ * Threading contract: a Profiler observes one simulation and is written
+ * only by the thread stepping it.
  */
 
 #pragma once
@@ -37,13 +35,11 @@ enum class Phase : int {
     CtrlTick,      //!< memory-controller tick (admit/refresh/issue)
     ReadScan,      //!< SoA read-queue scan (subset of CtrlTick)
     CoreTick,      //!< core lockstep ticks + silent fast-forwarding
-    GangRun,       //!< fork-to-join wall time of one gang dispatch
-    Replay,        //!< deferred hook/event replay at gang barriers
     Telemetry,     //!< interval sampling into the telemetry sink
     Serialize,     //!< end-of-run telemetry/profile file writes
 };
 
-inline constexpr int kPhaseCount = 8;
+inline constexpr int kPhaseCount = 6;
 
 /** Stable short name ("sched.tick", ...) for reports. */
 const char *phaseName(Phase p);
@@ -51,13 +47,12 @@ const char *phaseName(Phase p);
 /** Stable identifier-safe key ("sched_tick", ...) for JSON. */
 const char *phaseKey(Phase p);
 
-/** Which subsystem's horizon bounded a cycle-skip jump (serial kernel)
- *  or a decoupled span (gang kernel). */
+/** Which subsystem's horizon bounded a cycle-skip jump. */
 enum class HorizonSource : int {
-    Scheduler = 0, //!< SchedulerPolicy::nextEventAt / decoupleHorizon
-    Controller,    //!< MemoryController::nextEventAt / completion lag
+    Scheduler = 0, //!< SchedulerPolicy::nextEventAt
+    Controller,    //!< MemoryController::nextEventAt
     Telemetry,     //!< telemetry interval sample clock
-    Core,          //!< core regime end or earliestMemTouchBound
+    Core,          //!< core regime end
     End,           //!< requested end of the step() window
 };
 
@@ -74,8 +69,7 @@ enum class Regime : int {
 
 inline constexpr int kRegimeCount = 3;
 
-/** Per-lane (or owner) phase accumulator: fixed arrays, zero allocation,
- *  written by exactly one thread at a time. */
+/** Phase accumulator: fixed arrays, zero allocation. */
 struct PhaseShard {
     std::array<std::uint64_t, kPhaseCount> ns{};
     std::array<std::uint64_t, kPhaseCount> calls{};
@@ -137,8 +131,8 @@ struct ScanCounters {
     }
 };
 
-/** Per-controller shard: written by whichever lane steps that channel,
- *  merged by the owner after the gang join. */
+/** Per-controller shard: written by that channel's controller, folded
+ *  into the end-of-run report by Profiler::report. */
 struct ControllerShard {
     PhaseShard phases;
     ScanCounters scan;
@@ -166,7 +160,7 @@ stats::Histogram skipLengthLadder();
 
 /**
  * End-of-run profile: a mergeable value type. merge() folds another
- * run's report in (lane/core vectors resize to the larger run), so
+ * run's report in (the per-core vector resizes to the larger run), so
  * sweeps can aggregate per scheduler across workloads.
  */
 struct ProfileReport {
@@ -182,10 +176,6 @@ struct ProfileReport {
 
     std::vector<std::array<std::uint64_t, kRegimeCount>> coreRegimes;
     ScanCounters scan;
-
-    int gangLanes = 1;
-    std::vector<std::uint64_t> laneBusyNs;
-    std::vector<std::uint64_t> laneTasks;
 
     std::uint64_t totalSkips() const;
     std::uint64_t totalSkippedCycles() const;
@@ -209,24 +199,20 @@ struct ProfileReport {
  * Live collector owned by whoever attached it (runWorkload, a tool, a
  * test). configure() is called by Simulator::attachProfiler with the
  * run's geometry; all vectors are sized there once, so the hot-path
- * pointers handed to the controllers and the gang stay stable.
+ * pointers handed to the controllers stay stable.
  */
 class Profiler
 {
   public:
     Profiler() = default;
 
-    void configure(int numCores, int numChannels, int gangLanes);
+    void configure(int numCores, int numChannels);
 
     PhaseShard &main() { return main_; }
     ControllerShard *controllerShard(int channel)
     {
         return &controllers_[static_cast<std::size_t>(channel)];
     }
-
-    int gangLanes() const { return gangLanes_; }
-    std::uint64_t *laneBusyNs() { return laneBusyNs_.data(); }
-    std::uint64_t *laneTasks() { return laneTasks_.data(); }
 
     void
     recordSkip(HorizonSource src, std::uint64_t cycles)
@@ -260,9 +246,6 @@ class Profiler
     std::array<std::uint64_t, kHorizonSourceCount> skipCycles_{};
     stats::Histogram skipLengths_ = skipLengthLadder();
     std::vector<std::array<std::uint64_t, kRegimeCount>> coreRegimes_;
-    int gangLanes_ = 1;
-    std::vector<std::uint64_t> laneBusyNs_;
-    std::vector<std::uint64_t> laneTasks_;
 };
 
 } // namespace tcm::prof

@@ -56,11 +56,6 @@ class Atlas : public SchedulerPolicy
     /** Only timed event: the next quantum boundary. */
     Cycle nextEventAt(Cycle) const override { return nextQuantumAt_; }
 
-    // The quantum clock is a pure timer: hooks accumulate attained
-    // service but never move the boundary, so controllers may step
-    // decoupled (hooks deferred) right up to it.
-    Cycle decoupleHorizon(Cycle) const override { return nextQuantumAt_; }
-
     int
     rankOf(ChannelId, ThreadId thread) const override
     {

@@ -15,7 +15,6 @@ void
 Bliss::configure(int numThreads, int numChannels, int banksPerChannel)
 {
     SchedulerPolicy::configure(numThreads, numChannels, banksPerChannel);
-    queuedReads_.assign(numChannels, 0);
     lastServed_.assign(numChannels, kNoThread);
     streak_.assign(numChannels, 0);
     blacklisted_.assign(numChannels,
@@ -24,18 +23,10 @@ Bliss::configure(int numThreads, int numChannels, int banksPerChannel)
 }
 
 void
-Bliss::onArrival(const Request &req, Cycle)
-{
-    if (!req.isWrite)
-        ++queuedReads_[req.channel];
-}
-
-void
 Bliss::onDepart(const Request &req, Cycle)
 {
     if (req.isWrite)
         return; // write drains are bursty by design; only reads count
-    --queuedReads_[req.channel];
     pendingServed_.push_back(ServedEvent{req.channel, req.thread});
 }
 
@@ -45,9 +36,8 @@ Bliss::tick(Cycle now)
     bool changed = false;
 
     // Apply the served-request stream recorded since the last tick, in
-    // delivery order (the deferred-hook replay preserves the serial
-    // (cycle, channel) order, so every execution mode sees the same
-    // stream and produces the same streaks).
+    // delivery order: cycle-major, channel-minor, the order the
+    // controllers fire their hooks in.
     if (!pendingServed_.empty()) {
         for (const ServedEvent &ev : pendingServed_) {
             if (ev.thread == lastServed_[ev.channel]) {
@@ -118,24 +108,6 @@ Cycle
 Bliss::nextEventAt(Cycle now) const
 {
     return pendingServed_.empty() ? nextClearAt_ : now;
-}
-
-Cycle
-Bliss::decoupleHorizon(Cycle now) const
-{
-    if (!pendingServed_.empty())
-        return now;
-    Cycle h = nextClearAt_;
-    for (ChannelId ch = 0; ch < numChannels_; ++ch) {
-        if (queuedReads_[ch] > 0)
-            return now; // a departure could arm a blacklist mid-span
-        if (!queues_[ch])
-            continue;
-        Cycle arrival = queues_[ch]->nextArrivalAt();
-        if (arrival != kCycleNever)
-            h = std::min(h, std::max(arrival, now) + 1);
-    }
-    return std::max(h, now);
 }
 
 int

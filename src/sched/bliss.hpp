@@ -38,13 +38,11 @@ struct BlissParams
  *
  * Fast-path contracts: served-request events observed through onDepart
  * are queued and *applied at the next tick*, never inside the hook —
- * ranks therefore only change in tick(), which is what makes the
- * gang-stepped intra-parallel driver bit-identical to the serial loop
- * (a controller scanning at cycle u always sees the ranks the policy
- * published at tick(u), in every execution mode). nextEventAt() is the
- * next clearing boundary, or `now` while served events are pending;
- * decoupleHorizon() additionally refuses to decouple while any channel
- * has queued reads (a withheld departure hook could arm a blacklist).
+ * ranks therefore only change in tick(), so a controller scanning at
+ * cycle u sees the ranks the policy published at tick(u). This one-tick
+ * delay is part of the model: the committed BLISS golden command trace
+ * and the zoo claims golden encode it. nextEventAt() is the next
+ * clearing boundary, or `now` while served events are pending.
  */
 class Bliss : public SchedulerPolicy
 {
@@ -56,23 +54,11 @@ class Bliss : public SchedulerPolicy
     void configure(int numThreads, int numChannels,
                    int banksPerChannel) override;
 
-    void onArrival(const Request &req, Cycle now) override;
     void onDepart(const Request &req, Cycle now) override;
     void tick(Cycle now) override;
 
     /** Next clearing boundary; `now` while served events are pending. */
     Cycle nextEventAt(Cycle now) const override;
-
-    /**
-     * The clearing clock is a pure timer, but blacklisting is armed by
-     * departure hooks: any channel with queued reads can produce a
-     * departure whose deferred delivery would change ranks mid-span, so
-     * decoupling is only safe while every channel is empty — then bound
-     * by the next in-transport arrival (admitted at that cycle's
-     * controller tick, visible to the policy one tick later) and the
-     * clearing boundary.
-     */
-    Cycle decoupleHorizon(Cycle now) const override;
 
     int
     rankOf(ChannelId ch, ThreadId thread) const override
@@ -103,7 +89,6 @@ class Bliss : public SchedulerPolicy
 
     BlissParams params_;
     std::vector<ServedEvent> pendingServed_;
-    std::vector<int> queuedReads_;            //!< visible reads per channel
     std::vector<ThreadId> lastServed_;        //!< per channel
     std::vector<int> streak_;                 //!< per channel
     std::vector<std::vector<std::uint8_t>> blacklisted_; //!< [ch][thread]

@@ -23,7 +23,7 @@ namespace tcm::sched {
  * simulator builds every controller with PagePolicy::Closed (the PR-2
  * protocol checker audits the auto-precharge riders like any explicit
  * precharge). Everything else is stock FR-FCFS: stateless in time and
- * hook-free, so controllers may step decoupled forever.
+ * hook-free, with no timed events.
  */
 class CpFrFcfs : public SchedulerPolicy
 {
@@ -31,9 +31,6 @@ class CpFrFcfs : public SchedulerPolicy
     const char *name() const override { return "FRFCFS-CP"; }
 
     bool prefersClosedPage() const override { return true; }
-
-    // Stateless in time and hook-free: no policy barrier ever needed.
-    Cycle decoupleHorizon(Cycle) const override { return kCycleNever; }
 };
 
 } // namespace tcm::sched

@@ -20,9 +20,6 @@ class Fcfs : public SchedulerPolicy
     const char *name() const override { return "FCFS"; }
 
     bool useRowHit() const override { return false; }
-
-    // Stateless in time and hook-free: no policy barrier ever needed.
-    Cycle decoupleHorizon(Cycle) const override { return kCycleNever; }
 };
 
 } // namespace tcm::sched

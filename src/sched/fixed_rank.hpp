@@ -26,9 +26,6 @@ class FixedRank : public SchedulerPolicy
 
     const char *name() const override { return "FixedRank"; }
 
-    // The rank vector never changes: no policy barrier ever needed.
-    Cycle decoupleHorizon(Cycle) const override { return kCycleNever; }
-
     int
     rankOf(ChannelId, ThreadId thread) const override
     {

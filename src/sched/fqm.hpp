@@ -57,10 +57,6 @@ class Fqm : public SchedulerPolicy
     /** Only timed event: the next rank recomputation. */
     Cycle nextEventAt(Cycle) const override { return nextUpdateAt_; }
 
-    // The update clock is a pure timer: hooks advance virtual times but
-    // never move the boundary, so decoupled stepping is safe up to it.
-    Cycle decoupleHorizon(Cycle) const override { return nextUpdateAt_; }
-
     int
     rankOf(ChannelId, ThreadId thread) const override
     {

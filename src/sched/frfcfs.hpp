@@ -18,10 +18,6 @@ class FrFcfs : public SchedulerPolicy
 {
   public:
     const char *name() const override { return "FR-FCFS"; }
-
-    // Stateless in time and hook-free: controllers may step decoupled
-    // forever without a policy barrier.
-    Cycle decoupleHorizon(Cycle) const override { return kCycleNever; }
 };
 
 } // namespace tcm::sched

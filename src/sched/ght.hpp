@@ -51,10 +51,10 @@ struct GhtParams
  * every rotatePeriod cycles so no intensive thread camps at the top —
  * the same fairness-by-rotation idea TCM's shuffle formalizes.
  *
- * Fast-path contracts: both timed events (interval, rotation) are pure
+ * Fast-path contract: both timed events (interval, rotation) are pure
  * timers; hooks only accumulate read counts and history-table hits that
- * the boundaries consume, so nextEventAt == decoupleHorizon == the
- * nearer boundary, exactly like ATLAS/FQM.
+ * the boundaries consume, so nextEventAt is the nearer boundary, exactly
+ * like ATLAS/FQM.
  */
 class Ght : public SchedulerPolicy
 {
@@ -75,15 +75,6 @@ class Ght : public SchedulerPolicy
     {
         return nextIntervalAt_ < nextRotateAt_ ? nextIntervalAt_
                                                : nextRotateAt_;
-    }
-
-    // Both boundaries are pure timers: hooks feed the statistics they
-    // consume but never move them, so decoupled stepping is safe up to
-    // the nearer one.
-    Cycle
-    decoupleHorizon(Cycle now) const override
-    {
-        return nextEventAt(now);
     }
 
     int

@@ -65,32 +65,6 @@ ParBs::nextEventAt(Cycle now) const
     return kCycleNever;
 }
 
-Cycle
-ParBs::decoupleHorizon(Cycle now) const
-{
-    Cycle h = kCycleNever;
-    for (ChannelId ch = 0; ch < numChannels_; ++ch) {
-        if (!queues_[ch])
-            continue;
-        if (markedRemaining_[ch] > 0) {
-            // m marked departures need >= m command cycles starting at
-            // `now`; the earliest batch-forming tick is one later.
-            h = std::min(h, now + static_cast<Cycle>(markedRemaining_[ch]));
-        } else if (queuedReads_[ch] > 0) {
-            // Batch-ready right now: never decouple past this tick.
-            return now;
-        } else {
-            // Idle channel: ready only after its next queued arrival is
-            // admitted (at that cycle's controller tick), so the first
-            // tick that can see it is one cycle later.
-            Cycle arrival = queues_[ch]->nextArrivalAt();
-            if (arrival != kCycleNever)
-                h = std::min(h, std::max(arrival, now) + 1);
-        }
-    }
-    return h;
-}
-
 void
 ParBs::formBatch(ChannelId ch, Cycle now)
 {

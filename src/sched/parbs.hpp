@@ -55,18 +55,6 @@ class ParBs : public SchedulerPolicy
      */
     Cycle nextEventAt(Cycle now) const override;
 
-    /**
-     * PAR-BS is the one policy whose tick work (batch formation) is
-     * armed by hooks, so withholding them needs a real bound: a channel
-     * with m marked requests left needs at least m column commands —
-     * one per cycle — before it can possibly become batch-ready, and an
-     * empty idle channel cannot become ready before its next transport
-     * arrival has been admitted. Assumes, like nextEventAt, that no new
-     * requests are submitted during the span (the parallel kernel
-     * executes submission cycles canonically).
-     */
-    Cycle decoupleHorizon(Cycle now) const override;
-
     int
     rankOf(ChannelId ch, ThreadId thread) const override
     {

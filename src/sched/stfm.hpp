@@ -66,17 +66,6 @@ class Stfm : public SchedulerPolicy
                                                : nextIntervalAt_;
     }
 
-    // Both timed events are pure timers (update period, halving
-    // interval): hooks feed the statistics those events consume but
-    // never move the boundaries, and stall accrual is partitioned
-    // exactly by syncTo at hook-replay time. Decoupled stepping is
-    // therefore safe up to the next timed event.
-    Cycle
-    decoupleHorizon(Cycle now) const override
-    {
-        return nextEventAt(now);
-    }
-
     /**
      * Accrue shared stall time for cycles (lastAccruedAt_, now]. Exact
      * replacement for the per-cycle "+1 while outstanding" loop: the

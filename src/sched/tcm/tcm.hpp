@@ -94,15 +94,6 @@ class Tcm : public SchedulerPolicy
         return std::min(nextQuantumAt_, nextShuffleAt_);
     }
 
-    // Quantum and shuffle clocks are pure timers: hooks feed the
-    // monitor the next boundary consumes but never move a boundary, so
-    // decoupled stepping (hooks deferred) is safe up to the next one.
-    Cycle
-    decoupleHorizon(Cycle now) const override
-    {
-        return nextEventAt(now);
-    }
-
     int
     rankOf(ChannelId, ThreadId thread) const override
     {

@@ -106,20 +106,6 @@ Tournament::nextEventAt(Cycle now) const
     return h;
 }
 
-Cycle
-Tournament::decoupleHorizon(Cycle now) const
-{
-    // The quantum boundary is a pure timer (core counters are read at
-    // the boundary, which the drivers always execute canonically), so
-    // the tournament's own bound is the boundary; every shadow
-    // candidate's bound applies too, because a withheld hook that would
-    // change *any* candidate's state could matter after a switch.
-    Cycle h = nextQuantumAt_;
-    for (const auto &c : candidates_)
-        h = std::min(h, c->decoupleHorizon(now));
-    return h;
-}
-
 void
 Tournament::syncTo(Cycle now)
 {

@@ -56,10 +56,10 @@ struct TournamentParams
  * then re-explore. Every live-policy change emits a tournament.switch
  * decision event.
  *
- * Fast-path contracts compose from the candidates': nextEventAt /
- * decoupleHorizon are the min over the candidates' and the quantum
- * boundary (a pure timer — core counters are read at the boundary,
- * which is always a barrier cycle); syncTo fans out; the tournament's
+ * Fast-path contracts compose from the candidates': nextEventAt is the
+ * min over the candidates' and the quantum boundary (a pure timer —
+ * core counters are read at the boundary, which is always an executed
+ * cycle); syncTo fans out; the tournament's
  * rank epoch advances whenever the live candidate's does or the live
  * candidate itself changes, so controller snapshot caches refresh
  * exactly when the visible knobs may have moved. Candidates must not
@@ -90,7 +90,6 @@ class Tournament : public SchedulerPolicy
     void tick(Cycle now) override;
 
     Cycle nextEventAt(Cycle now) const override;
-    Cycle decoupleHorizon(Cycle now) const override;
     void syncTo(Cycle now) override;
     std::uint64_t rankEpoch() const override { return epoch_; }
 

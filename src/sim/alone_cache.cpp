@@ -1,6 +1,5 @@
 #include "sim/alone_cache.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -41,16 +40,6 @@ void
 appendField(std::string &out, const char *name, int v)
 {
     appendField(out, name, static_cast<long long>(v));
-}
-
-/** Locale-independent exact double parse; false on junk/trailing text. */
-bool
-parseDouble(const std::string &s, double *out)
-{
-    const char *first = s.data();
-    const char *last = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(first, last, *out);
-    return ec == std::errc() && ptr == last;
 }
 
 /** Split @p line on single spaces (store fields never contain spaces). */
@@ -235,15 +224,9 @@ AloneIpcCache::loadFromFile(const std::string &path)
     }
     {
         auto fields = splitFields(line);
-        unsigned long long fp = 0;
+        std::uint64_t fp = 0;
         if (fields.size() != 2 || fields[0] != "fingerprint" ||
-            !([&] {
-                auto [p, ec] = std::from_chars(
-                    fields[1].data(), fields[1].data() + fields[1].size(),
-                    fp, 16);
-                return ec == std::errc() &&
-                       p == fields[1].data() + fields[1].size();
-            }())) {
+            !parseU64(fields[1], &fp, 16)) {
             res.message = "malformed fingerprint line in " + path;
             return res;
         }

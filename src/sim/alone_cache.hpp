@@ -73,9 +73,9 @@ class AloneIpcCache
      * (warmup/measure this cache was built with) and every
      * behaviour-affecting SystemConfig field. Deliberately excluded:
      * pure-observer knobs (telemetry, profiling, protocolCheck) and
-     * bit-identity execution knobs (cycleSkip, intraRunParallel,
-     * controller idleSkip), whose invariance is enforced by the
-     * cycle-skip / intra-parallel / idle-skip test suites.
+     * bit-identity execution knobs (cycleSkip, controller idleSkip),
+     * whose invariance is enforced by the cycle-skip and idle-skip test
+     * suites.
      */
     std::uint64_t fingerprint() const;
     static std::uint64_t fingerprint(const SystemConfig &config,

@@ -499,22 +499,6 @@ paperClaims()
         zooKey("FRFCFS-CP", "ws"), {zooKey("FR-FCFS", "ws")},
         /*factor=*/0.95));
 
-    // -- Infrastructure: intra-run parallel stepping ------------------------
-    // Not a paper claim but a reproduction-quality invariant: gang
-    // stepping must actually buy wall-clock (its bit-identity to the
-    // serial loop is enforced separately, by test_intra_parallel and
-    // the parallel claims-gate CI run). The subject comes from the
-    // paper::intraParallel measurement: a high-intensity TCM run on the
-    // default 24-core/4-channel system, 4 worker lanes vs serial. The
-    // upper bound only guards against a nonsensical timing artifact —
-    // 4 lanes cannot legitimately exceed the lane count by much.
-    claims.push_back(Claim::band(
-        "perf.intra_parallel_speedup",
-        "Intra-run parallel stepping at 4 workers is at least 1.3x "
-        "faster than the serial loop on the 4-channel high-intensity "
-        "TCM run",
-        ResultSet::key("intra_parallel", "w4", "", "speedup"), 1.3, 8.0));
-
     // -- Infrastructure: interval sampling ----------------------------------
     // Subjects come from the paper::sampling probe (the fig4 grid run
     // full-length and interval-sampled; claims-gate leg

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,10 +23,10 @@ tick()
     return std::chrono::steady_clock::now();
 }
 
-/** Stamp run provenance: elapsed wall time, worker-lane count, host and
- *  build identity, and (when the runs were profiled) the merged
- *  self-profile metrics. All of it lives in the "run" block, which the
- *  claims baseline diff ignores. */
+/** Stamp run provenance: elapsed wall time, host and build identity,
+ *  and (when the runs were profiled) the merged self-profile metrics.
+ *  All of it lives in the "run" block, which the claims baseline diff
+ *  ignores. */
 void
 stamp(results::ResultsDoc &doc, std::chrono::steady_clock::time_point t0,
       const SystemConfig &config,
@@ -35,7 +34,6 @@ stamp(results::ResultsDoc &doc, std::chrono::steady_clock::time_point t0,
 {
     doc.wallSeconds =
         std::chrono::duration<double>(tick() - t0).count();
-    doc.intraWorkers = config.intraRunParallel;
     doc.hostThreads =
         static_cast<int>(std::thread::hardware_concurrency());
 #ifdef TCMSIM_BUILD_TYPE
@@ -226,62 +224,6 @@ zoo(const SystemConfig &config, const ExperimentScale &scale, int jobs)
     }
     prof::ProfileReport merged = mergedProfile(aggs);
     stamp(doc, t0, config, &merged);
-    return doc;
-}
-
-results::ResultsDoc
-intraParallel(const SystemConfig &config, const ExperimentScale &scale)
-{
-    auto t0 = tick();
-
-    // The paper system at full memory pressure: every thread intensive,
-    // all four channels loaded — the configuration the >= 1.3x speedup
-    // acceptance bar is stated for. Low-intensity runs have fewer
-    // executed cycles between barriers and gain less.
-    auto mix = workload::randomMix(config.numCores, 1.0, /*seed=*/77);
-    sched::SchedulerSpec spec = sched::SchedulerSpec::tcmSpec();
-    spec.scaleToRun(scale.warmup + scale.measure);
-
-    // Deliberately profiler-free: the rows below are wall-clock timing
-    // claims, and even the profiler's branch-only detached cost has no
-    // business inside the measured region.
-    auto timedRun = [&](int workers, std::vector<double> &ipc) {
-        SystemConfig cfg = config;
-        cfg.cycleSkip = true;
-        cfg.intraRunParallel = workers;
-        auto r0 = tick();
-        Simulator sim(cfg, mix, spec, /*seed=*/17);
-        sim.run(scale.warmup, scale.measure);
-        double seconds = std::chrono::duration<double>(tick() - r0).count();
-        ipc.clear();
-        for (ThreadId t = 0; t < sim.numThreads(); ++t)
-            ipc.push_back(sim.measuredIpc(t));
-        return seconds;
-    };
-
-    results::ResultsDoc doc("intra_parallel", scale);
-    std::vector<double> serialIpc;
-    double serial = 0.0;
-    for (int workers : {1, 2, 4}) {
-        std::vector<double> ipc;
-        double seconds = timedRun(workers, ipc);
-        std::vector<double> scratch;
-        seconds = std::min(seconds, timedRun(workers, scratch));
-        if (workers == 1) {
-            serialIpc = ipc;
-            serial = seconds;
-        } else if (ipc != serialIpc) {
-            // A speedup number measured on a diverged simulation is
-            // meaningless — fail the whole gate, don't report it.
-            throw std::runtime_error(
-                "intra_parallel: worker count " + std::to_string(workers) +
-                " diverged from the serial run");
-        }
-        results::Row &row = doc.row("w" + std::to_string(workers));
-        row.set("seconds", seconds);
-        row.set("speedup", seconds > 0.0 ? serial / seconds : 0.0);
-    }
-    stamp(doc, t0, config);
     return doc;
 }
 

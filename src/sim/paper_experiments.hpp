@@ -59,26 +59,6 @@ results::ResultsDoc zoo(const SystemConfig &config,
                         const ExperimentScale &scale, int jobs = 0);
 
 /**
- * Intra-run parallel stepping speedup (the BM_IntraRunParallel
- * measurement): one high-intensity TCM run on the paper's 24-core /
- * 4-channel system, repeated at 1, 2 and 4 worker lanes. One row per
- * worker count ("w1", "w2", "w4") with metrics seconds and speedup
- * (vs the w1 serial loop; 1.0 for w1 itself). Timing is best-of-two
- * per point so a cold first run does not distort the ratios, and every
- * parallel run's per-thread IPC vector is checked bit-identical to the
- * serial run's — divergence throws, so a timing claim can never pass
- * on a broken simulation.
- *
- * Always measured with the cycle-skip kernel on (the production
- * configuration the speedup claim is about), regardless of
- * @p config.cycleSkip, so the claim verdict is identical in the
- * per-cycle-oracle claims-gate run. @p config.intraRunParallel is
- * likewise overridden per point. All other @p config fields apply.
- */
-results::ResultsDoc intraParallel(const SystemConfig &config,
-                                  const ExperimentScale &scale);
-
-/**
  * Interval-sampling validation (the bench_sampling measurement): the
  * fig4 grid run twice — full-length and interval-sampled (W:K windows
  * after a short warmup; sim/sampling.hpp) — with the sampled estimates
@@ -103,7 +83,7 @@ results::ResultsDoc intraParallel(const SystemConfig &config,
  * stamped — the claims gate reuses the grid it already ran); when null
  * the driver runs the full leg itself.
  *
- * Like intraParallel, the document carries wall-clock timings: it feeds
+ * The document carries wall-clock timings: it feeds
  * the sampling.* claims and is written out for inspection but is never
  * diffed against a golden baseline.
  */

@@ -104,14 +104,12 @@ serializeDoc(const ResultsDoc &doc, bool pretty)
            ", \"workloads_per_category\": " +
            std::to_string(doc.workloadsPerCategory) + "},";
     out += nl;
-    if (doc.wallSeconds > 0.0 || doc.intraWorkers > 0 ||
-        doc.hostThreads > 0 || !doc.buildType.empty() ||
-        doc.cycleSkip >= 0 || doc.jobsPerSec > 0.0 ||
-        doc.cacheHitRate >= 0.0 || !doc.profileMetrics.empty()) {
+    if (doc.wallSeconds > 0.0 || doc.hostThreads > 0 ||
+        !doc.buildType.empty() || doc.cycleSkip >= 0 ||
+        doc.jobsPerSec > 0.0 || doc.cacheHitRate >= 0.0 ||
+        !doc.profileMetrics.empty()) {
         out += ind;
-        out += "\"run\": {\"wall_seconds\": " +
-               formatDouble(doc.wallSeconds) +
-               ", \"intra_workers\": " + std::to_string(doc.intraWorkers);
+        out += "\"run\": {\"wall_seconds\": " + formatDouble(doc.wallSeconds);
         if (doc.hostThreads > 0)
             out += ", \"host_threads\": " + std::to_string(doc.hostThreads);
         if (!doc.buildType.empty())
@@ -224,7 +222,6 @@ ResultsDoc::fromJson(const std::string &text)
 
     if (const json::Value *run = root.find("run")) {
         doc.wallSeconds = run->numberOr("wall_seconds", 0.0);
-        doc.intraWorkers = static_cast<int>(run->numberOr("intra_workers", 0));
         doc.hostThreads = static_cast<int>(run->numberOr("host_threads", 0));
         doc.buildType = run->stringOr("build_type", "");
         doc.jobsPerSec = run->numberOr("jobs_per_sec", 0.0);

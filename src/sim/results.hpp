@@ -51,23 +51,21 @@ struct ResultsDoc
     int workloadsPerCategory = 0;
 
     // Run provenance, stamped by the producing harness: how long the
-    // experiment took, how many intra-run worker lanes the simulator
-    // used (SystemConfig::intraRunParallel), the host and build that
-    // produced the document, and — when the run was profiled — the
-    // merged self-profile metrics (prof::ProfileReport::provenance(),
-    // fixed key order). All of it is descriptive metadata, not results:
-    // claims never reference it and the baseline diff ignores the whole
-    // "run" block (tools/claims compares bench, scale, and rows only),
-    // so a doc regenerated on different hardware, at a different worker
-    // count, or with profiling toggled still matches its golden.
-    // Serialized only when any field is set — the one deliberate
-    // exception to byte-identical re-runs — with a schema-stable key
-    // order (wall_seconds, intra_workers, host_threads, build_type,
-    // cycle_skip, jobs_per_sec, cache_hit_rate, profile), and parsed
-    // tolerantly, so documents written before these fields existed load
-    // unchanged.
+    // experiment took, the host and build that produced the document,
+    // and — when the run was profiled — the merged self-profile metrics
+    // (prof::ProfileReport::provenance(), fixed key order). All of it is
+    // descriptive metadata, not results: claims never reference it and
+    // the baseline diff ignores the whole "run" block (tools/claims
+    // compares bench, scale, and rows only), so a doc regenerated on
+    // different hardware, at a different job count, or with profiling
+    // toggled still matches its golden. Serialized only when any field
+    // is set — the one deliberate exception to byte-identical re-runs —
+    // with a schema-stable key order (wall_seconds, host_threads,
+    // build_type, cycle_skip, jobs_per_sec, cache_hit_rate, profile),
+    // and parsed tolerantly: unknown keys (such as the retired
+    // intra_workers) are skipped, so documents written before or after
+    // a field existed load unchanged.
     double wallSeconds = 0.0;
-    int intraWorkers = 0;
     int hostThreads = 0;          //!< std::thread::hardware_concurrency
     std::string buildType;        //!< CMAKE_BUILD_TYPE of the producer
     int cycleSkip = -1;           //!< -1 unset, else 0/1 (SystemConfig)

@@ -7,11 +7,6 @@ namespace tcm::sim {
 
 namespace {
 
-// Shard slots of the intra-parallel diagnostic counters.
-constexpr std::size_t kShardSpans = 0;      //!< spans stepped per controller
-constexpr std::size_t kShardSpanTicks = 1;  //!< controller ticks inside spans
-constexpr std::size_t kShardCycleTicks = 2; //!< single-cycle gang ticks
-
 /** splitmix64: decorrelate per-thread trace seeds from the run seed. */
 std::uint64_t
 mixSeed(std::uint64_t seed, std::uint64_t salt)
@@ -114,65 +109,6 @@ Simulator::init(std::vector<std::unique_ptr<core::TraceSource>> traces,
     baseInstructions_.assign(numThreads, 0);
     baseMisses_.assign(numThreads, 0);
     coreSpan_.assign(numThreads, 0);
-
-    // Earliest a read issued at cycle u can wake its core: u + tCL +
-    // tBURST + mcToCpuDelay. Decoupled spans never exceed this lag, so
-    // delivering span-produced completions at the barrier is invisible.
-    completionLag_ = config_.timing.tCL + config_.timing.tBURST +
-                     config_.timing.mcToCpuDelay;
-
-    if (config_.intraRunParallel > 1) {
-        const std::size_t nch = controllers_.size();
-        const int tasks = static_cast<int>(nch + cores_.size());
-        gang_ = std::make_unique<SpinGang>(
-            std::min(config_.intraRunParallel, tasks));
-        const std::vector<std::string> labels = {"ctrl.spans",
-                                                 "ctrl.span.ticks",
-                                                 "ctrl.cycle.ticks"};
-        parallelStats_ = stats::NamedCounters(labels);
-        workerShards_.assign(nch, stats::NamedCounters(labels));
-        replayIdx_.assign(nch, 0);
-        // One reusable task body: per-barrier state flows through the
-        // span members so gang dispatch never allocates.
-        gangTask_ = [this, nch](std::size_t i) {
-            if (spanCycleMode_) {
-                controllers_[i]->tick(spanFrom_);
-                workerShards_[i].bump(kShardCycleTicks);
-                return;
-            }
-            if (i < nch) {
-                std::size_t ticks = controllers_[i]->stepSpan(spanFrom_,
-                                                              spanTo_);
-                workerShards_[i].bump(kShardSpans);
-                workerShards_[i].bump(kShardSpanTicks, ticks);
-                return;
-            }
-            // Core lane: controller-free by the span's touch bound, so
-            // it only needs the core's own regime machinery. Regime
-            // occupancy lands in per-core profiler slots this lane owns
-            // for the duration of the span (published by the join).
-            const std::size_t coreIdx = i - nch;
-            core::Core &core = *cores_[coreIdx];
-            for (Cycle u = spanFrom_; u < spanTo_;) {
-                Cycle span = core.silentSpan(u, spanTo_ - u);
-                if (span > 0) {
-                    core.fastForwardSilent(span);
-                    if (prof_)
-                        prof_->addRegime(coreIdx,
-                                         core.dormantHead()
-                                             ? prof::Regime::Dormant
-                                             : prof::Regime::Streaming,
-                                         span);
-                    u += span;
-                } else {
-                    core.tick(u);
-                    if (prof_)
-                        prof_->addRegime(coreIdx, prof::Regime::Lockstep, 1);
-                    ++u;
-                }
-            }
-        };
-    }
 }
 
 Simulator::~Simulator() = default;
@@ -222,19 +158,11 @@ Simulator::attachProfiler(prof::Profiler *profiler)
     if (prof_ == nullptr) {
         for (auto &mc : controllers_)
             mc->setProfile(nullptr);
-        if (gang_)
-            gang_->setLaneProfile(nullptr, nullptr);
         return;
     }
-    prof_->configure(numThreads(), config_.numChannels,
-                     gang_ ? gang_->lanes() : 1);
+    prof_->configure(numThreads(), config_.numChannels);
     for (ChannelId ch = 0; ch < config_.numChannels; ++ch)
         controllers_[ch]->setProfile(prof_->controllerShard(ch));
-    // Gang lanes time their claimed tasks into per-lane slots; the
-    // workers pick the pointers up at the next fork edge (epoch
-    // release/acquire), so attaching before stepping is race-free.
-    if (gang_)
-        gang_->setLaneProfile(prof_->laneBusyNs(), prof_->laneTasks());
 }
 
 std::vector<telemetry::ThreadGauges>
@@ -391,10 +319,6 @@ Simulator::step(Cycle cycles)
     mem::SchedulerPolicy *active = probe_ ? static_cast<mem::SchedulerPolicy *>(
                                                 probe_.get())
                                           : policy_.get();
-    if (gang_) {
-        stepParallel(cycles, active);
-        return;
-    }
     const Cycle end = now_ + cycles;
 
     if (!config_.cycleSkip) {
@@ -501,256 +425,6 @@ Simulator::step(Cycle cycles)
     // the last simulated cycle so post-step reads observe the same
     // values the per-cycle loop leaves behind. No-op in per-cycle mode
     // and for stateless-in-time policies.
-    if (cycles > 0)
-        active->syncTo(now_ - 1);
-}
-
-void
-Simulator::mergeShards()
-{
-    for (auto &shard : workerShards_) {
-        parallelStats_.addFrom(shard);
-        shard.reset();
-    }
-}
-
-void
-Simulator::replayDeferred(mem::SchedulerPolicy *active)
-{
-    const std::size_t nch = controllers_.size();
-
-    // Scheduler hooks, merged by (cycle, channel) — the order the serial
-    // loop fires them in. Lazily accrued policy statistics are synced to
-    // each hook cycle first: serially, the policy ticks at that cycle
-    // (accruing with pre-hook state) before the controller's hooks fire.
-    replayIdx_.assign(nch, 0);
-    for (;;) {
-        Cycle c = kCycleNever;
-        for (std::size_t ch = 0; ch < nch; ++ch) {
-            const auto &log = controllers_[ch]->deferredHooks();
-            if (replayIdx_[ch] < log.size())
-                c = std::min(c, log[replayIdx_[ch]].cycle);
-        }
-        if (c == kCycleNever)
-            break;
-        active->syncTo(c);
-        for (std::size_t ch = 0; ch < nch; ++ch) {
-            const auto &log = controllers_[ch]->deferredHooks();
-            std::size_t &i = replayIdx_[ch];
-            while (i < log.size() && log[i].cycle == c)
-                mem::MemoryController::replayHook(*active, log[i++]);
-        }
-    }
-
-    // Command events to the channel observers (protocol checker, trace
-    // recorders), same merge order. Consumers are disjoint from the
-    // policy, so cross-category order is immaterial.
-    replayIdx_.assign(nch, 0);
-    for (;;) {
-        Cycle c = kCycleNever;
-        for (std::size_t ch = 0; ch < nch; ++ch) {
-            const auto &log = controllers_[ch]->deferredEvents();
-            if (replayIdx_[ch] < log.size())
-                c = std::min(c, log[replayIdx_[ch]].cycle);
-        }
-        if (c == kCycleNever)
-            break;
-        for (std::size_t ch = 0; ch < nch; ++ch) {
-            const auto &log = controllers_[ch]->deferredEvents();
-            std::size_t &i = replayIdx_[ch];
-            while (i < log.size() && log[i].cycle == c)
-                controllers_[ch]->channel().dispatch(log[i++]);
-        }
-    }
-
-    // Lifecycle records to the telemetry sink (JSONL event order is
-    // part of the bit-identity contract).
-    if (telemetry_) {
-        replayIdx_.assign(nch, 0);
-        for (;;) {
-            Cycle c = kCycleNever;
-            for (std::size_t ch = 0; ch < nch; ++ch) {
-                const auto &log = controllers_[ch]->deferredLifecycles();
-                if (replayIdx_[ch] < log.size())
-                    c = std::min(c, log[replayIdx_[ch]].cycle);
-            }
-            if (c == kCycleNever)
-                break;
-            for (std::size_t ch = 0; ch < nch; ++ch) {
-                const auto &log = controllers_[ch]->deferredLifecycles();
-                std::size_t &i = replayIdx_[ch];
-                while (i < log.size() && log[i].cycle == c) {
-                    const auto &r = log[i++];
-                    telemetry_->recordLifecycle(r.thread, r.queueing,
-                                                r.service);
-                }
-            }
-        }
-    }
-
-    for (auto &mc : controllers_) {
-        mc->deferredHooks().clear();
-        mc->deferredEvents().clear();
-        mc->deferredLifecycles().clear();
-    }
-}
-
-void
-Simulator::gangExecuteCycle(Cycle now, mem::SchedulerPolicy *active,
-                            Cycle regimeCap)
-{
-    {
-        prof::ScopedPhase timer(prof_ ? &prof_->main() : nullptr,
-                                prof::Phase::SchedTick);
-        active->tick(now);
-    }
-    for (auto &mc : controllers_)
-        mc->beginDeferred();
-    spanCycleMode_ = true;
-    spanFrom_ = now;
-    {
-        prof::ScopedPhase timer(prof_ ? &prof_->main() : nullptr,
-                                prof::Phase::GangRun);
-        gang_->run(controllers_.size(), gangTask_);
-    }
-    for (auto &mc : controllers_)
-        mc->endDeferred();
-    mergeShards();
-    {
-        prof::ScopedPhase timer(prof_ ? &prof_->main() : nullptr,
-                                prof::Phase::Replay);
-        replayDeferred(active);
-    }
-    for (auto &mc : controllers_) {
-        auto &comps = mc->completions();
-        for (const auto &c : comps)
-            cores_[c.thread]->completeMiss(c.missId, c.readyAt);
-        comps.clear();
-    }
-    // Cores, in the same regime form as executeCycle — but with the
-    // regime probed fresh each cycle instead of cached in coreSpan_
-    // (decoupled spans advance cores behind the cache's back).
-    {
-        prof::ScopedPhase coreTimer(prof_ ? &prof_->main() : nullptr,
-                                    prof::Phase::CoreTick);
-        if (regimeCap > 0) {
-            for (std::size_t i = 0; i < cores_.size(); ++i) {
-                if (cores_[i]->silentSpan(now, regimeCap) > 0) {
-                    cores_[i]->fastForwardSilent(1);
-                    if (prof_)
-                        prof_->addRegime(i,
-                                         cores_[i]->dormantHead()
-                                             ? prof::Regime::Dormant
-                                             : prof::Regime::Streaming,
-                                         1);
-                } else {
-                    cores_[i]->tick(now);
-                    if (prof_)
-                        prof_->addRegime(i, prof::Regime::Lockstep, 1);
-                }
-            }
-        } else {
-            for (std::size_t i = 0; i < cores_.size(); ++i) {
-                cores_[i]->tick(now);
-                if (prof_)
-                    prof_->addRegime(i, prof::Regime::Lockstep, 1);
-            }
-        }
-    }
-    if (now >= telemetrySampleAt_)
-        sampleTelemetry();
-}
-
-void
-Simulator::stepParallel(Cycle cycles, mem::SchedulerPolicy *active)
-{
-    const Cycle end = now_ + cycles;
-
-    if (!config_.cycleSkip) {
-        // Per-cycle mode: every cycle is a gang cycle. The policy ticks
-        // every cycle, so no trailing syncTo is needed (as in the
-        // serial oracle loop); replay-time syncTo calls are idempotent.
-        for (; now_ < end; ++now_)
-            gangExecuteCycle(now_, active, /*regimeCap=*/0);
-        return;
-    }
-
-    while (now_ < end) {
-        gangExecuteCycle(now_, active, /*regimeCap=*/end - now_);
-        ++now_;
-        if (now_ >= end)
-            break;
-
-        // Decoupled span [now_, h): controllers and cores step
-        // concurrently, each self-pacing across its dead cycles, with
-        // every cross-component side effect deferred to the barrier.
-        // h is the earliest of:
-        //  - the policy's decoupling horizon (quantum / shuffle / batch
-        //    / update boundaries; ticks before it are no-ops even with
-        //    hooks withheld),
-        //  - the telemetry sampling clock (samples run at executed
-        //    cycles),
-        //  - the completion lag (span-produced completions delivered at
-        //    the barrier must still be in the cores' future),
-        //  - each core's earliest possible memory touch (a core that
-        //    could reach a memory access must tick at an executed cycle,
-        //    in canonical order against live controller state).
-        prof::HorizonSource hsrc = prof::HorizonSource::Scheduler;
-        Cycle h = active->decoupleHorizon(now_);
-        if (telemetrySampleAt_ < h) {
-            h = telemetrySampleAt_;
-            hsrc = prof::HorizonSource::Telemetry;
-        }
-        if (end < h) {
-            h = end;
-            hsrc = prof::HorizonSource::End;
-        }
-        bool anyReads = false;
-        for (auto &mc : controllers_)
-            anyReads = anyReads || mc->readLoad() > 0;
-        if (anyReads && now_ + completionLag_ < h) {
-            h = now_ + completionLag_;
-            hsrc = prof::HorizonSource::Controller;
-        }
-        for (auto &core : cores_) {
-            const Cycle b = core->earliestMemTouchBound(now_);
-            if (b < h) {
-                h = b;
-                hsrc = prof::HorizonSource::Core;
-            }
-        }
-        if (h <= now_)
-            continue; // next iteration executes a canonical gang cycle
-        if (prof_)
-            prof_->recordSkip(hsrc, h - now_);
-
-        for (auto &mc : controllers_)
-            mc->beginDeferred();
-        spanCycleMode_ = false;
-        spanFrom_ = now_;
-        spanTo_ = h;
-        {
-            prof::ScopedPhase timer(prof_ ? &prof_->main() : nullptr,
-                                    prof::Phase::GangRun);
-            gang_->run(controllers_.size() + cores_.size(), gangTask_);
-        }
-        for (auto &mc : controllers_)
-            mc->endDeferred();
-        mergeShards();
-        {
-            prof::ScopedPhase timer(prof_ ? &prof_->main() : nullptr,
-                                    prof::Phase::Replay);
-            replayDeferred(active);
-        }
-        for (auto &mc : controllers_) {
-            auto &comps = mc->completions();
-            for (const auto &c : comps)
-                cores_[c.thread]->completeMiss(c.missId, c.readyAt);
-            comps.clear();
-        }
-        now_ = h;
-    }
-
     if (cycles > 0)
         active->syncTo(now_ - 1);
 }

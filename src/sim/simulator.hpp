@@ -9,13 +9,11 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/core.hpp"
 #include "dram/energy.hpp"
 #include "dram/protocol_checker.hpp"
 #include "mem/controller.hpp"
 #include "prof/profiler.hpp"
-#include "stats/counters.hpp"
 #include "sched/factory.hpp"
 #include "sched/tcm/monitor.hpp"
 #include "sim/system_config.hpp"
@@ -97,10 +95,6 @@ class ProbePolicy : public mem::SchedulerPolicy
     Cycle nextEventAt(Cycle now) const override
     {
         return inner_->nextEventAt(now);
-    }
-    Cycle decoupleHorizon(Cycle now) const override
-    {
-        return inner_->decoupleHorizon(now);
     }
     void syncTo(Cycle now) override { inner_->syncTo(now); }
     std::uint64_t rankEpoch() const override { return inner_->rankEpoch(); }
@@ -208,17 +202,6 @@ class Simulator
     /** True when the behaviour probe was enabled at construction. */
     bool hasProbe() const { return probe_ != nullptr; }
 
-    /**
-     * Diagnostic counters of the intra-run parallel driver (spans
-     * stepped, controller ticks inside spans, gang-cycle ticks),
-     * accumulated from per-worker shards merged at each barrier (see
-     * stats::NamedCounters::addFrom). All zero when
-     * SystemConfig::intraRunParallel is 1.
-     */
-    const stats::NamedCounters &intraParallelStats() const
-    {
-        return parallelStats_;
-    }
     const std::vector<mem::CoreCounters> &counters() const { return counters_; }
 
     /**
@@ -243,8 +226,8 @@ class Simulator
 
     /**
      * Attach a self-profiler (nullptr detaches): wall-clock phase
-     * timers, cycle-skip horizon attribution, per-core regime occupancy
-     * and gang-lane imbalance accumulate into it. The profiler observes
+     * timers, cycle-skip horizon attribution and per-core regime
+     * occupancy accumulate into it. The profiler observes
      * the *simulator*, never the simulated system — nothing it measures
      * feeds back into simulated state, so results are bit-identical
      * attached or detached (tests/test_prof). The profiler must outlive
@@ -306,39 +289,6 @@ class Simulator
     Cycle horizonAt(Cycle now, Cycle end, const mem::SchedulerPolicy *active,
                     prof::HorizonSource &src) const;
 
-    // -- intra-run parallel driver (config_.intraRunParallel > 1) -----------
-
-    /**
-     * step() body when the worker gang is active: canonical cycles run
-     * through gangExecuteCycle (controllers tick concurrently with side
-     * effects deferred, then replayed in serial order); with cycleSkip
-     * on, the stretches between scheduler synchronization points and
-     * core<->memory interactions run as multi-cycle decoupled spans in
-     * which each worker self-paces its controller across dead cycles.
-     * Bit-identical to the serial drivers at any worker count.
-     */
-    void stepParallel(Cycle cycles, mem::SchedulerPolicy *active);
-
-    /**
-     * One fully simulated cycle with the controller fleet stepped on
-     * the gang: policy tick, deferred controller ticks, replay, drain,
-     * cores (regime form as executeCycle), telemetry — canonical order.
-     */
-    void gangExecuteCycle(Cycle now, mem::SchedulerPolicy *active,
-                          Cycle regimeCap);
-
-    /**
-     * Replay every deferred log in canonical serial order — merged
-     * across channels by (cycle, channel): scheduler hooks to @p active
-     * (with lazily accrued policy statistics synced to each hook cycle
-     * first), command events to the channel observers, lifecycle
-     * records to the telemetry sink — then clear the logs.
-     */
-    void replayDeferred(mem::SchedulerPolicy *active);
-
-    /** Fold the per-worker counter shards into parallelStats_. */
-    void mergeShards();
-
     SystemConfig config_;
     std::unique_ptr<mem::SchedulerPolicy> policy_;
     std::unique_ptr<ProbePolicy> probe_;
@@ -359,17 +309,6 @@ class Simulator
     std::vector<Cycle> coreSpan_;
     std::vector<std::uint64_t> baseInstructions_;
     std::vector<std::uint64_t> baseMisses_;
-
-    // Intra-run parallel state (null/empty when intraRunParallel == 1).
-    std::unique_ptr<SpinGang> gang_;
-    std::function<void(std::size_t)> gangTask_; //!< built once, no per-barrier alloc
-    Cycle spanFrom_ = 0;           //!< gangTask_ input: span start (or cycle)
-    Cycle spanTo_ = 0;             //!< gangTask_ input: span end (exclusive)
-    bool spanCycleMode_ = false;   //!< gangTask_ input: single-cycle gang
-    Cycle completionLag_ = 0;      //!< min issue->readyAt read latency
-    stats::NamedCounters parallelStats_{std::vector<std::string>{}};
-    std::vector<stats::NamedCounters> workerShards_; //!< one per controller
-    std::vector<std::size_t> replayIdx_;             //!< replay merge scratch
 };
 
 } // namespace tcm::sim

@@ -1,7 +1,6 @@
 #include "sim/sweepd.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -34,27 +33,6 @@ splitWords(const std::string &line)
     while (in >> w)
         out.push_back(w);
     return out;
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t *out)
-{
-    auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-    return ec == std::errc() && p == s.data() + s.size();
-}
-
-bool
-parseInt(const std::string &s, int *out)
-{
-    auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-    return ec == std::errc() && p == s.data() + s.size();
-}
-
-bool
-parseDouble(const std::string &s, double *out)
-{
-    auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-    return ec == std::errc() && p == s.data() + s.size();
 }
 
 /** The deterministic mix a job denotes (manifest-content independent). */
@@ -104,15 +82,8 @@ readCheckpoint(const std::string &path, Checkpoint *out)
         auto words = splitWords(line);
         if (words.size() != 2 || words[0] != tags[i])
             return false;
-        if (i == 0) {
-            auto [p, ec] =
-                std::from_chars(words[1].data(),
-                                words[1].data() + words[1].size(),
-                                fields[i], 16);
-            if (ec != std::errc() ||
-                p != words[1].data() + words[1].size())
-                return false;
-        } else if (!parseU64(words[1], &fields[i]))
+        // The manifest hash is hex; the counters are decimal.
+        if (!parseU64(words[1], &fields[i], i == 0 ? 16 : 10))
             return false;
     }
     out->manifestHash = fields[0];
@@ -214,8 +185,9 @@ Manifest::parse(const std::string &text, Manifest *out, std::string *error)
                 if (!err.empty())
                     return fail(lineNo, err);
             }
+            // Written so that "nan" (which parses) fails the range.
             if (!parseDouble(words[3], &job.intensity) ||
-                job.intensity < 0.0 || job.intensity > 1.0)
+                !(job.intensity >= 0.0 && job.intensity <= 1.0))
                 return fail(lineNo, "intensity must be in [0,1]");
             if (!parseInt(words[4], &job.mixIndex) || job.mixIndex < 0)
                 return fail(lineNo, "mix index must be >= 0");

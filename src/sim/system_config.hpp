@@ -69,8 +69,8 @@ struct SystemConfig
 
     /**
      * Simulator self-profiling (tcm::prof): wall-clock phase timers,
-     * cycle-skip horizon attribution, regime occupancy, scan efficiency
-     * and gang imbalance, reported through SystemReport and the
+     * cycle-skip horizon attribution, regime occupancy and scan
+     * efficiency, reported through SystemReport and the
      * ResultsDoc run-provenance block. Off by default; when off,
      * runWorkload falls back to the TCMSIM_PROFILE environment knob.
      * Purely an observer of the simulator — results are bit-identical
@@ -91,23 +91,6 @@ struct SystemConfig
      * differential oracle; see tests/test_cycleskip.cpp).
      */
     bool cycleSkip = true;
-
-    /**
-     * Intra-run parallelism: number of worker lanes stepping the
-     * per-channel controllers (and the core fleet) concurrently between
-     * deterministic synchronization points — scheduler quantum/shuffle/
-     * batch/update boundaries (SchedulerPolicy::decoupleHorizon),
-     * telemetry samples, and every core<->memory interaction cycle.
-     * Controller side effects that cross component boundaries (policy
-     * hooks, command-observer events, lifecycle records) are deferred
-     * during a span and replayed at the next barrier in canonical
-     * serial order, so results — every RunResult field, telemetry byte,
-     * and golden command trace — are bit-identical at any worker count
-     * (see tests/test_intra_parallel.cpp). 1 = the serial driver
-     * (differential oracle). Composes with cycleSkip: each worker jumps
-     * its own controller's dead cycles inside a span.
-     */
-    int intraRunParallel = 1;
 
     /** Geometry handed to the trace generator. */
     workload::Geometry geometry() const;

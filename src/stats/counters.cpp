@@ -1,7 +1,5 @@
 #include "stats/counters.hpp"
 
-#include <cassert>
-
 namespace tcm::stats {
 
 std::uint64_t
@@ -31,16 +29,6 @@ NamedCounters::nonZero() const
         if (counts_[i] != 0)
             out.emplace_back(labels_[i], counts_[i]);
     return out;
-}
-
-void
-NamedCounters::addFrom(const NamedCounters &other)
-{
-    assert(other.labels_.size() == labels_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        assert(other.labels_[i] == labels_[i]);
-        counts_[i] += other.counts_[i];
-    }
 }
 
 void

@@ -43,16 +43,6 @@ class NamedCounters
     /** (label, count) pairs for the non-zero slots only. */
     std::vector<std::pair<std::string, std::uint64_t>> nonZero() const;
 
-    /**
-     * Slot-wise add @p other into this set; the vocabularies must match
-     * (same labels in the same order, asserted in debug builds). This is
-     * the merge half of the shard pattern used under intra-run parallel
-     * stepping: each worker bumps a private shard, and the owner folds
-     * the shards into one logical counter set at a barrier — bumping a
-     * shared NamedCounters from concurrent workers is a data race.
-     */
-    void addFrom(const NamedCounters &other);
-
     void reset();
 
   private:

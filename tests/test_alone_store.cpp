@@ -363,9 +363,6 @@ TEST(AloneCacheFingerprint, FingerprintCoversConfigKnobs)
                   c.cycleSkip = !c.cycleSkip;
               }));
     EXPECT_EQ(fp, with([](sim::SystemConfig &c) {
-                  c.intraRunParallel = 4;
-              }));
-    EXPECT_EQ(fp, with([](sim::SystemConfig &c) {
                   c.controller.idleSkip = !c.controller.idleSkip;
               }));
 }

@@ -81,6 +81,25 @@ TEST(ResultsDoc, JsonRoundTrip)
     // Deterministic serialization: a round-trip re-serializes to the
     // exact same bytes.
     EXPECT_EQ(back.toJson(), text);
+
+    // The committed goldens' run blocks still carry the retired
+    // "intra_workers" key: such a document must load, and re-serialize
+    // without the key.
+    const std::string legacy =
+        "{\n  \"schema_version\": 1,\n  \"bench\": \"fig4\",\n"
+        "  \"scale\": {\"warmup\": 50000, \"measure\": 300000, "
+        "\"workloads_per_category\": 4},\n"
+        "  \"run\": {\"wall_seconds\": 5.079417784, \"intra_workers\": 1},\n"
+        "  \"rows\": [\n"
+        "    {\"series\": \"TCM\", \"metrics\": {\"ws\": 8.89}}\n"
+        "  ]\n}\n";
+    results::ResultsDoc old = results::ResultsDoc::fromJson(legacy);
+    EXPECT_EQ(old.wallSeconds, 5.079417784);
+    EXPECT_DOUBLE_EQ(*old.find("TCM", "", "ws"), 8.89);
+    const std::string reserialized = old.toJson();
+    EXPECT_EQ(reserialized.find("intra_workers"), std::string::npos);
+    EXPECT_NE(reserialized.find("\"run\": {\"wall_seconds\": 5.079417784},"),
+              std::string::npos);
 }
 
 TEST(ResultsDoc, RoundTripPreservesExactDoubles)
@@ -308,19 +327,17 @@ TEST(Diff, ScaleMismatchIsReported)
 
 TEST(Diff, RunProvenanceIsNeverDiffed)
 {
-    // The "run" block records who/how (wall time, worker count, host
-    // threads, build type, kernel, self-profile) — facts about the
-    // machine that produced the document, not about the simulated
-    // system. Two docs may disagree on every one of them and still
-    // match: only bench identity, scale, and result rows are compared,
-    // so CI baselines recorded on different hardware or with --profile
-    // never fail the gate.
+    // The "run" block records who/how (wall time, host threads, build
+    // type, kernel, self-profile) — facts about the machine that
+    // produced the document, not about the simulated system. Two docs
+    // may disagree on every one of them and still match: only bench
+    // identity, scale, and result rows are compared, so CI baselines
+    // recorded on different hardware or with --profile never fail the
+    // gate.
     results::ResultsDoc fresh = sampleDoc();
     results::ResultsDoc base = sampleDoc();
     fresh.wallSeconds = 12.5;
     base.wallSeconds = 900.0;
-    fresh.intraWorkers = 4;
-    base.intraWorkers = 1;
     fresh.hostThreads = 64;
     base.hostThreads = 2;
     fresh.buildType = "Release";
@@ -337,7 +354,6 @@ TEST(ResultsDoc, RunProvenanceRoundTripsWithStableKeyOrder)
 {
     results::ResultsDoc doc = sampleDoc();
     doc.wallSeconds = 3.25;
-    doc.intraWorkers = 4;
     doc.hostThreads = 16;
     doc.buildType = "Release";
     doc.cycleSkip = 1;
@@ -347,19 +363,16 @@ TEST(ResultsDoc, RunProvenanceRoundTripsWithStableKeyOrder)
     // Schema-stable order inside the run block, so committed baselines
     // do not churn when regenerated.
     std::size_t pWall = json.find("\"wall_seconds\"");
-    std::size_t pWorkers = json.find("\"intra_workers\"");
     std::size_t pHost = json.find("\"host_threads\"");
     std::size_t pBuild = json.find("\"build_type\"");
     std::size_t pSkip = json.find("\"cycle_skip\"");
     std::size_t pProf = json.find("\"profile\"");
     ASSERT_NE(pWall, std::string::npos);
-    ASSERT_NE(pWorkers, std::string::npos);
     ASSERT_NE(pHost, std::string::npos);
     ASSERT_NE(pBuild, std::string::npos);
     ASSERT_NE(pSkip, std::string::npos);
     ASSERT_NE(pProf, std::string::npos);
-    EXPECT_LT(pWall, pWorkers);
-    EXPECT_LT(pWorkers, pHost);
+    EXPECT_LT(pWall, pHost);
     EXPECT_LT(pHost, pBuild);
     EXPECT_LT(pBuild, pSkip);
     EXPECT_LT(pSkip, pProf);

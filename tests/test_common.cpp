@@ -237,6 +237,30 @@ TEST(NumFmt, NonFinite)
               "-inf");
 }
 
+TEST(NumFmt, ParsesWholeStringsOnly)
+{
+    std::uint64_t u = 0;
+    EXPECT_TRUE(parseU64("300000", &u));
+    EXPECT_EQ(u, 300000u);
+    EXPECT_TRUE(parseU64("ff", &u, 16));
+    EXPECT_EQ(u, 255u);
+    for (const char *bad : {"", "abc", "12abc", " 1", "+1", "-1",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseU64(bad, &u)) << "'" << bad << "'";
+
+    int i = 0;
+    EXPECT_TRUE(parseInt("-3", &i));
+    EXPECT_EQ(i, -3);
+    for (const char *bad : {"", "0x10", "1.5", "99999999999"})
+        EXPECT_FALSE(parseInt(bad, &i)) << "'" << bad << "'";
+
+    double d = 0.0;
+    EXPECT_TRUE(parseDouble("0.75", &d));
+    EXPECT_EQ(d, 0.75);
+    for (const char *bad : {"", "abc", "0.5x", "0,5"})
+        EXPECT_FALSE(parseDouble(bad, &d)) << "'" << bad << "'";
+}
+
 TEST(NumFmt, IgnoresLocale)
 {
     // A locale with a comma decimal separator must not leak into the

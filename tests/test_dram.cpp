@@ -537,7 +537,7 @@ TEST(BankGroups, SameGroupColumnsWaitTccdLong)
     ASSERT_LT(t.tCCD_S, t.tCCD_L);
     Channel ch(t);
     ch.issue(CommandKind::Activate, 0, 1, 0); // group 0
-    Cycle act2 = t.tRRD_S;
+    Cycle act2 = t.tRRD_L; // same-group activates need tRRD_L
     ch.issue(CommandKind::Activate, 1, 1, act2); // same group 0
     Cycle rd1 = 1000; // all banks ready
     ch.issue(CommandKind::Read, 0, 1, rd1);

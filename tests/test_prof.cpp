@@ -5,8 +5,8 @@
  * NOTHING the simulation produces — every RunResult field, every
  * telemetry JSONL byte, and the golden DRAM command trace are
  * bit-identical with the profiler on or off, across both execution
- * kernels (per-cycle oracle and cycle-skip) and every worker-lane
- * count. The profiler may read the wall clock; the simulation may not.
+ * kernels (per-cycle oracle and cycle-skip). The profiler may read the
+ * wall clock; the simulation may not.
  */
 
 #include <cstdlib>
@@ -30,15 +30,14 @@ using namespace tcm;
 namespace {
 
 /** Small but contended: enough threads and channels for real scan and
- *  skip activity, fast enough for a 2-kernel x 3-worker matrix. */
+ *  skip activity, fast enough for a 2-scheduler x 2-kernel matrix. */
 sim::SystemConfig
-profConfig(bool cycleSkip, int workers, bool profiled)
+profConfig(bool cycleSkip, bool profiled)
 {
     sim::SystemConfig config;
     config.numCores = 6;
     config.numChannels = 2;
     config.cycleSkip = cycleSkip;
-    config.intraRunParallel = workers;
     config.telemetry.enabled = true;
     config.telemetry.sampleInterval = 5'000;
     config.profile.enabled = profiled;
@@ -69,11 +68,11 @@ telemetryBytes(const sim::RunResult &r, const std::string &tag)
 }
 
 sim::RunResult
-runAt(const sched::SchedulerSpec &spec, bool cycleSkip, int workers,
-      bool profiled, const sim::ExperimentScale &scale,
+runAt(const sched::SchedulerSpec &spec, bool cycleSkip, bool profiled,
+      const sim::ExperimentScale &scale,
       const std::vector<workload::ThreadProfile> &mix)
 {
-    sim::SystemConfig cfg = profConfig(cycleSkip, workers, profiled);
+    sim::SystemConfig cfg = profConfig(cycleSkip, profiled);
     sim::AloneIpcCache cache(cfg, scale.warmup, scale.measure);
     return sim::runWorkload(cfg, mix, spec, scale, cache, /*seed=*/13);
 }
@@ -107,10 +106,10 @@ expectIdentical(const sim::RunResult &plain, const sim::RunResult &prof,
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Bit-identity: profiler on vs off, across kernels and worker counts.
+// Bit-identity: profiler on vs off, across both kernels.
 // ---------------------------------------------------------------------------
 
-TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
+TEST(ProfilerPurity, BitIdenticalAcrossKernels)
 {
     // The env fallback must not contaminate the profiled=false legs.
     ::unsetenv("TCMSIM_PROFILE");
@@ -123,19 +122,14 @@ TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
     for (const sched::SchedulerSpec &spec :
          {sched::SchedulerSpec::frfcfs(), sched::SchedulerSpec::tcmSpec()}) {
         for (bool cycleSkip : {false, true}) {
-            for (int workers : {1, 2, 4}) {
-                std::string tag = std::string(sched::algoName(spec.algo)) +
-                                  (cycleSkip ? "_skip" : "_oracle") + "_w" +
-                                  std::to_string(workers);
-                sim::RunResult plain =
-                    runAt(spec, cycleSkip, workers, false, scale, mix);
-                sim::RunResult prof =
-                    runAt(spec, cycleSkip, workers, true, scale, mix);
-                EXPECT_EQ(plain.profile, nullptr) << tag;
-                ASSERT_NE(prof.profile, nullptr) << tag;
-                EXPECT_TRUE(prof.profile->enabled) << tag;
-                expectIdentical(plain, prof, tag);
-            }
+            std::string tag = std::string(sched::algoName(spec.algo)) +
+                              (cycleSkip ? "_skip" : "_oracle");
+            sim::RunResult plain = runAt(spec, cycleSkip, false, scale, mix);
+            sim::RunResult prof = runAt(spec, cycleSkip, true, scale, mix);
+            EXPECT_EQ(plain.profile, nullptr) << tag;
+            ASSERT_NE(prof.profile, nullptr) << tag;
+            EXPECT_TRUE(prof.profile->enabled) << tag;
+            expectIdentical(plain, prof, tag);
         }
     }
 }
@@ -143,20 +137,18 @@ TEST(ProfilerPurity, BitIdenticalAcrossKernelsAndWorkers)
 // ---------------------------------------------------------------------------
 // Command-stream identity: a profiled run reproduces the same committed
 // golden DRAM command trace the unprofiled kernels are pinned to
-// (test_golden / test_cycleskip / test_intra_parallel).
+// (test_golden / test_cycleskip).
 // ---------------------------------------------------------------------------
 
 namespace {
 
 std::string
-commandTrace(bool cycleSkip, int workers, bool profiled,
-             std::size_t events)
+commandTrace(bool cycleSkip, bool profiled, std::size_t events)
 {
     sim::SystemConfig config;
     config.numCores = 2;
     config.numChannels = 1;
     config.cycleSkip = cycleSkip;
-    config.intraRunParallel = workers;
     auto mix = workload::randomMix(config.numCores, 1.0, /*seed=*/99);
     sched::SchedulerSpec spec = sched::SchedulerSpec::frfcfs();
     spec.scaleToRun(30'000);
@@ -180,10 +172,8 @@ TEST(ProfilerPurity, GoldenCommandTraceUnchanged)
     const std::string golden = readFile(
         std::string(TCMSIM_GOLDEN_DIR) + "/cmd_trace_frfcfs_seed99.txt");
     for (bool cycleSkip : {false, true})
-        for (int workers : {1, 2})
-            EXPECT_EQ(commandTrace(cycleSkip, workers, true, kEvents),
-                      golden)
-                << "cycleSkip=" << cycleSkip << " workers=" << workers;
+        EXPECT_EQ(commandTrace(cycleSkip, true, kEvents), golden)
+            << "cycleSkip=" << cycleSkip;
 }
 
 // ---------------------------------------------------------------------------
@@ -235,37 +225,6 @@ TEST(ProfilerReport, EveryRegisteredSchedulerGetsHorizonAttribution)
     }
 }
 
-TEST(ProfilerReport, RegimeAccountingCoversEveryCycleUnderGang)
-{
-    auto mix = workload::randomMix(6, 0.5, /*seed=*/42);
-    sched::SchedulerSpec spec = sched::SchedulerSpec::tcmSpec();
-    spec.scaleToRun(60'000);
-    sim::SystemConfig config = profConfig(true, 4, false);
-    sim::Simulator sim(config, mix, spec, /*seed=*/13);
-    prof::Profiler profiler;
-    sim.attachProfiler(&profiler);
-    sim.step(60'000);
-
-    prof::ProfileReport r = profiler.report();
-    ASSERT_EQ(r.coreRegimes.size(), 6u);
-    for (const auto &core : r.coreRegimes) {
-        std::uint64_t total = 0;
-        for (std::uint64_t c : core)
-            total += c;
-        EXPECT_EQ(total, 60'000u);
-    }
-    // The gang ran and its lane-imbalance slots were populated through
-    // the per-lane hooks (merged shard totals, not just lane 0).
-    EXPECT_EQ(r.gangLanes, 4);
-    ASSERT_EQ(r.laneTasks.size(), 4u);
-    std::uint64_t tasks = 0;
-    for (std::uint64_t t : r.laneTasks)
-        tasks += t;
-    EXPECT_GT(tasks, 0u);
-    EXPECT_GT(r.phaseCalls[static_cast<int>(prof::Phase::GangRun)], 0u);
-    EXPECT_GT(r.phaseCalls[static_cast<int>(prof::Phase::Replay)], 0u);
-}
-
 TEST(ProfilerReport, MergeAddsRunsAndCounts)
 {
     prof::ProfileReport a, b;
@@ -303,17 +262,17 @@ TEST(ProfilerReport, ProvenanceKeysAreSchemaStable)
     r.enabled = true;
     r.runs = 1;
     auto kv = r.provenance();
-    // Fixed order: 8 phase_ms keys, 4 skip summary keys, 5 horizon
-    // sources, 3 regimes, 3 scan counters = 23 entries.
-    ASSERT_EQ(kv.size(), 23u);
+    // Fixed order: 6 phase_ms keys, 4 skip summary keys, 5 horizon
+    // sources, 3 regimes, 3 scan counters = 21 entries.
+    ASSERT_EQ(kv.size(), 21u);
     EXPECT_EQ(kv[0].first, "sched_tick_ms");
-    EXPECT_EQ(kv[7].first, "serialize_ms");
-    EXPECT_EQ(kv[8].first, "skips");
-    EXPECT_EQ(kv[11].first, "skip_max");
-    EXPECT_EQ(kv[12].first, "horizon_scheduler");
-    EXPECT_EQ(kv[16].first, "horizon_end");
-    EXPECT_EQ(kv[17].first, "dormant_cycles");
-    EXPECT_EQ(kv[22].first, "fallback_scans");
+    EXPECT_EQ(kv[5].first, "serialize_ms");
+    EXPECT_EQ(kv[6].first, "skips");
+    EXPECT_EQ(kv[9].first, "skip_max");
+    EXPECT_EQ(kv[10].first, "horizon_scheduler");
+    EXPECT_EQ(kv[14].first, "horizon_end");
+    EXPECT_EQ(kv[15].first, "dormant_cycles");
+    EXPECT_EQ(kv[20].first, "fallback_scans");
 }
 
 TEST(ProfilerReport, JsonAndPrintAreWellFormed)
@@ -446,7 +405,7 @@ TEST(SimulatorLane, ChromeTraceGainsLaneOnlyWhenProfiled)
     auto mix = workload::randomMix(4, 0.5, /*seed=*/42);
 
     auto chromeTrace = [&](bool profiled) {
-        sim::SystemConfig cfg = profConfig(true, 1, profiled);
+        sim::SystemConfig cfg = profConfig(true, profiled);
         sim::AloneIpcCache cache(cfg, scale.warmup, scale.measure);
         sim::RunResult r =
             sim::runWorkload(cfg, mix, sched::SchedulerSpec::tcmSpec(),

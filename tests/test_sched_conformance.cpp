@@ -1,24 +1,21 @@
 /**
  * @file
  * Cross-policy conformance suite: every factory-registered scheduler
- * must honor the fast-path contracts the event-horizon kernel and the
- * intra-run parallel driver are built on. The suite iterates
- * sched::policyNames(), so a policy added to the factory is enrolled
- * automatically — forgetting to test a new policy is impossible.
+ * must honor the fast-path contracts the event-horizon kernel is built
+ * on. The suite iterates sched::policyNames(), so a policy added to the
+ * factory is enrolled automatically — forgetting to test a new policy is
+ * impossible.
  *
- * Three contracts are checked per policy:
+ * Two contracts are checked per policy:
  *  1. nextEventAt never under-predicts: against a per-cycle oracle rig,
  *     whenever tick() changes observable state (rank epoch, rank
  *     vector, or any prioritization knob), the prediction queried just
  *     before that tick must have said "event at now". Rank/knob
  *     mutations — in ticks or hooks — must also bump the rank epoch
  *     (the controllers' snapshot-cache discipline).
- *  2. decoupleHorizon is a no-op-tick proof: ticking through
- *     [now, decoupleHorizon(now)) with every observation hook withheld
- *     must leave the epoch, ranks and knobs untouched.
- *  3. Execution-mode bit-identity: the per-cycle oracle, the cycle-skip
- *     kernel, and the gang-stepped intra-parallel driver (2 workers)
- *     produce identical per-thread IPCs and byte-identical telemetry.
+ *  2. Execution-mode bit-identity: the per-cycle oracle and the
+ *     cycle-skip kernel produce identical per-thread IPCs and
+ *     byte-identical telemetry.
  */
 
 #include <cstdint>
@@ -188,8 +185,6 @@ TEST_P(PolicyConformance, NextEventAtNeverUnderPredicts)
         // The prediction the simulator would act on at this cycle: every
         // hook from cycle now-1 has been delivered, none from now yet.
         const Cycle ne = rig.policy->nextEventAt(now);
-        const Cycle dh = rig.policy->decoupleHorizon(now);
-        ASSERT_GE(dh, now) << "decoupleHorizon went backwards at " << now;
 
         Snapshot before = Snapshot::of(*rig.policy, OracleRig::kChannels,
                                        OracleRig::kThreads);
@@ -230,48 +225,8 @@ TEST_P(PolicyConformance, NextEventAtNeverUnderPredicts)
 }
 
 // ---------------------------------------------------------------------------
-// Contract 2: decoupleHorizon's no-op-tick proof with hooks withheld.
-// ---------------------------------------------------------------------------
-
-TEST_P(PolicyConformance, DecoupleHorizonTicksAreNoOps)
-{
-    constexpr Cycle kWarm = 30'000;
-    OracleRig rig(makePolicy(kWarm));
-
-    // Warm the policy up with real traffic, then drain so in-flight
-    // transport can't blur "hooks withheld" (nothing left to arrive).
-    for (Cycle now = 0; now < kWarm; ++now) {
-        rig.inject(now);
-        rig.policy->tick(now);
-        rig.tickControllers(now);
-    }
-    Cycle now = kWarm;
-    for (; now < kWarm + 20'000; ++now) {
-        rig.policy->tick(now);
-        rig.tickControllers(now);
-    }
-
-    // The decoupled span the parallel kernel would run concurrently.
-    // Cap kCycleNever-style horizons: 3000 no-op ticks prove the point.
-    const Cycle dh = rig.policy->decoupleHorizon(now);
-    ASSERT_GE(dh, now);
-    const Cycle end = std::min(dh, now + 3'000);
-
-    Snapshot base = Snapshot::of(*rig.policy, OracleRig::kChannels,
-                                 OracleRig::kThreads);
-    for (Cycle c = now; c < end; ++c) {
-        rig.policy->tick(c); // hooks deliberately withheld
-        Snapshot s = Snapshot::of(*rig.policy, OracleRig::kChannels,
-                                  OracleRig::kThreads);
-        ASSERT_TRUE(s.equals(base))
-            << GetParam() << ": tick at " << c << " inside the decoupled "
-            << "span [" << now << ", " << dh << ") changed state";
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Contract 3: bit-identical results across the per-cycle oracle, the
-// cycle-skip kernel, and the gang-stepped driver.
+// Contract 2: bit-identical results across the per-cycle oracle and the
+// cycle-skip kernel.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -293,14 +248,12 @@ readFile(const std::string &path)
 }
 
 ModeResult
-runMode(const std::string &policyName, bool cycleSkip, int workers,
-        const std::string &tag)
+runMode(const std::string &policyName, bool cycleSkip, const std::string &tag)
 {
     sim::SystemConfig config;
     config.numCores = 6;
     config.numChannels = 2;
     config.cycleSkip = cycleSkip;
-    config.intraRunParallel = workers;
     config.telemetry.enabled = true;
     config.telemetry.sampleInterval = 5'000;
 
@@ -335,36 +288,20 @@ TEST_P(PolicyConformance, ExecutionModesAreBitIdentical)
     std::string name = paramName(
         testing::TestParamInfo<std::string>(GetParam(), 0));
 
-    // The per-cycle serial loop is the oracle every other mode must hit.
+    // The per-cycle loop is the oracle the cycle-skip kernel must hit.
     ModeResult oracle = runMode(GetParam(), /*cycleSkip=*/false,
-                                /*workers=*/1, name + "_oracle");
+                                name + "_oracle");
     ASSERT_FALSE(oracle.ipc.empty());
     for (double ipc : oracle.ipc)
         ASSERT_GT(ipc, 0.0);
 
-    struct Mode
-    {
-        bool cycleSkip;
-        int workers;
-        const char *label;
-    };
-    const Mode modes[] = {
-        {true, 1, "skip_w1"},
-        {false, 2, "oracle_w2"},
-        {true, 2, "skip_w2"},
-    };
-    for (const Mode &m : modes) {
-        ModeResult r =
-            runMode(GetParam(), m.cycleSkip, m.workers,
-                    name + "_" + m.label);
-        ASSERT_EQ(oracle.ipc.size(), r.ipc.size()) << m.label;
-        for (std::size_t t = 0; t < oracle.ipc.size(); ++t)
-            EXPECT_EQ(oracle.ipc[t], r.ipc[t])
-                << GetParam() << " " << m.label << " thread " << t;
-        EXPECT_EQ(oracle.telemetry, r.telemetry)
-            << GetParam() << " " << m.label
-            << ": telemetry stream diverged";
-    }
+    ModeResult skip = runMode(GetParam(), /*cycleSkip=*/true, name + "_skip");
+    ASSERT_EQ(oracle.ipc.size(), skip.ipc.size());
+    for (std::size_t t = 0; t < oracle.ipc.size(); ++t)
+        EXPECT_EQ(oracle.ipc[t], skip.ipc[t])
+            << GetParam() << " thread " << t;
+    EXPECT_EQ(oracle.telemetry, skip.telemetry)
+        << GetParam() << ": telemetry stream diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, PolicyConformance,

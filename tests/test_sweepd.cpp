@@ -157,6 +157,7 @@ TEST_F(SweepdTest, ManifestRejectsMalformedInputWithLineNumbers)
         {"tcmsim-manifest v1\njob nosuch ddr2-800 1 0 1\n", "line 2"},
         {"tcmsim-manifest v1\njob tcm nosuch-proto 1 0 1\n", "line 2"},
         {"tcmsim-manifest v1\njob tcm ddr2-800 1.5 0 1\n", "line 2"},
+        {"tcmsim-manifest v1\njob tcm ddr2-800 nan 0 1\n", "line 2"},
         {"tcmsim-manifest v1\njob tcm ddr2-800 1 -1 1\n", "line 2"},
         {"tcmsim-manifest v1\njob tcm ddr2-800 1 0\n", "line 2"},
         {"tcmsim-manifest v1\ncores zero\njob tcm ddr2-800 1 0 1\n",

@@ -6,7 +6,6 @@
  */
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -133,136 +132,4 @@ TEST(ThreadPool, ZeroTasksIsANoOp)
 {
     ThreadPool pool(4);
     pool.parallelFor(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-// ---------------------------------------------------------------------------
-// SpinGang: the persistent fork/join gang behind intra-run parallel
-// stepping. Its contract is stricter than ThreadPool's: run() is a full
-// barrier — work from one run() is never in flight during the next —
-// because the simulator republishes span parameters between calls.
-// ---------------------------------------------------------------------------
-
-TEST(SpinGang, CoversEveryIndexExactlyOncePerRun)
-{
-    SpinGang gang(4);
-    EXPECT_EQ(gang.lanes(), 4);
-    constexpr std::size_t n = 131; // not a multiple of the lane count
-    std::vector<std::atomic<int>> hits(n);
-    for (int round = 0; round < 50; ++round) {
-        gang.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(hits[i].load(), round + 1) << "index " << i;
-    }
-}
-
-TEST(SpinGang, RunIsABarrierBetweenEpochs)
-{
-    // Each run() writes into a generation-stamped slot; if any task
-    // from epoch e were still running when run() returned, epoch e+1's
-    // stamp check below would observe a torn or stale value. Many small
-    // epochs back-to-back is exactly the simulator's dispatch pattern.
-    SpinGang gang(4);
-    constexpr std::size_t n = 16;
-    std::vector<std::uint64_t> slot(n, 0);
-    for (std::uint64_t epoch = 1; epoch <= 2000; ++epoch) {
-        gang.run(n, [&](std::size_t i) { slot[i] = epoch; });
-        // Join contract: every write of this epoch is visible now, on
-        // the calling thread, with no synchronization beyond run().
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(slot[i], epoch) << "index " << i;
-    }
-}
-
-TEST(SpinGang, LowestIndexExceptionWins)
-{
-    SpinGang gang(4);
-    for (int round = 0; round < 8; ++round) {
-        try {
-            gang.run(16, [](std::size_t i) {
-                if (i == 3)
-                    throw std::runtime_error("low");
-                if (i == 12)
-                    throw std::runtime_error("high");
-            });
-            FAIL() << "run must rethrow";
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "low");
-        }
-        // The gang must remain usable after a failed epoch.
-        std::atomic<int> ok{0};
-        gang.run(8, [&](std::size_t) { ok.fetch_add(1); });
-        EXPECT_EQ(ok.load(), 8);
-    }
-}
-
-TEST(SpinGang, SingleLaneRunsInlineInOrder)
-{
-    SpinGang gang(1);
-    const auto caller = std::this_thread::get_id();
-    std::vector<std::size_t> order;
-    gang.run(5, [&](std::size_t i) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        order.push_back(i);
-    });
-    std::vector<std::size_t> expect(5);
-    std::iota(expect.begin(), expect.end(), 0u);
-    EXPECT_EQ(order, expect);
-}
-
-TEST(SpinGang, IdleGangParksAndWakes)
-{
-    // After a burst, let workers fall through spin → yield → park, then
-    // verify the next epoch still reaches everyone (parking must never
-    // miss an epoch bump).
-    SpinGang gang(3);
-    std::atomic<int> count{0};
-    gang.run(6, [&](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 6);
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    gang.run(6, [&](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 12);
-}
-
-TEST(SpinGang, LaneProfileCountsEveryTaskExactlyOnce)
-{
-    // The profiler's gang-imbalance view hangs off these slots: each
-    // lane bumps only its own pair, and the join publishes them to the
-    // caller. Summed across lanes they must equal the exact number of
-    // tasks dispatched — a lost or double-counted claim shows up here
-    // (and as a data race under TSAN).
-    SpinGang gang(4);
-    std::vector<std::uint64_t> busyNs(4, 0);
-    std::vector<std::uint64_t> tasks(4, 0);
-    gang.setLaneProfile(busyNs.data(), tasks.data());
-
-    constexpr std::size_t n = 131; // not a multiple of the lane count
-    constexpr int rounds = 25;
-    std::atomic<std::uint64_t> work{0};
-    for (int round = 0; round < rounds; ++round)
-        gang.run(n, [&](std::size_t i) {
-            // Enough work per task that the per-lane timers must
-            // accumulate something measurable across 25 x 131 tasks.
-            std::uint64_t acc = i;
-            for (int k = 0; k < 200; ++k)
-                acc = acc * 6364136223846793005ull + 1442695040888963407ull;
-            work.fetch_add(acc | 1, std::memory_order_relaxed);
-        });
-
-    std::uint64_t totalTasks = 0;
-    std::uint64_t totalBusy = 0;
-    for (int lane = 0; lane < 4; ++lane) {
-        totalTasks += tasks[lane];
-        totalBusy += busyNs[lane];
-    }
-    EXPECT_EQ(totalTasks, static_cast<std::uint64_t>(n) * rounds);
-    EXPECT_GT(totalBusy, 0u);
-
-    // Detaching restores the untimed claim loop: the slots must stop
-    // moving entirely.
-    gang.setLaneProfile(nullptr, nullptr);
-    gang.run(n, [&](std::size_t) {});
-    std::uint64_t after = 0;
-    for (int lane = 0; lane < 4; ++lane)
-        after += tasks[lane];
-    EXPECT_EQ(after, totalTasks);
 }

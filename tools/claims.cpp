@@ -22,7 +22,6 @@
 #include <exception>
 #include <string>
 #include <sys/stat.h>
-#include <thread>
 #include <vector>
 
 #include "sim/claims.hpp"
@@ -52,10 +51,6 @@ struct Options
     // the claim verdicts must not change; running the gate once per
     // mode in CI turns that contract into a checked invariant.
     bool perCycle = false;
-    // Worker lanes for intra-run parallel stepping
-    // (SystemConfig::intraRunParallel). Also bit-identical by contract
-    // at any lane count; CI runs the gate with >1 lanes to enforce it.
-    int intraParallel = 1;
     // Attach the simulator self-profiler to every run. A pure observer:
     // claim verdicts and baseline diffs are unchanged; the merged
     // profile lands in each document's "run" provenance block.
@@ -105,11 +100,6 @@ usage(std::FILE *out)
         "                       the per-cycle oracle loop (results are\n"
         "                       bit-identical; CI runs the gate in both\n"
         "                       modes to enforce that)\n"
-        "  --intra-parallel N   step each run's memory controllers on N\n"
-        "                       worker lanes between deterministic\n"
-        "                       barriers (results are bit-identical at\n"
-        "                       any N; CI runs the gate with N>1 to\n"
-        "                       enforce that)\n"
         "  --profile            profile the simulator itself; verdicts\n"
         "                       and baselines are unchanged (observer\n"
         "                       purity), the merged metrics land in each\n"
@@ -187,16 +177,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.list = true;
         } else if (arg == "--per-cycle") {
             opt.perCycle = true;
-        } else if (arg == "--intra-parallel") {
-            const char *v = value("--intra-parallel");
-            if (v == nullptr)
-                return false;
-            opt.intraParallel = std::atoi(v);
-            if (opt.intraParallel < 1) {
-                std::fprintf(stderr,
-                             "claims: --intra-parallel needs N >= 1\n");
-                return false;
-            }
         } else if (arg == "--profile") {
             opt.profile = true;
         } else if (arg == "--write-drain") {
@@ -288,21 +268,6 @@ main(int argc, char **argv)
     }
 
     std::vector<sim::claims::Claim> registry = sim::claims::paperClaims();
-    // The intra-parallel speedup claim compares 4 worker lanes against
-    // the serial loop — on hosts with fewer than 4 hardware threads the
-    // lanes time-share one core and the measurement says nothing about
-    // the implementation (bit-identity is still fully enforced, by
-    // test_intra_parallel and by running this whole gate with
-    // --intra-parallel > 1). Skip it there, loudly.
-    if (std::thread::hardware_concurrency() < 4) {
-        std::fprintf(stderr,
-                     "claims: skipping perf.intra_parallel_speedup "
-                     "(%u hardware thread(s) < 4 worker lanes)\n",
-                     std::thread::hardware_concurrency());
-        std::erase_if(registry, [](const sim::claims::Claim &c) {
-            return c.id == "perf.intra_parallel_speedup";
-        });
-    }
     // The sampling.* claims read the paper::sampling probe document,
     // which only --sampling-probe produces (the probe re-runs the fig4
     // grid sampled, roughly doubling that grid's cost).
@@ -334,7 +299,6 @@ main(int argc, char **argv)
 
     sim::SystemConfig config;
     config.cycleSkip = !opt.perCycle;
-    config.intraRunParallel = opt.intraParallel;
     config.profile.enabled = opt.profile;
     if (opt.writeDrain) {
         config.controller.writeDrain.highWatermark = opt.drainHigh;
@@ -344,21 +308,19 @@ main(int argc, char **argv)
     }
     std::fprintf(stderr,
                  "claims: scale %s (warmup %llu, measure %llu, %d "
-                 "workloads/category)%s, %d worker lane(s), sampling %s\n",
+                 "workloads/category)%s, sampling %s\n",
                  opt.defaultScale ? "default" : "ci",
                  static_cast<unsigned long long>(opt.scale.warmup),
                  static_cast<unsigned long long>(opt.scale.measure),
                  opt.scale.workloadsPerCategory,
                  opt.perCycle ? ", per-cycle oracle" : "",
-                 opt.intraParallel,
                  opt.scale.sampling.describe().c_str());
 
     std::vector<sim::results::ResultsDoc> docs;
-    // The intra-parallel speedup and sampling-probe docs carry
-    // wall-clock timings, which legitimately vary run to run and across
-    // machines — they feed the claim registry and are written to --out
-    // for inspection, but are never diffed against (or regolded into)
-    // the baselines.
+    // The sampling-probe doc carries wall-clock timings, which
+    // legitimately vary run to run and across machines — it feeds the
+    // claim registry and is written to --out for inspection, but is
+    // never diffed against (or regolded into) the baselines.
     std::vector<sim::results::ResultsDoc> timingDocs;
     try {
         std::fprintf(stderr, "claims: running fig4 grid...\n");
@@ -369,9 +331,6 @@ main(int argc, char **argv)
         docs.push_back(sim::paper::table6(config, opt.scale, opt.jobs));
         std::fprintf(stderr, "claims: running scheduler-zoo grid...\n");
         docs.push_back(sim::paper::zoo(config, opt.scale, opt.jobs));
-        std::fprintf(stderr,
-                     "claims: running intra-parallel speedup...\n");
-        timingDocs.push_back(sim::paper::intraParallel(config, opt.scale));
         if (opt.samplingProbe) {
             std::fprintf(stderr,
                          "claims: running sampling probe (sampled fig4 "

@@ -46,6 +46,10 @@
  *                         <scheduler>_seed<N>.profile.json per run.
  *                         CSV output is bit-identical either way.
  *
+ * A malformed or out-of-range option value exits 2 with a message:
+ * intensities must lie in [0,1]; workloads, cores, channels and cycles
+ * must be >= 1; jobs, warmup and seed must be >= 0.
+ *
  * Columns: scheduler,intensity,workload,seed,ws,ms,hs
  * Row order and values are independent of --jobs: runs are independently
  * seeded and results are emitted in grid order after each intensity's
@@ -59,6 +63,7 @@
 #include <string>
 #include <vector>
 
+#include "common/numfmt.hpp"
 #include "sim/experiment.hpp"
 #include "workload/mixes.hpp"
 
@@ -89,6 +94,34 @@ die(const char *msg)
     std::fprintf(stderr, "sweep: %s (see the file header for usage)\n",
                  msg);
     std::exit(2);
+}
+
+[[noreturn]] void
+dieBadValue(const char *flag, const std::string &text,
+            const std::string &want)
+{
+    die((std::string(flag) + " needs " + want + ", got '" + text + "'")
+            .c_str());
+}
+
+/** Whole-string integer option value >= @p min, or exit 2. */
+int
+intOption(const char *flag, const char *text, int min)
+{
+    int v = 0;
+    if (!parseInt(text, &v) || v < min)
+        dieBadValue(flag, text, "an integer >= " + std::to_string(min));
+    return v;
+}
+
+/** Whole-string unsigned option value >= @p min, or exit 2. */
+std::uint64_t
+u64Option(const char *flag, const char *text, std::uint64_t min)
+{
+    std::uint64_t v = 0;
+    if (!parseU64(text, &v) || v < min)
+        dieBadValue(flag, text, "an integer >= " + std::to_string(min));
+    return v;
 }
 
 } // namespace
@@ -124,20 +157,24 @@ main(int argc, char **argv)
             schedulerNames = splitCommas(value());
         else if (arg == "--intensity") {
             intensities.clear();
-            for (const std::string &v : splitCommas(value()))
-                intensities.push_back(std::strtod(v.c_str(), nullptr));
+            for (const std::string &v : splitCommas(value())) {
+                double x = 0.0;
+                if (!parseDouble(v, &x) || !(x >= 0.0 && x <= 1.0))
+                    dieBadValue("--intensity", v, "fractions in [0,1]");
+                intensities.push_back(x);
+            }
         } else if (arg == "--workloads")
-            workloads = std::atoi(value());
+            workloads = intOption("--workloads", value(), 1);
         else if (arg == "--cores")
-            cores = std::atoi(value());
+            cores = intOption("--cores", value(), 1);
         else if (arg == "--channels")
-            channels = std::atoi(value());
+            channels = intOption("--channels", value(), 1);
         else if (arg == "--cycles")
-            cycles = std::strtoull(value(), nullptr, 10);
+            cycles = u64Option("--cycles", value(), 1);
         else if (arg == "--warmup")
-            warmup = std::strtoull(value(), nullptr, 10);
+            warmup = u64Option("--warmup", value(), 0);
         else if (arg == "--seed")
-            seed = std::strtoull(value(), nullptr, 10);
+            seed = u64Option("--seed", value(), 0);
         else if (arg == "--sample") {
             std::string err;
             sampling = sim::SamplingConfig::parse(value(), &err);
@@ -145,7 +182,7 @@ main(int argc, char **argv)
                 die(err.c_str());
         }
         else if (arg == "--jobs")
-            jobs = std::atoi(value());
+            jobs = intOption("--jobs", value(), 0);
         else if (arg == "--protocol")
             protocol = value();
         else if (arg == "--check")
