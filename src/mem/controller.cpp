@@ -82,9 +82,8 @@ MemoryController::nextCommand(const Request &req) const
 }
 
 void
-MemoryController::refreshPolicyCache(Cycle now)
+MemoryController::refreshPolicyCache()
 {
-    (void)now;
     // Ranks only move when the policy says so (rank epoch); between
     // bumps the cached vector is exact, so re-querying rankOf for every
     // thread on every scan would be pure waste. A cache smaller than
@@ -103,80 +102,34 @@ MemoryController::refreshPolicyCache(Cycle now)
     rowHitAboveRankCache_ = sched_->rowHitAboveRank();
     useRowHitCache_ = sched_->useRowHit();
 
-    // Rebuild the static key halves for every queued read. Rank and
+    // Rebuild the static key halves for every queued request. Rank and
     // marked bits only move with the rank epoch (PAR-BS bumps it
     // whenever it flips marked bits), so between rebuilds the keys
     // stamped here — and at admit time for new arrivals — stay exact.
-    soaRankOk_ = true;
-    const std::vector<Request> &reads = queue_.reads();
-    std::vector<std::uint64_t> &keyHi = queue_.readKeyHi();
-    for (std::size_t i = 0; i < reads.size(); ++i)
-        keyHi[i] = packedKeyHi(reads[i].thread, reads[i].marked);
+    stampKeys(queue_.readLane(), 0);
+    stampKeys(queue_.writeLane(), 0);
 }
 
-std::uint64_t
-MemoryController::packedKeyHi(ThreadId thread, bool marked)
+void
+MemoryController::stampKeys(RequestLane &lane, std::size_t from)
 {
-    // Key layout (descending priority, mirrors higherPriority):
-    //   bit 63     over-age escalation        (dynamic, set per scan)
+    // Key layout (descending priority, Algorithm 3 generalized):
+    //   bit 63     over-age escalation          (dynamic, set per scan)
     //   bit 62     batch bit (PAR-BS)
     //   bit 61     row hit when rowHitAboveRank (dynamic, set per scan)
-    //   bits 45-60 rank, biased by 32768
-    //   bit 44     row hit otherwise          (dynamic, set per scan)
+    //   bits 29-60 rank, biased by 2^31, so every int rank fits
+    //   bit 28     row hit otherwise            (dynamic, set per scan)
     // keyLo is ~arrivedAt (older is larger); exact ties fall back to an
     // explicit seq compare in the scan.
-    const int rank = cachedRank(thread);
-    if (rank < -32768 || rank > 32767)
-        soaRankOk_ = false; // until the next rebuild re-checks
-    std::uint64_t hi = static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(rank + 32768) & 0xFFFFu)
-                       << 45;
-    if (marked)
-        hi |= std::uint64_t{1} << 62;
-    return hi;
-}
-
-bool
-MemoryController::higherPriority(const Request &a, const Request &b,
-                                 Cycle now) const
-{
-    // Tier 1: over-age escalation (ATLAS starvation threshold).
-    if (agingCache_ != kCycleNever) {
-        bool aOld = a.arrivedAt + agingCache_ <= now;
-        bool bOld = b.arrivedAt + agingCache_ <= now;
-        if (aOld != bOld)
-            return aOld;
+    const std::vector<Request> &reqs = lane.requests();
+    std::uint64_t *keyHi = lane.keyHi();
+    for (std::size_t i = from; i < reqs.size(); ++i) {
+        const std::uint32_t biased =
+            static_cast<std::uint32_t>(cachedRank(reqs[i].thread)) +
+            (std::uint32_t{1} << 31);
+        keyHi[i] = std::uint64_t{biased} << 29 |
+                   std::uint64_t{reqs[i].marked} << 62;
     }
-
-    // Tier 2: batch bit (PAR-BS).
-    if (a.marked != b.marked)
-        return a.marked;
-
-    int aRank = cachedRank(a.thread);
-    int bRank = cachedRank(b.thread);
-    bool aHit = channel_.bank(a.bank).openRow() == a.row;
-    bool bHit = channel_.bank(b.bank).openRow() == b.row;
-    if (!useRowHitCache_) {
-        aHit = false;
-        bHit = false;
-    }
-
-    if (rowHitAboveRankCache_) {
-        if (aHit != bHit)
-            return aHit;
-        if (aRank != bRank)
-            return aRank > bRank;
-    } else {
-        if (aRank != bRank)
-            return aRank > bRank;
-        if (aHit != bHit)
-            return aHit;
-    }
-
-    // Oldest first; seq breaks exact ties deterministically.
-    if (a.arrivedAt != b.arrivedAt)
-        return a.arrivedAt < b.arrivedAt;
-    return a.seq < b.seq;
 }
 
 void
@@ -186,12 +139,10 @@ MemoryController::maybeAutoPrecharge(const Request &served)
         return;
     // Smart-closed: keep the row open if another queued request would
     // hit it.
-    for (const Request &r : queue_.reads())
-        if (r.bank == served.bank && r.row == served.row)
-            return;
-    for (const Request &r : queue_.writes())
-        if (r.bank == served.bank && r.row == served.row)
-            return;
+    if (anyQueued([&](BankId bank, RowId row) {
+            return bank == served.bank && row == served.row;
+        }))
+        return;
     channel_.autoPrecharge(served.bank);
     ++stats_.precharges;
 }
@@ -235,18 +186,6 @@ MemoryController::refreshEngine(Cycle now)
     }
     // While a refresh is owed, the command slot is reserved for it.
     return pending;
-}
-
-bool
-MemoryController::rankHasQueuedWork(int rank) const
-{
-    for (const Request &r : queue_.reads())
-        if (channel_.rankOf(r.bank) == rank)
-            return true;
-    for (const Request &r : queue_.writes())
-        if (channel_.rankOf(r.bank) == rank)
-            return true;
-    return false;
 }
 
 bool
@@ -298,21 +237,8 @@ MemoryController::trySpeculativePrecharge(Cycle now, Cycle &nextPossible)
     // Close open banks that no queued request targets; demand precharges
     // (row conflicts) already belong to the scheduling scans.
     for (int b = 0; b < channel_.numBanks(); ++b) {
-        if (channel_.bank(b).precharged())
-            continue;
-        bool wanted = false;
-        for (const Request &r : queue_.reads())
-            if (r.bank == b) {
-                wanted = true;
-                break;
-            }
-        if (!wanted)
-            for (const Request &r : queue_.writes())
-                if (r.bank == b) {
-                    wanted = true;
-                    break;
-                }
-        if (wanted)
+        if (channel_.bank(b).precharged() ||
+            anyQueued([b](BankId bank, RowId) { return bank == b; }))
             continue;
         if (channel_.canIssue(CommandKind::Precharge, b, now)) {
             channel_.issue(CommandKind::Precharge, b, kNoRow, now);
@@ -327,55 +253,20 @@ MemoryController::trySpeculativePrecharge(Cycle now, Cycle &nextPossible)
 }
 
 bool
-MemoryController::tryIssue(std::vector<Request> &candidates, Cycle now,
-                           Cycle &nextPossible)
+MemoryController::tryIssue(RequestLane &lane, prof::ControllerShard *shard,
+                           Cycle now, Cycle &nextPossible)
 {
-    int best = -1;
-    CommandKind bestCmd = CommandKind::Read;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        const Request &req = candidates[i];
-        CommandKind cmd = nextCommand(req);
-        if (!channel_.canIssue(cmd, req.bank, now)) {
-            nextPossible = std::min(
-                nextPossible, channel_.earliestIssue(cmd, req.bank));
-            continue;
-        }
-        if (best < 0 || higherPriority(req, candidates[best], now)) {
-            best = static_cast<int>(i);
-            bestCmd = cmd;
-        }
-    }
-    if (best < 0)
-        return false;
-    issueSelected(candidates, static_cast<std::size_t>(best), bestCmd, now);
-    return true;
-}
-
-bool
-MemoryController::tryIssueReads(Cycle now, Cycle &nextPossible)
-{
-    prof::ScopedPhase profScan(prof_ ? &prof_->phases : nullptr,
+    prof::ScopedPhase profScan(shard ? &shard->phases : nullptr,
                                prof::Phase::ReadScan);
-    std::vector<Request> &reads = queue_.reads();
-    if (!soaRankOk_) {
-        if (prof_)
-            ++prof_->scan.fallbackScans;
-        return tryIssue(reads, now, nextPossible);
-    }
-    const std::size_t n = reads.size();
+    const std::size_t n = lane.size();
     if (n == 0)
         return false;
 
-    const BankId *bank = queue_.readBank().data();
-    const RowId *row = queue_.readRow().data();
-    const Cycle *arrivedAt = queue_.readArrivedAt().data();
-    const std::uint64_t *keyHi = queue_.readKeyHi().data();
-
-    // Open-row snapshot: one load per bank up front instead of a Bank
-    // dereference per candidate (bank state cannot change mid-scan).
-    const int nb = channel_.numBanks();
-    for (int b = 0; b < nb; ++b)
-        openRowScratch_[b] = channel_.bank(b).openRow();
+    const std::vector<Request> &reqs = lane.requests();
+    const BankId *bank = lane.bank();
+    const RowId *row = lane.row();
+    const Cycle *arrivedAt = lane.arrivedAt();
+    const std::uint64_t *keyHi = lane.keyHi();
     const RowId *openRow = openRowScratch_.data();
 
     // agingOn folds the "no aging" and "nothing can be aged yet" cases:
@@ -385,7 +276,7 @@ MemoryController::tryIssueReads(Cycle now, Cycle &nextPossible)
     const Cycle agedCutoff = agingOn ? now - agingCache_ : 0;
     const std::uint64_t rowHitMask =
         useRowHitCache_
-            ? std::uint64_t{1} << (rowHitAboveRankCache_ ? 61 : 44)
+            ? std::uint64_t{1} << (rowHitAboveRankCache_ ? 61 : 28)
             : 0;
 
     int best = -1;
@@ -410,12 +301,12 @@ MemoryController::tryIssueReads(Cycle now, Cycle &nextPossible)
                 continue;
             }
             if (hi == bestHi &&
-                (lo < bestLo || (lo == bestLo && reads[i].seq > bestSeq))) {
+                (lo < bestLo || (lo == bestLo && reqs[i].seq > bestSeq))) {
                 ++skipped;
                 continue;
             }
         }
-        CommandKind cmd = nextCommand(reads[i]);
+        CommandKind cmd = nextCommand(reqs[i]);
         if (!channel_.canIssue(cmd, bank[i], now)) {
             // nextPossible is only trusted when no command issues this
             // cycle — and then best stayed negative, no candidate was
@@ -428,24 +319,24 @@ MemoryController::tryIssueReads(Cycle now, Cycle &nextPossible)
         bestCmd = cmd;
         bestHi = hi;
         bestLo = lo;
-        bestSeq = reads[i].seq;
+        bestSeq = reqs[i].seq;
     }
-    if (prof_) {
-        ++prof_->scan.soaScans;
-        prof_->scan.readsExamined += n - skipped;
-        prof_->scan.dominanceSkipped += skipped;
+    if (shard) {
+        ++shard->scan.soaScans;
+        shard->scan.readsExamined += n - skipped;
+        shard->scan.dominanceSkipped += skipped;
     }
     if (best < 0)
         return false;
-    issueSelected(reads, static_cast<std::size_t>(best), bestCmd, now);
+    issueSelected(lane, static_cast<std::size_t>(best), bestCmd, now);
     return true;
 }
 
 void
-MemoryController::issueSelected(std::vector<Request> &candidates,
-                                std::size_t best, CommandKind cmd, Cycle now)
+MemoryController::issueSelected(RequestLane &lane, std::size_t best,
+                                CommandKind cmd, Cycle now)
 {
-    Request req = candidates[best]; // copy: removal invalidates references
+    Request req = lane.requests()[best]; // copy: removal invalidates it
     dram::IssueResult res = channel_.issue(cmd, req.bank, req.row, now);
     stats_.bankBusyCycles += res.occupancy;
     rankLastActiveAt_[channel_.rankOf(req.bank)] = now;
@@ -455,7 +346,7 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
       case CommandKind::Activate:
         ++stats_.activates;
         ++stats_.rowMisses;
-        candidates[best].sawActivate = true;
+        lane.requests()[best].sawActivate = true;
         break;
       case CommandKind::Precharge:
         ++stats_.precharges;
@@ -472,7 +363,7 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
             lifecycle_->recordLifecycle(
                 req.thread, now - req.arrivedAt,
                 res.dataEnd + timing_->mcToCpuDelay - now);
-        queue_.removeRead(best);
+        lane.remove(best);
         // Departure is stamped at the end of the data burst: a request
         // is "outstanding" (Table 2's load counters) until serviced, not
         // merely until its column command issues.
@@ -483,7 +374,7 @@ MemoryController::issueSelected(std::vector<Request> &candidates,
         ++stats_.writesServiced;
         if (!req.sawActivate)
             ++stats_.rowHits;
-        queue_.removeWrite(best);
+        lane.remove(best);
         sched_->onDepart(req, res.dataEnd);
         maybeAutoPrecharge(req);
         break;
@@ -500,21 +391,19 @@ MemoryController::tick(Cycle now)
     prof::ScopedPhase profTick(prof_ ? &prof_->phases : nullptr,
                                prof::Phase::CtrlTick);
     {
+        RequestLane &reads = queue_.readLane();
+        RequestLane &writes = queue_.writeLane();
+        const std::size_t oldReads = reads.size();
+        const std::size_t oldWrites = writes.size();
         const std::vector<Request> &arrived = queue_.admitArrivals(now);
         if (!arrived.empty()) {
-            // The just-admitted reads occupy the queue tail in arrival
-            // order; stamp their static key halves with the same cached
-            // knobs the queued keys were built from.
-            std::vector<std::uint64_t> &keyHi = queue_.readKeyHi();
-            std::size_t newReads = 0;
+            // The just-admitted requests occupy each lane's tail; stamp
+            // their static key halves with the same cached knobs the
+            // queued keys were built from.
+            stampKeys(reads, oldReads);
+            stampKeys(writes, oldWrites);
             for (const Request &req : arrived)
-                newReads += req.isWrite ? 0u : 1u;
-            std::size_t slot = keyHi.size() - newReads;
-            for (const Request &req : arrived) {
-                if (!req.isWrite)
-                    keyHi[slot++] = packedKeyHi(req.thread, req.marked);
                 sched_->onArrival(req, now);
-            }
             nextTryAt_ = now; // a fresh request may be issuable at once
         }
     }
@@ -551,10 +440,16 @@ MemoryController::tick(Cycle now)
     // the scans below; only trusted when no command issues this cycle.
     Cycle next_possible = kCycleNever;
 
-    refreshPolicyCache(now);
+    refreshPolicyCache();
+
+    // Both scans compare against one open-row snapshot: bank state
+    // cannot change between them, because an issue ends the tick.
+    if (!queue_.reads().empty() || !queue_.writes().empty())
+        for (int b = 0; b < channel_.numBanks(); ++b)
+            openRowScratch_[b] = channel_.bank(b).openRow();
 
     if (drainingWrites_) {
-        if (tryIssue(queue_.writes(), now, next_possible)) {
+        if (tryIssue(queue_.writeLane(), nullptr, now, next_possible)) {
             nextTryAt_ = now + timing_->tCK;
             return;
         }
@@ -562,7 +457,7 @@ MemoryController::tick(Cycle now)
         // can issue this cycle (keeps the bus utilized); Strict reserves
         // the whole latched drain for writes.
         if (params_.writeDrain.mode == WriteDrainMode::Opportunistic &&
-            tryIssueReads(now, next_possible)) {
+            tryIssue(queue_.readLane(), prof_, now, next_possible)) {
             nextTryAt_ = now + timing_->tCK;
             return;
         }
@@ -575,12 +470,12 @@ MemoryController::tick(Cycle now)
         return;
     }
 
-    if (tryIssueReads(now, next_possible)) {
+    if (tryIssue(queue_.readLane(), prof_, now, next_possible)) {
         nextTryAt_ = now + timing_->tCK;
         return;
     }
     // Opportunistic write issue when the read stream cannot use the slot.
-    if (tryIssue(queue_.writes(), now, next_possible)) {
+    if (tryIssue(queue_.writeLane(), nullptr, now, next_possible)) {
         nextTryAt_ = now + timing_->tCK;
         return;
     }
@@ -626,21 +521,8 @@ MemoryController::nextEventAt(Cycle now) const
     // not cover), so fold the earliest eligible one.
     if (params_.speculativePrecharge) {
         for (int b = 0; b < channel_.numBanks(); ++b) {
-            if (channel_.bank(b).precharged())
-                continue;
-            bool wanted = false;
-            for (const Request &r : queue_.reads())
-                if (r.bank == b) {
-                    wanted = true;
-                    break;
-                }
-            if (!wanted)
-                for (const Request &r : queue_.writes())
-                    if (r.bank == b) {
-                        wanted = true;
-                        break;
-                    }
-            if (!wanted)
+            if (!channel_.bank(b).precharged() &&
+                !anyQueued([b](BankId bank, RowId) { return bank == b; }))
                 horizon = std::min(
                     horizon,
                     channel_.earliestIssue(dram::CommandKind::Precharge, b));

@@ -214,7 +214,7 @@ class MemoryController : public QueueAccess
 
     /**
      * Attach a profiler shard (nullptr detaches): tick and read-scan
-     * wall time plus SoA scan-efficiency counters accumulate there.
+     * wall time plus read-scan efficiency counters accumulate there.
      * Nothing measured feeds back into simulated state. Detached cost is
      * one branch per tick/scan.
      */
@@ -236,17 +236,11 @@ class MemoryController : public QueueAccess
     dram::CommandKind nextCommand(const Request &req) const;
 
     /**
-     * True if @p a should be serviced before @p b under the current
-     * scheduler knobs (Algorithm 3 generalized). Both must be issuable.
-     */
-    bool higherPriority(const Request &a, const Request &b, Cycle now) const;
-
-    /**
      * Snapshot scheduler knobs for the scan (hot-path devirtualization).
      * Rebuilt only when the policy's rank epoch moves or a new thread
      * has been seen; otherwise the cached vector is still valid.
      */
-    void refreshPolicyCache(Cycle now);
+    void refreshPolicyCache();
 
     /** Cached rank lookup for the current scan. */
     int
@@ -258,37 +252,43 @@ class MemoryController : public QueueAccess
     }
 
     /**
-     * Scan @p candidates and issue one command if possible. When no
-     * command can issue, lowers @p nextPossible to the earliest cycle
-     * any candidate could become issuable.
+     * Stamp the static half of the packed priority key (batch bit plus
+     * biased rank) on @p lane's entries from index @p from on; the full
+     * key layout is documented at the definition.
      */
-    bool tryIssue(std::vector<Request> &candidates, Cycle now,
+    void stampKeys(RequestLane &lane, std::size_t from);
+
+    /**
+     * Scan @p lane by packed priority key and issue one command if
+     * possible, skipping the canIssue check for candidates whose key
+     * loses to the best issuable one found so far. When no command can
+     * issue, lowers @p nextPossible to the earliest cycle any candidate
+     * could become issuable. A non-null @p shard times the scan as
+     * Phase::ReadScan and counts it; reads only, so the read-scan
+     * counters keep their meaning.
+     */
+    bool tryIssue(RequestLane &lane, prof::ControllerShard *shard, Cycle now,
                   Cycle &nextPossible);
 
     /**
-     * Read-queue scan over the SoA mirror with packed priority keys:
-     * same selection as tryIssue over queue_.reads(), but streams dense
-     * arrays and skips the canIssue check for candidates whose key loses
-     * to the best issuable one found so far. Falls back to tryIssue when
-     * a rank does not fit the key's 16-bit field (see packedKeyHi).
+     * Issue nextCommand(@p lane's entry @p best) and apply every side
+     * effect (stats, completions, latency, lifecycle, hooks, removal).
      */
-    bool tryIssueReads(Cycle now, Cycle &nextPossible);
-
-    /**
-     * Static half of the packed priority key for @p thread (marked bit
-     * plus biased rank); see tryIssueReads for the full layout. Clears
-     * soaRankOk_ when the rank overflows its field.
-     */
-    std::uint64_t packedKeyHi(ThreadId thread, bool marked);
-
-    /**
-     * Issue nextCommand(@p candidates[best]) and apply every side effect
-     * (stats, completions, latency, lifecycle, hooks, removal). Shared
-     * tail of tryIssue and tryIssueReads; @p candidates must be the live
-     * queue vector the index refers into.
-     */
-    void issueSelected(std::vector<Request> &candidates, std::size_t best,
+    void issueSelected(RequestLane &lane, std::size_t best,
                        dram::CommandKind cmd, Cycle now);
+
+    /** True when a queued read or write satisfies @p pred(bank, row). */
+    template <typename Pred>
+    bool
+    anyQueued(Pred pred) const
+    {
+        for (const RequestLane *lane :
+             {&queue_.readLane(), &queue_.writeLane()})
+            for (std::size_t i = 0; i < lane->size(); ++i)
+                if (pred(lane->bank()[i], lane->row()[i]))
+                    return true;
+        return false;
+    }
 
     /** Progress the refresh engine; true if it consumed the command slot. */
     bool refreshEngine(Cycle now);
@@ -302,7 +302,12 @@ class MemoryController : public QueueAccess
     bool powerManagement(Cycle now);
 
     /** True when any queued read or write targets rank @p rank. */
-    bool rankHasQueuedWork(int rank) const;
+    bool
+    rankHasQueuedWork(int rank) const
+    {
+        return anyQueued(
+            [&](BankId bank, RowId) { return channel_.rankOf(bank) == rank; });
+    }
 
     /**
      * Speculative precharge: close one open bank no queued request
@@ -340,12 +345,8 @@ class MemoryController : public QueueAccess
     ThreadId maxThreadSeen_ = 0;
     std::uint64_t policyCacheEpoch_ = 0; //!< 0 = cache never built
 
-    // SoA scan state. soaRankOk_ means every cached rank fits the packed
-    // key's biased 16-bit field; re-evaluated on every cache rebuild,
-    // and cleared (until the next rebuild) if an admitted request's rank
-    // overflows. openRowScratch_ is the per-scan open-row snapshot,
-    // indexed by bank.
-    bool soaRankOk_ = true;
+    // Open-row snapshot the scans compare against, indexed by bank; taken
+    // at most once per tick (see tick).
     std::vector<RowId> openRowScratch_;
 };
 

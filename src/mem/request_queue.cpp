@@ -4,15 +4,47 @@
 
 namespace tcm::mem {
 
-RequestQueue::RequestQueue(int readCap, int writeCap)
-    : readCap_(readCap), writeCap_(writeCap)
+RequestLane::RequestLane(int cap)
 {
-    reads_.reserve(readCap);
-    writes_.reserve(writeCap);
-    readBank_.reserve(readCap);
-    readRow_.reserve(readCap);
-    readArrivedAt_.reserve(readCap);
-    readKeyHi_.reserve(readCap);
+    requests_.reserve(cap);
+    bank_.reserve(cap);
+    row_.reserve(cap);
+    arrivedAt_.reserve(cap);
+    keyHi_.reserve(cap);
+}
+
+void
+RequestLane::push(const Request &req)
+{
+    requests_.push_back(req);
+    bank_.push_back(req.bank);
+    row_.push_back(req.row);
+    arrivedAt_.push_back(req.arrivedAt);
+    keyHi_.push_back(0);
+}
+
+Request
+RequestLane::remove(std::size_t idx)
+{
+    assert(idx < requests_.size());
+    Request req = requests_[idx];
+    requests_[idx] = requests_.back();
+    requests_.pop_back();
+    bank_[idx] = bank_.back();
+    bank_.pop_back();
+    row_[idx] = row_.back();
+    row_.pop_back();
+    arrivedAt_[idx] = arrivedAt_.back();
+    arrivedAt_.pop_back();
+    keyHi_[idx] = keyHi_.back();
+    keyHi_.pop_back();
+    return req;
+}
+
+RequestQueue::RequestQueue(int readCap, int writeCap)
+    : readCap_(readCap), writeCap_(writeCap), reads_(readCap),
+      writes_(writeCap)
+{
 }
 
 bool
@@ -62,45 +94,13 @@ RequestQueue::admitArrivals(Cycle now)
     for (const Request &req : admitScratch_) {
         if (req.isWrite) {
             --inFlightWrites_;
-            writes_.push_back(req);
+            writes_.push(req);
         } else {
             --inFlightReads_;
-            reads_.push_back(req);
-            readBank_.push_back(req.bank);
-            readRow_.push_back(req.row);
-            readArrivedAt_.push_back(req.arrivedAt);
-            readKeyHi_.push_back(0); // controller fills in the key
+            reads_.push(req);
         }
     }
     return admitScratch_;
-}
-
-Request
-RequestQueue::removeRead(std::size_t idx)
-{
-    assert(idx < reads_.size());
-    Request req = reads_[idx];
-    reads_[idx] = reads_.back();
-    reads_.pop_back();
-    readBank_[idx] = readBank_.back();
-    readBank_.pop_back();
-    readRow_[idx] = readRow_.back();
-    readRow_.pop_back();
-    readArrivedAt_[idx] = readArrivedAt_.back();
-    readArrivedAt_.pop_back();
-    readKeyHi_[idx] = readKeyHi_.back();
-    readKeyHi_.pop_back();
-    return req;
-}
-
-Request
-RequestQueue::removeWrite(std::size_t idx)
-{
-    assert(idx < writes_.size());
-    Request req = writes_[idx];
-    writes_[idx] = writes_.back();
-    writes_.pop_back();
-    return req;
 }
 
 } // namespace tcm::mem

@@ -14,6 +14,44 @@
 namespace tcm::mem {
 
 /**
+ * One lane of the request buffer: the queued reads, or the queued
+ * writes. The hot priority scan touches only a handful of Request
+ * fields; keeping them in parallel arrays, index-aligned with
+ * requests(), lets it stream over dense, cache-friendly data instead of
+ * striding through whole Request structs. push and remove keep the
+ * arrays aligned. The static half of each request's packed priority key
+ * is owned by the controller, which stamps it at admission and rebuilds
+ * it when scheduler knobs move (see MemoryController::stampKeys).
+ */
+class RequestLane
+{
+  public:
+    explicit RequestLane(int cap);
+
+    /** Append @p req with a zero key for the controller to stamp. */
+    void push(const Request &req);
+
+    /** Remove entry @p idx via swap-pop; returns the removed request. */
+    Request remove(std::size_t idx);
+
+    std::size_t size() const { return requests_.size(); }
+
+    std::vector<Request> &requests() { return requests_; }
+    const std::vector<Request> &requests() const { return requests_; }
+    const BankId *bank() const { return bank_.data(); }
+    const RowId *row() const { return row_.data(); }
+    const Cycle *arrivedAt() const { return arrivedAt_.data(); }
+    std::uint64_t *keyHi() { return keyHi_.data(); }
+
+  private:
+    std::vector<Request> requests_;
+    std::vector<BankId> bank_;
+    std::vector<RowId> row_;
+    std::vector<Cycle> arrivedAt_;
+    std::vector<std::uint64_t> keyHi_;
+};
+
+/**
  * Holds the controller's queued requests: a read request buffer and a
  * write data buffer (Table 3: 128-entry reads, 64-entry writes). Requests
  * that have been transported from the core but are not yet visible
@@ -35,23 +73,22 @@ class RequestQueue
 
     /**
      * Move every in-flight request with arrivedAt <= now into the visible
-     * queues; returns the requests that just arrived (for observer
+     * lanes; returns the requests that just arrived (for observer
      * hooks). The returned reference aliases an internal scratch buffer
      * that the next admitArrivals call reuses — no per-tick allocation,
      * and the empty-tick fast path touches nothing but the FIFO head.
      */
     const std::vector<Request> &admitArrivals(Cycle now);
 
-    std::vector<Request> &reads() { return reads_; }
-    std::vector<Request> &writes() { return writes_; }
-    const std::vector<Request> &reads() const { return reads_; }
-    const std::vector<Request> &writes() const { return writes_; }
+    RequestLane &readLane() { return reads_; }
+    RequestLane &writeLane() { return writes_; }
+    const RequestLane &readLane() const { return reads_; }
+    const RequestLane &writeLane() const { return writes_; }
 
-    /** Remove reads()[idx] via swap-pop; returns the removed request. */
-    Request removeRead(std::size_t idx);
-
-    /** Remove writes()[idx] via swap-pop; returns the removed request. */
-    Request removeWrite(std::size_t idx);
+    std::vector<Request> &reads() { return reads_.requests(); }
+    std::vector<Request> &writes() { return writes_.requests(); }
+    const std::vector<Request> &reads() const { return reads_.requests(); }
+    const std::vector<Request> &writes() const { return writes_.requests(); }
 
     int readCap() const { return readCap_; }
     int writeCap() const { return writeCap_; }
@@ -74,36 +111,15 @@ class RequestQueue
     /** Visible + in-flight write count. */
     std::size_t writeLoad() const { return writes_.size() + inFlightWrites_; }
 
-    // -- SoA mirror of the read queue ---------------------------------------
-    //
-    // The hot candidate scan touches only a handful of Request fields;
-    // keeping them in parallel arrays (index-aligned with reads()) lets
-    // the scan stream over dense, cache-friendly data instead of
-    // striding through whole Request structs. bank/row/arrivedAt are
-    // maintained structurally here (admit + swap-pop); the packed
-    // priority key is owned by the controller, which rebuilds it when
-    // scheduler knobs move (see MemoryController::refreshPolicyCache).
-
-    const std::vector<BankId> &readBank() const { return readBank_; }
-    const std::vector<RowId> &readRow() const { return readRow_; }
-    const std::vector<Cycle> &readArrivedAt() const { return readArrivedAt_; }
-    std::vector<std::uint64_t> &readKeyHi() { return readKeyHi_; }
-
   private:
     int readCap_;
     int writeCap_;
-    std::vector<Request> reads_;
-    std::vector<Request> writes_;
+    RequestLane reads_;
+    RequestLane writes_;
     std::vector<Request> inFlight_; //!< FIFO by arrival time
     std::vector<Request> admitScratch_; //!< reused by admitArrivals
     std::size_t inFlightReads_ = 0;
     std::size_t inFlightWrites_ = 0;
-
-    // Index-aligned with reads_.
-    std::vector<BankId> readBank_;
-    std::vector<RowId> readRow_;
-    std::vector<Cycle> readArrivedAt_;
-    std::vector<std::uint64_t> readKeyHi_;
 };
 
 } // namespace tcm::mem

@@ -73,15 +73,6 @@ inline constexpr int kRegimeCount = 3;
 struct PhaseShard {
     std::array<std::uint64_t, kPhaseCount> ns{};
     std::array<std::uint64_t, kPhaseCount> calls{};
-
-    void
-    addFrom(const PhaseShard &other)
-    {
-        for (int i = 0; i < kPhaseCount; ++i) {
-            ns[i] += other.ns[i];
-            calls[i] += other.calls[i];
-        }
-    }
 };
 
 /** RAII phase timer. A null shard skips the clock entirely, so the
@@ -114,12 +105,12 @@ class ScopedPhase
     std::chrono::steady_clock::time_point t0_{};
 };
 
-/** SoA read-scan efficiency counters (see mem::Controller::tryIssueReads). */
+/** Read-scan efficiency counters (see mem::MemoryController::tryIssue). */
 struct ScanCounters {
     std::uint64_t soaScans = 0;         //!< SoA scans executed
     std::uint64_t readsExamined = 0;    //!< candidate reads visited
     std::uint64_t dominanceSkipped = 0; //!< rejected by packed-key compare
-    std::uint64_t fallbackScans = 0;    //!< legacy scans (rank overflow)
+    std::uint64_t fallbackScans = 0;    //!< always 0: every rank fits the key
 
     void
     addFrom(const ScanCounters &other)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/json.hpp"
 #include "sched/tcm/niceness.hpp"
 #include "telemetry/sink.hpp"
 
@@ -160,7 +161,7 @@ Tcm::quantumBoundary(Cycle now)
             {"mpki", telemetry::jsonArray(mpki_)},
             {"niceness", telemetry::jsonArray(niceness_)},
             {"shuffle_mode",
-             telemetry::jsonString(shuffleModeName(mode))},
+             json::quote(shuffleModeName(mode))},
             {"cluster_thresh", telemetry::jsonNumber(thresh)},
             {"ranks", telemetry::jsonArray(ranks_)},
         };

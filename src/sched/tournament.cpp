@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/json.hpp"
 #include "telemetry/sink.hpp"
 
 namespace tcm::sched {
@@ -178,8 +179,8 @@ Tournament::quantumBoundary(Cycle now)
             e.category = "sched";
             e.args = {
                 {"quantum", telemetry::jsonNumber(quantumIdx_)},
-                {"from", telemetry::jsonString(live().name())},
-                {"to", telemetry::jsonString(candidates_[next]->name())},
+                {"from", json::quote(live().name())},
+                {"to", json::quote(candidates_[next]->name())},
                 {"scores", telemetry::jsonArray(scores_)},
             };
             decisionSink_->onDecision(std::move(e));

@@ -6,6 +6,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "common/json.hpp"
 #include "common/numfmt.hpp"
 
 namespace tcm::telemetry {
@@ -77,30 +78,6 @@ jsonNumber(std::int64_t v)
     char buf[24];
     std::snprintf(buf, sizeof buf, "%" PRId64, v);
     return buf;
-}
-
-std::string
-jsonString(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
 }
 
 std::string
@@ -243,7 +220,7 @@ TelemetrySink::writeJsonl(std::FILE *out) const
                  "{\"type\":\"meta\",\"scheduler\":%s,\"threads\":%d,"
                  "\"channels\":%d,\"sample_interval\":%" PRIu64
                  ",\"seed\":%" PRIu64 "}\n",
-                 jsonString(meta_.scheduler).c_str(), meta_.numThreads,
+                 json::quote(meta_.scheduler).c_str(), meta_.numThreads,
                  meta_.numChannels,
                  static_cast<std::uint64_t>(meta_.sampleInterval),
                  meta_.seed);
@@ -277,11 +254,11 @@ TelemetrySink::writeJsonl(std::FILE *out) const
                      "{\"type\":\"event\",\"cycle\":%" PRIu64
                      ",\"name\":%s,\"cat\":%s,\"args\":{",
                      static_cast<std::uint64_t>(e.cycle),
-                     jsonString(e.name).c_str(),
-                     jsonString(e.category).c_str());
+                     json::quote(e.name).c_str(),
+                     json::quote(e.category).c_str());
         for (std::size_t i = 0; i < e.args.size(); ++i)
             std::fprintf(out, "%s%s:%s", i ? "," : "",
-                         jsonString(e.args[i].first).c_str(),
+                         json::quote(e.args[i].first).c_str(),
                          e.args[i].second.c_str());
         std::fprintf(out, "}}\n");
     });
@@ -336,7 +313,7 @@ TelemetrySink::writeChromeTrace(std::FILE *out) const
     std::fprintf(out,
                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
                  "\"tid\":0,\"args\":{\"name\":%s}}",
-                 jsonString("tcmsim " + meta_.scheduler).c_str());
+                 json::quote("tcmsim " + meta_.scheduler).c_str());
 
     threadSamples_.forEach([&](const ThreadSample &s) {
         sep();
@@ -410,12 +387,12 @@ TelemetrySink::writeChromeTrace(std::FILE *out) const
         std::fprintf(out,
                      "{\"name\":%s,\"cat\":%s,\"ph\":\"i\",\"ts\":%" PRIu64
                      ",\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{",
-                     jsonString(e.name).c_str(),
-                     jsonString(e.category).c_str(),
+                     json::quote(e.name).c_str(),
+                     json::quote(e.category).c_str(),
                      static_cast<std::uint64_t>(e.cycle));
         for (std::size_t i = 0; i < e.args.size(); ++i)
             std::fprintf(out, "%s%s:%s", i ? "," : "",
-                         jsonString(e.args[i].first).c_str(),
+                         json::quote(e.args[i].first).c_str(),
                          e.args[i].second.c_str());
         std::fprintf(out, "}}");
     });

@@ -140,7 +140,6 @@ struct DecisionEvent
 std::string jsonNumber(double v);
 std::string jsonNumber(std::uint64_t v);
 std::string jsonNumber(std::int64_t v);
-std::string jsonString(const std::string &s);
 std::string jsonArray(const std::vector<int> &v);
 std::string jsonArray(const std::vector<double> &v);
 /** @} */

@@ -5,7 +5,8 @@
  * bit-identical to the per-cycle oracle loop — same RunResult (IPCs,
  * metrics, protocol verdict), same telemetry stream byte for byte, and
  * the same DRAM command trace as the committed golden file. Any
- * divergence at all, in any of the five paper schedulers, fails.
+ * divergence at all, in any of the five paper schedulers or table6's
+ * TCM shuffle variants, fails.
  */
 
 #include <cstdio>
@@ -13,11 +14,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dram/observer.hpp"
+#include "sched/tcm/shuffle.hpp"
 #include "sim/experiment.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/sink.hpp"
@@ -72,14 +75,46 @@ class CycleSkipDifferential
 {
 };
 
+/** The algorithm name, plus the shuffle mode and "literal" for the
+ *  TCM variants other than the paper's default, as an identifier. */
 std::string
 schedName(const testing::TestParamInfo<sched::SchedulerSpec> &info)
 {
-    std::string n = sched::algoName(info.param.algo);
+    const sched::SchedulerSpec &spec = info.param;
+    std::string n = sched::algoName(spec.algo);
+    if (spec.algo == sched::Algo::Tcm &&
+        (spec.tcm.shuffleMode != sched::ShuffleMode::Dynamic ||
+         !spec.tcm.nicestAtTop)) {
+        n += std::string("_") + sched::shuffleModeName(spec.tcm.shuffleMode);
+        if (!spec.tcm.nicestAtTop)
+            n += "_literal";
+    }
     for (char &c : n)
         if (c == '-')
             c = '_';
     return n;
+}
+
+/** table6's shuffle variants besides the paper's TCM, which the
+ *  PaperSchedulers instantiation already runs. */
+std::vector<sched::SchedulerSpec>
+table6ShuffleVariants()
+{
+    const std::pair<sched::ShuffleMode, bool> variants[] = {
+        {sched::ShuffleMode::RoundRobin, true},
+        {sched::ShuffleMode::Random, true},
+        {sched::ShuffleMode::Insertion, true},
+        {sched::ShuffleMode::Insertion, false},
+        {sched::ShuffleMode::Dynamic, false},
+    };
+    std::vector<sched::SchedulerSpec> specs;
+    for (auto [mode, nicestAtTop] : variants) {
+        sched::SchedulerSpec spec = sched::SchedulerSpec::tcmSpec();
+        spec.tcm.shuffleMode = mode;
+        spec.tcm.nicestAtTop = nicestAtTop;
+        specs.push_back(spec);
+    }
+    return specs;
 }
 
 } // namespace
@@ -133,6 +168,9 @@ TEST_P(CycleSkipDifferential, RunResultsAreBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(PaperSchedulers, CycleSkipDifferential,
                          testing::ValuesIn(sim::paperSchedulers()),
+                         schedName);
+INSTANTIATE_TEST_SUITE_P(Table6Shuffles, CycleSkipDifferential,
+                         testing::ValuesIn(table6ShuffleVariants()),
                          schedName);
 
 // ---------------------------------------------------------------------------

@@ -94,16 +94,24 @@ INSTANTIATE_TEST_SUITE_P(Recorded, GoldenWorkloadA,
 
 namespace {
 
-/** Record a 400-event command trace under @p spec and diff (or regold,
- *  with TCMSIM_REGOLD=1) against the golden at @p path. */
-void
-checkCommandTrace(const sched::SchedulerSpec &spec, const std::string &path)
+/** The 2-core, 1-channel system every golden command trace runs on. */
+sim::SystemConfig
+traceSystem()
 {
-    constexpr std::size_t kEvents = 400;
-
     sim::SystemConfig config;
     config.numCores = 2;
     config.numChannels = 1;
+    return config;
+}
+
+/** Record a 400-event command trace of @p config under @p spec and diff
+ *  (or regold, with TCMSIM_REGOLD=1) against the golden at @p path. */
+void
+checkCommandTrace(const sim::SystemConfig &config,
+                  const sched::SchedulerSpec &spec, const std::string &path)
+{
+    constexpr std::size_t kEvents = 400;
+
     auto mix = workload::randomMix(config.numCores, 1.0, /*seed=*/99);
     sched::SchedulerSpec scaled = spec;
     scaled.scaleToRun(30'000);
@@ -142,7 +150,7 @@ checkCommandTrace(const sched::SchedulerSpec &spec, const std::string &path)
 
 TEST(GoldenCommandTrace, FrFcfsCommandStreamIsBitStable)
 {
-    checkCommandTrace(sched::SchedulerSpec::frfcfs(),
+    checkCommandTrace(traceSystem(), sched::SchedulerSpec::frfcfs(),
                       std::string(TCMSIM_GOLDEN_DIR) +
                           "/cmd_trace_frfcfs_seed99.txt");
 }
@@ -153,7 +161,22 @@ TEST(GoldenCommandTrace, FrFcfsCommandStreamIsBitStable)
 // rank flip shifts ACT/column selection and fails the diff.
 TEST(GoldenCommandTrace, BlissCommandStreamIsBitStable)
 {
-    checkCommandTrace(sched::SchedulerSpec::blissSpec(),
+    checkCommandTrace(traceSystem(), sched::SchedulerSpec::blissSpec(),
                       std::string(TCMSIM_GOLDEN_DIR) +
                           "/cmd_trace_bliss_seed99.txt");
+}
+
+// The drain trace pins write selection and ranks wider than 16 bits: a
+// 16-entry write queue with 12:4 watermarks latches write drains inside
+// the first 400 commands, and FixedRank's +/-70000 ranks do not fit a
+// 16-bit rank field.
+TEST(GoldenCommandTrace, DrainWideRankCommandStreamIsBitStable)
+{
+    sim::SystemConfig config = traceSystem();
+    config.controller.writeQueueCap = 16;
+    config.controller.writeDrain.highWatermark = 12;
+    config.controller.writeDrain.lowWatermark = 4;
+    checkCommandTrace(config, sched::SchedulerSpec::fixedRank({70000, -70000}),
+                      std::string(TCMSIM_GOLDEN_DIR) +
+                          "/cmd_trace_drain_fixedrank_seed99.txt");
 }

@@ -84,7 +84,7 @@ TEST(RequestQueue, RemoveReadSwapPops)
         q.addInFlight(r);
     }
     q.admitArrivals(0);
-    Request removed = q.removeRead(0);
+    Request removed = q.readLane().remove(0);
     EXPECT_EQ(removed.seq, 0u);
     EXPECT_EQ(q.reads().size(), 2u);
 }

@@ -30,7 +30,7 @@ using namespace tcm;
 namespace {
 
 /** Small but contended: enough threads and channels for real scan and
- *  skip activity, fast enough for a 2-scheduler x 2-kernel matrix. */
+ *  skip activity, fast enough for an every-policy x 2-kernel matrix. */
 sim::SystemConfig
 profConfig(bool cycleSkip, bool profiled)
 {
@@ -119,11 +119,10 @@ TEST(ProfilerPurity, BitIdenticalAcrossKernels)
     scale.measure = 120'000;
     auto mix = workload::randomMix(6, 0.5, /*seed=*/42);
 
-    for (const sched::SchedulerSpec &spec :
-         {sched::SchedulerSpec::frfcfs(), sched::SchedulerSpec::tcmSpec()}) {
+    for (const std::string &name : sched::policyNames()) {
+        const sched::SchedulerSpec spec = sched::specByName(name).spec;
         for (bool cycleSkip : {false, true}) {
-            std::string tag = std::string(sched::algoName(spec.algo)) +
-                              (cycleSkip ? "_skip" : "_oracle");
+            std::string tag = name + (cycleSkip ? "_skip" : "_oracle");
             sim::RunResult plain = runAt(spec, cycleSkip, false, scale, mix);
             sim::RunResult prof = runAt(spec, cycleSkip, true, scale, mix);
             EXPECT_EQ(plain.profile, nullptr) << tag;

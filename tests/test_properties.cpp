@@ -347,9 +347,10 @@ TEST_P(BlissBlacklist, EpochMonotoneAndClearingRestoresAll)
         }
         // Un-blacklisting happens only via the periodic clearing, which
         // restores every thread at once.
-        if (anyCleared)
+        if (anyCleared) {
             ASSERT_EQ(policy.blacklistedCount(), 0)
                 << "partial clear at cycle " << now;
+        }
     }
     // The run must actually exercise the mechanism, or the invariants
     // above are vacuously true.

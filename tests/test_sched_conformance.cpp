@@ -200,28 +200,31 @@ TEST_P(PolicyConformance, NextEventAtNeverUnderPredicts)
                 << GetParam() << ": tick at " << now
                 << " changed state but nextEventAt said " << ne;
         }
-        if (!afterTick.visibleEquals(before))
+        if (!afterTick.visibleEquals(before)) {
             ASSERT_NE(afterTick.epoch, before.epoch)
                 << GetParam() << ": rank/knob change at tick " << now
                 << " without a rank-epoch bump";
+        }
 
         rig.tickControllers(now);
         Snapshot afterHooks = Snapshot::of(*rig.policy, OracleRig::kChannels,
                                            OracleRig::kThreads);
         // Hook-driven mutations are allowed (the simulator re-queries
         // every executed cycle) but must still respect epoch discipline.
-        if (!afterHooks.visibleEquals(afterTick))
+        if (!afterHooks.visibleEquals(afterTick)) {
             ASSERT_NE(afterHooks.epoch, afterTick.epoch)
                 << GetParam() << ": rank/knob change in hooks at " << now
                 << " without a rank-epoch bump";
+        }
     }
     // FR-FCFS-family policies legitimately never have timed events; every
     // adaptive policy must have fired at least once or the run above
     // proved nothing.
-    if (rig.policy->nextEventAt(kCycles) != kCycleNever)
+    if (rig.policy->nextEventAt(kCycles) != kCycleNever) {
         EXPECT_GT(tickEvents, 0u)
             << GetParam() << ": no timed event fired in " << kCycles
             << " cycles — scale the rig so the contract is exercised";
+    }
 }
 
 // ---------------------------------------------------------------------------

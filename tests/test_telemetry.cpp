@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "dram/observer.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
@@ -89,7 +90,7 @@ TEST(JsonHelpers, EncodeValues)
     EXPECT_EQ(telemetry::jsonNumber(telemetry::kNoGauge), "null");
     EXPECT_EQ(telemetry::jsonNumber(std::uint64_t{42}), "42");
     EXPECT_EQ(telemetry::jsonNumber(std::int64_t{-1}), "-1");
-    EXPECT_EQ(telemetry::jsonString("a\"b\\c"), "\"a\\\"b\\\\c\"");
+    EXPECT_EQ(json::quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
     EXPECT_EQ(telemetry::jsonArray(std::vector<int>{1, 2, 3}), "[1,2,3]");
     EXPECT_EQ(telemetry::jsonArray(std::vector<double>{0.5}), "[0.5]");
 

@@ -16,6 +16,7 @@
  */
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +25,7 @@
 #include <sys/stat.h>
 #include <vector>
 
+#include "common/numfmt.hpp"
 #include "sim/claims.hpp"
 #include "sim/paper_experiments.hpp"
 #include "sim/system_config.hpp"
@@ -46,23 +48,6 @@ struct Options
     double relTol = 0.02;
     double absTol = 0.02;
     bool list = false;
-    // Run the whole harness on the per-cycle oracle loop instead of the
-    // event-horizon kernel. The two are bit-identical by contract, so
-    // the claim verdicts must not change; running the gate once per
-    // mode in CI turns that contract into a checked invariant.
-    bool perCycle = false;
-    // Attach the simulator self-profiler to every run. A pure observer:
-    // claim verdicts and baseline diffs are unchanged; the merged
-    // profile lands in each document's "run" provenance block.
-    bool profile = false;
-    // Explicit write-drain watermarks (Opportunistic mode). The
-    // controller's defaults already use these values, so setting them
-    // explicitly must not move a single number — CI runs the gate with
-    // this flag to prove the watermark machinery is exactly the legacy
-    // behavior when the new Strict latch stays off.
-    bool writeDrain = false;
-    int drainHigh = 0;
-    int drainLow = 0;
     // Run every grid interval-sampled (sim/sampling.hpp defaults, or an
     // explicit W:K[:WARMUP] spec). Claim verdicts must still pass on the
     // sampled estimates — the CI leg behind the "sampling preserves the
@@ -96,19 +81,6 @@ usage(std::FILE *out)
         "  --abs-tol X          baseline diff absolute tolerance "
         "(default 0.02)\n"
         "  --list               print the claim registry and exit\n"
-        "  --per-cycle          disable the cycle-skip kernel and run\n"
-        "                       the per-cycle oracle loop (results are\n"
-        "                       bit-identical; CI runs the gate in both\n"
-        "                       modes to enforce that)\n"
-        "  --profile            profile the simulator itself; verdicts\n"
-        "                       and baselines are unchanged (observer\n"
-        "                       purity), the merged metrics land in each\n"
-        "                       document's \"run\" provenance block\n"
-        "  --write-drain HI:LO  set the opportunistic write-drain\n"
-        "                       watermarks explicitly; with the default\n"
-        "                       values (48:16) the results are\n"
-        "                       bit-identical to leaving the flag off,\n"
-        "                       which CI enforces against the goldens\n"
         "  --sampled[=W:K[:WARMUP]]\n"
         "                       run every grid interval-sampled (default\n"
         "                       30k warmup + 3x14k windows); the claim\n"
@@ -119,6 +91,15 @@ usage(std::FILE *out)
         "                       evaluate the sampling.* claims (error\n"
         "                       bands, ordering preservation, speedup);\n"
         "                       reuses the full fig4 grid already run\n");
+}
+
+/** Report a malformed or out-of-range option value; always false. */
+bool
+badValue(const char *flag, const char *text, const char *want)
+{
+    std::fprintf(stderr, "claims: %s needs %s, got '%s'\n", flag, want,
+                 text);
+    return false;
 }
 
 bool
@@ -150,7 +131,8 @@ parseArgs(int argc, char **argv, Options &opt)
             const char *v = value("--jobs");
             if (v == nullptr)
                 return false;
-            opt.jobs = std::atoi(v);
+            if (!parseInt(v, &opt.jobs) || opt.jobs < 0)
+                return badValue("--jobs", v, "an integer >= 0");
         } else if (arg == "--out") {
             const char *v = value("--out");
             if (v == nullptr)
@@ -163,36 +145,15 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.baselineDir = v;
         } else if (arg == "--regold") {
             opt.regold = true;
-        } else if (arg == "--rel-tol") {
-            const char *v = value("--rel-tol");
+        } else if (arg == "--rel-tol" || arg == "--abs-tol") {
+            const char *v = value(arg.c_str());
             if (v == nullptr)
                 return false;
-            opt.relTol = std::atof(v);
-        } else if (arg == "--abs-tol") {
-            const char *v = value("--abs-tol");
-            if (v == nullptr)
-                return false;
-            opt.absTol = std::atof(v);
+            double &tol = arg == "--rel-tol" ? opt.relTol : opt.absTol;
+            if (!parseDouble(v, &tol) || !std::isfinite(tol) || tol < 0.0)
+                return badValue(arg.c_str(), v, "a finite number >= 0");
         } else if (arg == "--list") {
             opt.list = true;
-        } else if (arg == "--per-cycle") {
-            opt.perCycle = true;
-        } else if (arg == "--profile") {
-            opt.profile = true;
-        } else if (arg == "--write-drain") {
-            const char *v = value("--write-drain");
-            if (v == nullptr)
-                return false;
-            if (std::sscanf(v, "%d:%d", &opt.drainHigh, &opt.drainLow) !=
-                    2 ||
-                opt.drainHigh <= 0 || opt.drainLow < 0 ||
-                opt.drainLow >= opt.drainHigh) {
-                std::fprintf(stderr,
-                             "claims: --write-drain needs HI:LO with "
-                             "0 <= LO < HI\n");
-                return false;
-            }
-            opt.writeDrain = true;
         } else if (arg == "--sampled" ||
                    arg.rfind("--sampled=", 0) == 0) {
             opt.sampled = true;
@@ -298,22 +259,13 @@ main(int argc, char **argv)
     }
 
     sim::SystemConfig config;
-    config.cycleSkip = !opt.perCycle;
-    config.profile.enabled = opt.profile;
-    if (opt.writeDrain) {
-        config.controller.writeDrain.highWatermark = opt.drainHigh;
-        config.controller.writeDrain.lowWatermark = opt.drainLow;
-        std::fprintf(stderr, "claims: write-drain watermarks %d:%d\n",
-                     opt.drainHigh, opt.drainLow);
-    }
     std::fprintf(stderr,
                  "claims: scale %s (warmup %llu, measure %llu, %d "
-                 "workloads/category)%s, sampling %s\n",
+                 "workloads/category), sampling %s\n",
                  opt.defaultScale ? "default" : "ci",
                  static_cast<unsigned long long>(opt.scale.warmup),
                  static_cast<unsigned long long>(opt.scale.measure),
                  opt.scale.workloadsPerCategory,
-                 opt.perCycle ? ", per-cycle oracle" : "",
                  opt.scale.sampling.describe().c_str());
 
     std::vector<sim::results::ResultsDoc> docs;

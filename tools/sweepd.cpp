@@ -28,16 +28,19 @@
  *
  * Exit status: 0 when every requested manifest finished (or the stop
  * limit was reached with work remaining — an interrupted run is not an
- * error), 1 on a manifest/run failure, 2 on bad usage.
+ * error), 1 on a manifest/run failure, 2 on bad usage (including a
+ * malformed or out-of-range number: --jobs >= 0, --batch,
+ * --stop-after and --watch >= 1).
  */
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
+#include "common/numfmt.hpp"
 #include "sim/sweepd.hpp"
 
 namespace {
@@ -48,6 +51,34 @@ die(const char *msg)
     std::fprintf(stderr, "sweepd: %s (see the file header for usage)\n",
                  msg);
     std::exit(2);
+}
+
+[[noreturn]] void
+dieBadValue(const char *flag, const char *text, int min)
+{
+    die((std::string(flag) + " needs an integer >= " + std::to_string(min) +
+         ", got '" + text + "'")
+            .c_str());
+}
+
+/** Whole-string integer option value >= @p min, or exit 2. */
+int
+intOption(const char *flag, const char *text, int min)
+{
+    int v = 0;
+    if (!tcm::parseInt(text, &v) || v < min)
+        dieBadValue(flag, text, min);
+    return v;
+}
+
+/** Whole-string unsigned option value >= 1, or exit 2. */
+std::uint64_t
+countOption(const char *flag, const char *text)
+{
+    std::uint64_t v = 0;
+    if (!tcm::parseU64(text, &v) || v < 1)
+        dieBadValue(flag, text, 1);
+    return v;
 }
 
 } // namespace
@@ -78,15 +109,15 @@ main(int argc, char **argv)
         else if (arg == "--out")
             out = value();
         else if (arg == "--jobs")
-            options.jobs = std::atoi(value());
+            options.jobs = intOption("--jobs", value(), 0);
         else if (arg == "--batch")
-            options.batch = std::atoi(value());
+            options.batch = intOption("--batch", value(), 1);
         else if (arg == "--stop-after")
-            options.stopAfter = std::strtoull(value(), nullptr, 10);
+            options.stopAfter = countOption("--stop-after", value());
         else if (arg == "--once")
             once = true;
         else if (arg == "--watch")
-            watchSeconds = std::atoi(value());
+            watchSeconds = intOption("--watch", value(), 1);
         else if (arg == "--quiet")
             quiet = true;
         else
