@@ -116,7 +116,7 @@ BM_TelemetryOverhead(benchmark::State &state)
     sim::Simulator sim(config, mix, spec, 1, on);
     telemetry::TelemetrySink sink;
     if (on)
-        sim.attachTelemetry(&sink);
+        sim.attach({.telemetry = &sink});
     sim.step(10'000); // warm structures
 
     for (auto _ : state)
@@ -144,7 +144,7 @@ BM_ProfilerOverhead(benchmark::State &state)
     sim::Simulator sim(config, mix, spec, 1);
     prof::Profiler profiler;
     if (on)
-        sim.attachProfiler(&profiler);
+        sim.attach({.profiler = &profiler});
     sim.step(10'000); // warm structures
 
     for (auto _ : state)

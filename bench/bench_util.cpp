@@ -20,9 +20,11 @@ printHeader(const std::string &title, const sim::ExperimentScale &scale)
                 scale.workloadsPerCategory);
     std::printf("(override with TCMSIM_WARMUP / TCMSIM_CYCLES / TCMSIM_WORKLOADS)\n");
     std::printf("==============================================================\n");
-    // Every bench routes its runs through runWorkload, which honors the
-    // TCMSIM_PROFILE knob; surface that on stderr so a profiled run is
-    // visibly profiled while stdout (golden-diffed) stays byte-stable.
+    // runWorkload and paper::table4 honor the TCMSIM_PROFILE knob
+    // (sim::requestedProfile); surface that on stderr so a profiled run
+    // is visibly profiled while stdout (golden-diffed) stays
+    // byte-stable. Runs that build a Simulator directly are not
+    // profiled: fig2's Table 1 runs, cycleskip and micro_perf.
     prof::ProfileConfig pcfg = prof::ProfileConfig::fromEnv();
     if (pcfg.enabled)
         std::fprintf(stderr, "bench: simulator self-profile on%s%s\n",

@@ -19,12 +19,6 @@ Channel::Channel(const TimingParams &timing, ChannelId id)
 }
 
 void
-Channel::addObserver(CommandObserver *observer)
-{
-    observers_.push_back(observer);
-}
-
-void
 Channel::notifyObservers(CommandKind kind, BankId b, RowId row, Cycle now,
                          bool autoPre) const
 {

@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -38,12 +39,15 @@ class Channel
     explicit Channel(const TimingParams &timing, ChannelId id = 0);
 
     /**
-     * Register @p observer to receive every issued command (and
-     * auto-precharge rider) as a CommandEvent. Observers are purely
-     * passive; with none registered the notification cost is one empty()
+     * Replace the observers that receive every issued command (and
+     * auto-precharge rider) as a CommandEvent, in list order. Observers
+     * are purely passive; with none the notification cost is one empty()
      * check per command.
      */
-    void addObserver(CommandObserver *observer);
+    void observe(std::vector<CommandObserver *> observers)
+    {
+        observers_ = std::move(observers);
+    }
 
     int numBanks() const { return static_cast<int>(banks_.size()); }
     int numRanks() const { return static_cast<int>(ranks_.size()); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "prof/profiler.hpp"
+#include "sched/tcm/monitor.hpp"
 #include "telemetry/sink.hpp"
 
 namespace tcm::mem {
@@ -68,6 +69,18 @@ MemoryController::submitWrite(ThreadId thread, BankId bank, RowId row,
     req.arrivedAt = now + timing_->cpuToMcDelay;
     maxThreadSeen_ = std::max(maxThreadSeen_, thread);
     queue_.addInFlight(req);
+}
+
+void
+MemoryController::observe(std::vector<dram::CommandObserver *> commands,
+                          sched::ThreadBankMonitor *probe,
+                          telemetry::TelemetrySink *telemetry,
+                          prof::ControllerShard *profile)
+{
+    channel_.observe(std::move(commands));
+    probe_ = probe;
+    telemetry_ = telemetry;
+    prof_ = profile;
 }
 
 CommandKind
@@ -340,6 +353,8 @@ MemoryController::issueSelected(RequestLane &lane, std::size_t best,
     dram::IssueResult res = channel_.issue(cmd, req.bank, req.row, now);
     stats_.bankBusyCycles += res.occupancy;
     rankLastActiveAt_[channel_.rankOf(req.bank)] = now;
+    if (probe_)
+        probe_->addService(req.thread, res.occupancy);
     sched_->onCommand(req, cmd, now, res.occupancy);
 
     switch (cmd) {
@@ -359,14 +374,16 @@ MemoryController::issueSelected(RequestLane &lane, std::size_t best,
             req.thread, req.missId, res.dataEnd + timing_->mcToCpuDelay});
         latency_.record(req.thread,
                         res.dataEnd + timing_->mcToCpuDelay - req.issuedAt);
-        if (lifecycle_)
-            lifecycle_->recordLifecycle(
+        if (telemetry_)
+            telemetry_->recordLifecycle(
                 req.thread, now - req.arrivedAt,
                 res.dataEnd + timing_->mcToCpuDelay - now);
         lane.remove(best);
         // Departure is stamped at the end of the data burst: a request
         // is "outstanding" (Table 2's load counters) until serviced, not
         // merely until its column command issues.
+        if (probe_)
+            probe_->onDepart(req, res.dataEnd);
         sched_->onDepart(req, res.dataEnd);
         maybeAutoPrecharge(req);
         break;
@@ -375,6 +392,8 @@ MemoryController::issueSelected(RequestLane &lane, std::size_t best,
         if (!req.sawActivate)
             ++stats_.rowHits;
         lane.remove(best);
+        if (probe_)
+            probe_->onDepart(req, res.dataEnd);
         sched_->onDepart(req, res.dataEnd);
         maybeAutoPrecharge(req);
         break;
@@ -402,8 +421,11 @@ MemoryController::tick(Cycle now)
             // queued keys were built from.
             stampKeys(reads, oldReads);
             stampKeys(writes, oldWrites);
-            for (const Request &req : arrived)
+            for (const Request &req : arrived) {
+                if (probe_)
+                    probe_->onArrival(req, now);
                 sched_->onArrival(req, now);
+            }
             nextTryAt_ = now; // a fresh request may be issuable at once
         }
     }

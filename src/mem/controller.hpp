@@ -17,11 +17,15 @@
 #include "mem/sched_iface.hpp"
 
 namespace tcm::telemetry {
-class LifecycleSink;
+class TelemetrySink;
 }
 
 namespace tcm::prof {
 struct ControllerShard;
+}
+
+namespace tcm::sched {
+class ThreadBankMonitor;
 }
 
 namespace tcm::mem {
@@ -190,39 +194,19 @@ class MemoryController : public QueueAccess
     const dram::Channel &channel() const { return channel_; }
 
     /**
-     * Attach a passive observer to this controller's command stream
-     * (protocol auditing, trace dumping). Must be called before traffic
-     * flows; observers outlive the controller.
+     * Replace this controller's passive observers (empty or null
+     * detaches; a detached one costs a branch where it would be fed).
+     * Call before traffic flows; observers outlive the controller.
+     * @p commands see every issued command, in list order; @p probe each
+     * read's arrival and departure and each command's bank occupancy;
+     * @p telemetry each serviced read's queueing delay (arrival to
+     * column command) and service time (column command to data at the
+     * core); @p profile tick and read-scan wall time and scan counters.
      */
-    void
-    addCommandObserver(dram::CommandObserver *observer)
-    {
-        channel_.addObserver(observer);
-    }
-
-    /**
-     * Attach a request-lifecycle sink (nullptr detaches): each serviced
-     * read reports its queueing delay (arrival to column command) and
-     * service time (column command to data at the core). Detached cost
-     * is one branch per read completion.
-     */
-    void
-    setLifecycleSink(telemetry::LifecycleSink *sink)
-    {
-        lifecycle_ = sink;
-    }
-
-    /**
-     * Attach a profiler shard (nullptr detaches): tick and read-scan
-     * wall time plus read-scan efficiency counters accumulate there.
-     * Nothing measured feeds back into simulated state. Detached cost is
-     * one branch per tick/scan.
-     */
-    void
-    setProfile(prof::ControllerShard *shard)
-    {
-        prof_ = shard;
-    }
+    void observe(std::vector<dram::CommandObserver *> commands,
+                 sched::ThreadBankMonitor *probe,
+                 telemetry::TelemetrySink *telemetry,
+                 prof::ControllerShard *profile);
 
     /** Number of queued + in-flight reads (tests/backpressure checks). */
     std::size_t readLoad() const { return queue_.readLoad(); }
@@ -272,7 +256,7 @@ class MemoryController : public QueueAccess
 
     /**
      * Issue nextCommand(@p lane's entry @p best) and apply every side
-     * effect (stats, completions, latency, lifecycle, hooks, removal).
+     * effect (stats, completions, latency, observers, hooks, removal).
      */
     void issueSelected(RequestLane &lane, std::size_t best,
                        dram::CommandKind cmd, Cycle now);
@@ -328,7 +312,8 @@ class MemoryController : public QueueAccess
     std::vector<Completion> completions_;
     ControllerStats stats_;
     LatencyTracker latency_;
-    telemetry::LifecycleSink *lifecycle_ = nullptr;
+    sched::ThreadBankMonitor *probe_ = nullptr;
+    telemetry::TelemetrySink *telemetry_ = nullptr;
     prof::ControllerShard *prof_ = nullptr;
     bool drainingWrites_ = false;
     std::vector<Cycle> refreshDueAt_; //!< per rank, staggered

@@ -28,7 +28,7 @@
 #include "mem/request.hpp"
 
 namespace tcm::telemetry {
-class DecisionSink;
+class TelemetrySink;
 }
 
 namespace tcm::mem {
@@ -109,14 +109,15 @@ class SchedulerPolicy
     virtual void setThreadWeights(const std::vector<int> & /*weights*/) {}
 
     /**
-     * Attach a decision-trace sink (nullptr detaches). Schedulers with
+     * Attach a decision-trace sink (Simulator::attach wires the run's
+     * telemetry sink here; nullptr detaches). Schedulers with
      * internal decision points (quantum boundaries, batch formation,
      * rank updates) emit a DecisionEvent describing each one; policies
      * without dynamic decisions ignore the sink. Detached cost is one
      * branch per decision point — never per cycle or per request.
      */
     virtual void
-    setDecisionSink(telemetry::DecisionSink *sink)
+    setDecisionSink(telemetry::TelemetrySink *sink)
     {
         decisionSink_ = sink;
     }
@@ -209,7 +210,7 @@ class SchedulerPolicy
     int banksPerChannel_ = 0;
     std::vector<QueueAccess *> queues_;
     const std::vector<CoreCounters> *coreCounters_ = nullptr;
-    telemetry::DecisionSink *decisionSink_ = nullptr;
+    telemetry::TelemetrySink *decisionSink_ = nullptr;
 
   private:
     std::uint64_t rankEpoch_ = 1;

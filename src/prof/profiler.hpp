@@ -140,8 +140,8 @@ struct ProfileConfig {
     /**
      * TCMSIM_PROFILE environment knob: unset or "0" = off, "1" = on
      * (report only), any other value = on with that output directory.
-     * Consulted by runWorkload when SystemConfig::profile is off, so
-     * every bench and tool inherits profiling without new flags.
+     * Consulted by sim::requestedProfile when SystemConfig::profile is
+     * off, so every bench and tool inherits profiling without new flags.
      */
     static ProfileConfig fromEnv();
 };
@@ -188,7 +188,7 @@ struct ProfileReport {
 
 /**
  * Live collector owned by whoever attached it (runWorkload, a tool, a
- * test). configure() is called by Simulator::attachProfiler with the
+ * test). configure() is called by Simulator::attach with the
  * run's geometry; all vectors are sized there once, so the hot-path
  * pointers handed to the controllers stay stable.
  */

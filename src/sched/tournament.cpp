@@ -54,7 +54,7 @@ Tournament::setThreadWeights(const std::vector<int> &weights)
 }
 
 void
-Tournament::setDecisionSink(telemetry::DecisionSink *sink)
+Tournament::setDecisionSink(telemetry::TelemetrySink *sink)
 {
     SchedulerPolicy::setDecisionSink(sink);
     for (auto &c : candidates_)

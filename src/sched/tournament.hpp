@@ -81,7 +81,7 @@ class Tournament : public SchedulerPolicy
     void setCoreCounters(
         const std::vector<CoreCounters> *counters) override;
     void setThreadWeights(const std::vector<int> &weights) override;
-    void setDecisionSink(telemetry::DecisionSink *sink) override;
+    void setDecisionSink(telemetry::TelemetrySink *sink) override;
 
     void onArrival(const Request &req, Cycle now) override;
     void onDepart(const Request &req, Cycle now) override;

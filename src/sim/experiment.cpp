@@ -67,6 +67,16 @@ stepSampledWindows(Simulator &sim, const SamplingConfig &samp,
 
 } // namespace
 
+prof::ProfileConfig
+requestedProfile(const SystemConfig &config)
+{
+    if (config.profile.enabled)
+        return config.profile;
+    prof::ProfileConfig env = prof::ProfileConfig::fromEnv();
+    env.filePrefix = config.profile.filePrefix;
+    return env;
+}
+
 RunResult
 runWorkload(const SystemConfig &config,
             const std::vector<workload::ThreadProfile> &mix,
@@ -77,28 +87,27 @@ runWorkload(const SystemConfig &config,
     // must be a slice of the full run's dynamics, not a compressed one.
     spec.scaleToRun(scale.measure);
 
+    // Telemetry runs always probe, so thread samples carry measured
+    // RBL/BLP/outstanding gauges.
     const telemetry::TelemetryConfig &tcfg = config.telemetry;
-    const bool enableProbe = tcfg.enabled && tcfg.probeBehavior;
-    Simulator sim(config, mix, spec, seed, enableProbe);
+    Simulator sim(config, mix, spec, seed, /*enableProbe=*/tcfg.enabled);
 
+    Observers observers;
     std::shared_ptr<telemetry::TelemetrySink> sink;
     if (tcfg.enabled) {
         sink = std::make_shared<telemetry::TelemetrySink>(tcfg);
         telemetry::TelemetrySink::Meta meta;
         meta.seed = seed;
-        sink->setMeta(std::move(meta)); // attachTelemetry fills the rest
-        sim.attachTelemetry(sink.get());
+        sink->setMeta(std::move(meta)); // attach fills the rest
+        observers.telemetry = sink.get();
     }
-
-    // Self-profiling: the config wins; otherwise the TCMSIM_PROFILE
-    // environment knob lets any bench or tool profile without new flags.
-    const prof::ProfileConfig pcfg =
-        config.profile.enabled ? config.profile : prof::ProfileConfig::fromEnv();
+    const prof::ProfileConfig pcfg = requestedProfile(config);
     std::unique_ptr<prof::Profiler> profiler;
     if (pcfg.enabled) {
         profiler = std::make_unique<prof::Profiler>();
-        sim.attachProfiler(profiler.get());
+        observers.profiler = profiler.get();
     }
+    sim.attach(observers);
 
     RunResult result;
     if (scale.sampling.enabled) {

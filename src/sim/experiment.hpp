@@ -104,6 +104,14 @@ struct RunResult
 };
 
 /**
+ * The self-profile a run of @p config asks for: SystemConfig::profile
+ * when enabled, else the TCMSIM_PROFILE environment knob under the
+ * config's profile file prefix, so each run of a grid names its own
+ * file either way.
+ */
+prof::ProfileConfig requestedProfile(const SystemConfig &config);
+
+/**
  * Simulate @p mix under @p spec (time-scaled to the run length) and
  * compute the paper's metrics against memoized alone IPCs.
  */

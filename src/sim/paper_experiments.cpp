@@ -93,17 +93,19 @@ table4(const SystemConfig &config, const ExperimentScale &scale)
     results::ResultsDoc doc("table4", scale);
     double worstMpkiErr = 0.0, worstRblErr = 0.0, worstBlpErr = 0.0;
     // table4 runs Simulator directly (no runWorkload), so it attaches
-    // its own profiler; one per run because attachProfiler re-sizes the
-    // collector to the run's geometry.
+    // its own profiler, one per run because attach re-sizes the
+    // collector to the run's geometry. Profiles fold into the run
+    // block; no per-run file is written.
+    const bool profiled = requestedProfile(config).enabled;
     prof::ProfileReport mergedProf;
     for (const auto &profile : workload::benchmarkTable()) {
         Simulator sim(config, {profile}, sched::SchedulerSpec::frfcfs(), 99,
                       /*enableProbe=*/true);
         prof::Profiler profiler;
-        if (config.profile.enabled)
-            sim.attachProfiler(&profiler);
+        if (profiled)
+            sim.attach({.profiler = &profiler});
         sim.run(scale.warmup, scale.measure * 2);
-        if (config.profile.enabled)
+        if (profiled)
             mergedProf.merge(profiler.report());
         auto b = sim.behavior(0);
 

@@ -60,41 +60,42 @@ Simulator::init(std::vector<std::unique_ptr<core::TraceSource>> traces,
     traces_ = std::move(traces);
 
     policy_ = sched::makeScheduler(spec, seed);
-    mem::SchedulerPolicy *active = policy_.get();
+    policy_->configure(numThreads, config_.numChannels,
+                       config_.timing.banksPerChannel);
     if (enableProbe) {
-        probe_ = std::make_unique<ProbePolicy>(*policy_);
-        active = probe_.get();
+        // A single global-bank monitor measures exact system-wide BLP.
+        probe_ = std::make_unique<sched::ThreadBankMonitor>();
+        probe_->configure(numThreads,
+                          config_.numChannels * config_.timing.banksPerChannel,
+                          config_.timing.banksPerChannel);
     }
-    active->configure(numThreads, config_.numChannels,
-                      config_.timing.banksPerChannel);
 
     counters_.resize(numThreads);
-    active->setCoreCounters(&counters_);
+    policy_->setCoreCounters(&counters_);
 
     bool anyWeight = false;
     for (int w : weights)
         anyWeight |= w != 1;
     if (anyWeight)
-        active->setThreadWeights(weights);
+        policy_->setThreadWeights(weights);
 
     if (config_.protocolCheck)
         checker_ = std::make_unique<dram::ProtocolChecker>(config_.timing);
 
     // Closed-page policies (e.g. FRFCFS-CP) pick their controller row
-    // policy at construction; the probe forwards the preference.
-    if (active->prefersClosedPage())
+    // policy at construction.
+    if (policy_->prefersClosedPage())
         config_.controller.pagePolicy = mem::PagePolicy::Closed;
 
     controllers_.reserve(config_.numChannels);
     for (ChannelId ch = 0; ch < config_.numChannels; ++ch) {
         controllers_.push_back(std::make_unique<mem::MemoryController>(
-            ch, config_.timing, config_.controller, *active));
-        active->attachQueue(ch, controllers_.back().get());
-        if (checker_) {
-            controllers_.back()->addCommandObserver(checker_.get());
+            ch, config_.timing, config_.controller, *policy_));
+        policy_->attachQueue(ch, controllers_.back().get());
+        if (checker_)
             checker_->observeChannel(ch);
-        }
     }
+    observeControllers();
 
     std::vector<mem::MemoryController *> mcs;
     for (auto &mc : controllers_)
@@ -114,55 +115,51 @@ Simulator::init(std::vector<std::unique_ptr<core::TraceSource>> traces,
 Simulator::~Simulator() = default;
 
 void
-Simulator::attachCommandObserver(dram::CommandObserver *observer)
+Simulator::attach(const Observers &observers)
 {
-    for (auto &mc : controllers_)
-        mc->addCommandObserver(observer);
-}
+    commandObservers_.insert(commandObservers_.end(),
+                             observers.commands.begin(),
+                             observers.commands.end());
 
-void
-Simulator::attachTelemetry(telemetry::TelemetrySink *sink)
-{
-    telemetry_ = sink;
-    const telemetry::TelemetryConfig &cfg = sink->config();
+    if (observers.profiler) {
+        prof_ = observers.profiler;
+        prof_->configure(numThreads(), config_.numChannels);
+    }
 
-    telemetry::TelemetrySink::Meta meta = sink->meta();
-    meta.scheduler = policy_->name();
-    meta.numThreads = numThreads();
-    meta.numChannels = config_.numChannels;
-    meta.sampleInterval = cfg.sampleInterval;
-    sink->setMeta(std::move(meta));
-
-    // Decisions come from the real policy (the probe wrapper only
-    // forwards hooks; it makes no decisions of its own).
-    if (cfg.traceDecisions)
+    if (telemetry::TelemetrySink *sink = observers.telemetry) {
+        telemetry_ = sink;
+        telemetry::TelemetrySink::Meta meta = sink->meta();
+        meta.scheduler = policy_->name();
+        meta.numThreads = numThreads();
+        meta.numChannels = config_.numChannels;
+        meta.sampleInterval = sink->config().sampleInterval;
+        sink->setMeta(std::move(meta));
         policy_->setDecisionSink(sink);
-
-    if (cfg.traceLifecycle)
-        for (auto &mc : controllers_)
-            mc->setLifecycleSink(sink);
-
-    if (cfg.sampleInterval > 0) {
-        sampler_ = std::make_unique<telemetry::IntervalSampler>(
-            numThreads(), config_.numChannels, config_.timing.tCK,
-            config_.timing.tBURST);
-        sampler_->rebase(now_, threadGauges(), channelGauges());
-        telemetrySampleAt_ = now_ + cfg.sampleInterval;
+        if (sink->config().sampleInterval > 0) {
+            sampler_ = std::make_unique<telemetry::IntervalSampler>(
+                numThreads(), config_.numChannels, config_.timing.tCK,
+                config_.timing.tBURST);
+            sampler_->rebase(now_, threadGauges(), channelGauges());
+            telemetrySampleAt_ = now_ + sink->config().sampleInterval;
+        }
     }
+
+    observeControllers();
 }
 
 void
-Simulator::attachProfiler(prof::Profiler *profiler)
+Simulator::observeControllers()
 {
-    prof_ = profiler;
-    if (prof_ == nullptr) {
-        for (auto &mc : controllers_)
-            mc->setProfile(nullptr);
-        return;
-    }
-    prof_->configure(numThreads(), config_.numChannels);
+    // The config-owned protocol checker always heads the command list.
+    std::vector<dram::CommandObserver *> commands;
+    if (checker_)
+        commands.push_back(checker_.get());
+    commands.insert(commands.end(), commandObservers_.begin(),
+                    commandObservers_.end());
     for (ChannelId ch = 0; ch < config_.numChannels; ++ch)
-        controllers_[ch]->setProfile(prof_->controllerShard(ch));
+        controllers_[ch]->observe(
+            commands, probe_.get(), telemetry_,
+            prof_ ? prof_->controllerShard(ch) : nullptr);
 }
 
 std::vector<telemetry::ThreadGauges>
@@ -171,7 +168,7 @@ Simulator::threadGauges()
     std::vector<telemetry::ThreadGauges> gauges(cores_.size());
     sched::ThreadBankMonitor::Snapshot snap;
     if (probe_)
-        snap = probe_->monitor().snapshot(now_);
+        snap = probe_->snapshot(now_);
     for (std::size_t t = 0; t < gauges.size(); ++t) {
         telemetry::ThreadGauges &g = gauges[t];
         g.instructions = counters_[t].instructions;
@@ -181,8 +178,8 @@ Simulator::threadGauges()
             g.hasBehavior = true;
             g.shadowHits = snap.shadowHits[t];
             g.accesses = snap.accesses[t];
-            g.banksWithLoad = probe_->monitor().banksWithLoad(tid);
-            g.outstanding = probe_->monitor().outstanding(tid);
+            g.banksWithLoad = probe_->banksWithLoad(tid);
+            g.outstanding = probe_->outstanding(tid);
         }
     }
     return gauges;
@@ -225,13 +222,12 @@ Simulator::sampleTelemetry()
 }
 
 void
-Simulator::executeCycle(Cycle now, mem::SchedulerPolicy *active,
-                        Cycle regimeCap)
+Simulator::executeCycle(Cycle now, Cycle regimeCap)
 {
     {
         prof::ScopedPhase timer(prof_ ? &prof_->main() : nullptr,
                                 prof::Phase::SchedTick);
-        active->tick(now);
+        policy_->tick(now);
     }
     for (auto &mc : controllers_) {
         mc->tick(now);
@@ -288,12 +284,11 @@ Simulator::executeCycle(Cycle now, mem::SchedulerPolicy *active,
 }
 
 Cycle
-Simulator::horizonAt(Cycle now, Cycle end, const mem::SchedulerPolicy *active,
-                     prof::HorizonSource &src) const
+Simulator::horizonAt(Cycle now, Cycle end, prof::HorizonSource &src) const
 {
     // Value-identical to min-of-everything-then-clamp; the source
     // tracking mirrors std::min's tie behavior (first listed wins).
-    Cycle h = active->nextEventAt(now);
+    Cycle h = policy_->nextEventAt(now);
     src = prof::HorizonSource::Scheduler;
     if (telemetrySampleAt_ < h) {
         h = telemetrySampleAt_;
@@ -316,16 +311,13 @@ Simulator::horizonAt(Cycle now, Cycle end, const mem::SchedulerPolicy *active,
 void
 Simulator::step(Cycle cycles)
 {
-    mem::SchedulerPolicy *active = probe_ ? static_cast<mem::SchedulerPolicy *>(
-                                                probe_.get())
-                                          : policy_.get();
     const Cycle end = now_ + cycles;
 
     if (!config_.cycleSkip) {
         // Per-cycle oracle: the original loop, kept verbatim as the
         // differential reference for the event-horizon kernel.
         for (; now_ < end; ++now_)
-            executeCycle(now_, active, /*regimeCap=*/0);
+            executeCycle(now_, /*regimeCap=*/0);
         return;
     }
 
@@ -340,12 +332,12 @@ Simulator::step(Cycle cycles)
     const std::size_t n = cores_.size();
     coreSpan_.assign(n, 0);
     while (now_ < end) {
-        executeCycle(now_, active, /*regimeCap=*/end - now_);
+        executeCycle(now_, /*regimeCap=*/end - now_);
         ++now_;
         if (now_ >= end)
             break;
         prof::HorizonSource hsrc = prof::HorizonSource::Scheduler;
-        const Cycle h = horizonAt(now_, end, active, hsrc);
+        const Cycle h = horizonAt(now_, end, hsrc);
         prof::ScopedPhase coreTimer(prof_ ? &prof_->main() : nullptr,
                                     prof::Phase::CoreTick);
         while (now_ < h) {
@@ -426,7 +418,7 @@ Simulator::step(Cycle cycles)
     // values the per-cycle loop leaves behind. No-op in per-cycle mode
     // and for stateless-in-time policies.
     if (cycles > 0)
-        active->syncTo(now_ - 1);
+        policy_->syncTo(now_ - 1);
 }
 
 void
@@ -440,7 +432,7 @@ Simulator::beginMeasurement()
     for (auto &mc : controllers_)
         mc->resetStats();
     if (probe_)
-        probe_->resetProbe(now_);
+        probe_->reset(now_);
     // Controller/probe counters just rewound; rebase the sampler so the
     // next interval differentiates against the reset values.
     if (sampler_) {
@@ -478,7 +470,7 @@ Simulator::behavior(ThreadId t) const
                              static_cast<double>(insts)
                        : 0.0;
     if (probe_) {
-        auto s = probe_->monitor().snapshot(now_);
+        auto s = probe_->snapshot(now_);
         b.blp = s.blp[t];
         b.rbl = s.rbl[t];
         b.probed = true;

@@ -24,103 +24,35 @@
 namespace tcm::sim {
 
 /**
- * Forwards controller observation hooks to both the real scheduling
- * policy and a set of behaviour-probe monitors, while delegating every
- * prioritization knob to the policy. Lets experiments measure a thread's
- * MPKI/RBL/BLP under any scheduler without touching the controller.
+ * The passive observers of one run, attached in one call
+ * (Simulator::attach). Each must outlive the Simulator. None feeds back
+ * into simulated state: results, command streams and telemetry bytes
+ * are bit-identical with any subset attached (tests/test_prof,
+ * ObserverPurity).
  */
-class ProbePolicy : public mem::SchedulerPolicy
+struct Observers
 {
-  public:
-    explicit ProbePolicy(mem::SchedulerPolicy &inner) : inner_(&inner) {}
+    /** Every controller's DRAM command stream (trace recording,
+     *  auditing), after SystemConfig::protocolCheck's checker. The
+     *  `{}` keeps GCC's -Wmissing-field-initializers quiet when a
+     *  designated initializer omits this member. */
+    std::vector<dram::CommandObserver *> commands{};
 
-    const char *name() const override { return inner_->name(); }
+    /**
+     * In-run telemetry: scheduler-decision events, per-read lifecycle
+     * breakdowns, and the interval sampler (armed from the attach
+     * cycle when the sink's sampleInterval > 0).
+     */
+    telemetry::TelemetrySink *telemetry = nullptr;
 
-    void
-    configure(int numThreads, int numChannels, int banksPerChannel) override
-    {
-        mem::SchedulerPolicy::configure(numThreads, numChannels,
-                                        banksPerChannel);
-        inner_->configure(numThreads, numChannels, banksPerChannel);
-        // A single global-bank monitor measures exact system-wide BLP.
-        monitor_.configure(numThreads, numChannels * banksPerChannel,
-                           banksPerChannel);
-    }
-
-    void
-    attachQueue(ChannelId ch, mem::QueueAccess *queue) override
-    {
-        inner_->attachQueue(ch, queue);
-    }
-
-    void
-    setCoreCounters(const std::vector<mem::CoreCounters> *counters) override
-    {
-        inner_->setCoreCounters(counters);
-    }
-
-    void
-    setThreadWeights(const std::vector<int> &weights) override
-    {
-        inner_->setThreadWeights(weights);
-    }
-
-    void
-    onArrival(const mem::Request &req, Cycle now) override
-    {
-        monitor_.onArrival(req, now);
-        inner_->onArrival(req, now);
-    }
-
-    void
-    onDepart(const mem::Request &req, Cycle now) override
-    {
-        monitor_.onDepart(req, now);
-        inner_->onDepart(req, now);
-    }
-
-    void
-    onCommand(const mem::Request &req, dram::CommandKind kind, Cycle now,
-              Cycle occupancy) override
-    {
-        monitor_.addService(req.thread, occupancy);
-        inner_->onCommand(req, kind, now, occupancy);
-    }
-
-    void tick(Cycle now) override { inner_->tick(now); }
-
-    // Event-horizon plumbing: the probe itself is purely observational
-    // (hook-driven), so the inner policy's horizon, lazy catch-up, and
-    // rank epoch pass through untouched.
-    Cycle nextEventAt(Cycle now) const override
-    {
-        return inner_->nextEventAt(now);
-    }
-    void syncTo(Cycle now) override { inner_->syncTo(now); }
-    std::uint64_t rankEpoch() const override { return inner_->rankEpoch(); }
-
-    int
-    rankOf(ChannelId ch, ThreadId t) const override
-    {
-        return inner_->rankOf(ch, t);
-    }
-
-    Cycle agingThreshold() const override { return inner_->agingThreshold(); }
-    bool rowHitAboveRank() const override { return inner_->rowHitAboveRank(); }
-    bool useRowHit() const override { return inner_->useRowHit(); }
-    bool prefersClosedPage() const override
-    {
-        return inner_->prefersClosedPage();
-    }
-
-    /** Reset probe accumulators (start of the measurement window). */
-    void resetProbe(Cycle now) { monitor_.reset(now); }
-
-    sched::ThreadBankMonitor &monitor() { return monitor_; }
-
-  private:
-    mem::SchedulerPolicy *inner_;
-    sched::ThreadBankMonitor monitor_;
+    /**
+     * Self-profiler of the *simulator*, never of the simulated system:
+     * wall-clock phase timers, cycle-skip horizon attribution and
+     * per-core regime occupancy. With telemetry also attached, each
+     * sample point pushes a cumulative "simulator" sample, rendered as
+     * its own lane in the Chrome trace output.
+     */
+    prof::Profiler *profiler = nullptr;
 };
 
 /**
@@ -143,8 +75,10 @@ class Simulator
     /**
      * Build with synthetic clones of @p profiles.
      *
-     * @param enableProbe attach behaviour-probe monitors (small runtime
-     *        cost; needed by behavior() and the Table 4 bench)
+     * @param enableProbe build the behaviour probe, a system-wide
+     *        ThreadBankMonitor every controller feeds from cycle 0
+     *        (small runtime cost; needed by behavior(), telemetry
+     *        behaviour gauges and the Table 4 bench)
      */
     Simulator(const SystemConfig &config,
               const std::vector<workload::ThreadProfile> &profiles,
@@ -199,47 +133,22 @@ class Simulator
 
     const SystemConfig &config() const { return config_; }
 
-    /** True when the behaviour probe was enabled at construction. */
-    bool hasProbe() const { return probe_ != nullptr; }
-
     const std::vector<mem::CoreCounters> &counters() const { return counters_; }
 
     /**
-     * Attach a passive command observer to every controller (trace
-     * recording, extra auditing). Call before stepping the simulation;
-     * the observer must outlive the Simulator.
+     * Attach @p observers to every controller, the scheduler and the
+     * stepping loop. Command observers append to those already
+     * attached; a non-null sink or profiler takes its slot. Call before
+     * stepping.
      */
-    void attachCommandObserver(dram::CommandObserver *observer);
+    void attach(const Observers &observers);
 
-    /**
-     * Attach an in-run telemetry sink. The sink's TelemetryConfig
-     * selects what flows into it: scheduler-decision events, per-read
-     * lifecycle breakdowns, and the interval sampler (armed from the
-     * current cycle). Purely observational — simulation results are
-     * bit-identical with or without a sink. The sink must outlive the
-     * Simulator; call before stepping.
-     */
-    void attachTelemetry(telemetry::TelemetrySink *sink);
-
-    /** True when attachTelemetry was called. */
-    bool hasTelemetry() const { return telemetry_ != nullptr; }
-
-    /**
-     * Attach a self-profiler (nullptr detaches): wall-clock phase
-     * timers, cycle-skip horizon attribution and per-core regime
-     * occupancy accumulate into it. The profiler observes
-     * the *simulator*, never the simulated system — nothing it measures
-     * feeds back into simulated state, so results are bit-identical
-     * attached or detached (tests/test_prof). The profiler must outlive
-     * the Simulator; call before stepping. When a telemetry sink with
-     * interval sampling is also attached, each sample point additionally
-     * pushes a cumulative "simulator" sample rendered as its own lane in
-     * the Chrome trace output.
-     */
-    void attachProfiler(prof::Profiler *profiler);
-
-    /** True when attachProfiler was called. */
-    bool hasProfiler() const { return prof_ != nullptr; }
+    /** attach() with only @p profiler. */
+    void
+    attachProfiler(prof::Profiler *profiler)
+    {
+        attach({.profiler = profiler});
+    }
 
     /**
      * The protocol auditor, present when SystemConfig::protocolCheck was
@@ -259,6 +168,9 @@ class Simulator
               const sched::SchedulerSpec &spec, std::uint64_t seed,
               bool enableProbe, const std::vector<int> &weights);
 
+    /** Hand every controller its current observer set. */
+    void observeControllers();
+
     /** @{ Cumulative gauges snapshotted at telemetry sample points. */
     std::vector<telemetry::ThreadGauges> threadGauges();
     std::vector<telemetry::ChannelGauges> channelGauges() const;
@@ -275,8 +187,7 @@ class Simulator
      * with fresh regimes probed up to @p regimeCap cycles ahead and
      * cached in coreSpan_. 0 = oracle mode, plain ticks only.
      */
-    void executeCycle(Cycle now, mem::SchedulerPolicy *active,
-                      Cycle regimeCap);
+    void executeCycle(Cycle now, Cycle regimeCap);
 
     /**
      * Earliest cycle >= @p now at which any component other than a core
@@ -286,18 +197,18 @@ class Simulator
      * source; a low clamp keeps the cutting source) — profiler
      * attribution only, never consulted by simulation logic.
      */
-    Cycle horizonAt(Cycle now, Cycle end, const mem::SchedulerPolicy *active,
-                    prof::HorizonSource &src) const;
+    Cycle horizonAt(Cycle now, Cycle end, prof::HorizonSource &src) const;
 
     SystemConfig config_;
     std::unique_ptr<mem::SchedulerPolicy> policy_;
-    std::unique_ptr<ProbePolicy> probe_;
+    std::unique_ptr<sched::ThreadBankMonitor> probe_;
     std::unique_ptr<dram::ProtocolChecker> checker_;
     std::vector<std::unique_ptr<core::TraceSource>> traces_;
     std::vector<std::unique_ptr<mem::MemoryController>> controllers_;
     std::vector<std::unique_ptr<core::Core>> cores_;
     std::vector<mem::CoreCounters> counters_;
 
+    std::vector<dram::CommandObserver *> commandObservers_;
     telemetry::TelemetrySink *telemetry_ = nullptr;
     std::unique_ptr<telemetry::IntervalSampler> sampler_;
     Cycle telemetrySampleAt_ = kCycleNever;

@@ -380,10 +380,15 @@ Server::runManifest(const std::string &manifestPath,
                 CacheSlot &slot = slots.at(job.protocol);
                 sched::SpecLookup lookup =
                     sched::specByName(job.scheduler);
-                RunResult r = runWorkload(slot.config,
-                                          mixForJob(manifest, job),
-                                          lookup.spec, scale,
-                                          *slot.cache, job.seed);
+                // Name the job's TCMSIM_PROFILE file after its stream
+                // point, the one identity distinct across the manifest.
+                SystemConfig config = slot.config;
+                config.profile.filePrefix = pointOf(job) + "_";
+                std::replace(config.profile.filePrefix.begin(),
+                             config.profile.filePrefix.end(), '/', '_');
+                RunResult r = runWorkload(config, mixForJob(manifest, job),
+                                          lookup.spec, scale, *slot.cache,
+                                          job.seed);
                 results::ResultsDoc doc("sweepd", scale);
                 results::Row &row =
                     doc.row(job.scheduler, pointOf(job));

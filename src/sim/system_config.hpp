@@ -72,7 +72,8 @@ struct SystemConfig
      * cycle-skip horizon attribution, regime occupancy and scan
      * efficiency, reported through SystemReport and the
      * ResultsDoc run-provenance block. Off by default; when off,
-     * runWorkload falls back to the TCMSIM_PROFILE environment knob.
+     * sim::requestedProfile falls back to the TCMSIM_PROFILE environment
+     * knob (filePrefix still names the run's file).
      * Purely an observer of the simulator — results are bit-identical
      * either way (tests/test_prof).
      */

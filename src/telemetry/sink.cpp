@@ -113,10 +113,10 @@ TelemetrySink::ThreadLifecycle::ThreadLifecycle()
 
 TelemetrySink::TelemetrySink(const TelemetryConfig &config)
     : config_(config),
-      threadSamples_(config.maxSamples),
-      channelSamples_(config.maxSamples),
-      events_(config.maxEvents),
-      simulatorSamples_(config.maxSamples)
+      threadSamples_(kRingCapacity),
+      channelSamples_(kRingCapacity),
+      events_(kRingCapacity),
+      simulatorSamples_(kRingCapacity)
 {
 }
 

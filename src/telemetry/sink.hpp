@@ -1,8 +1,8 @@
 /**
  * @file
- * Telemetry sinks: the interfaces the simulation layers push into, and
- * the in-memory TelemetrySink that aggregates everything one run emits
- * and serializes it to JSONL or Chrome trace-event format (Perfetto).
+ * The in-memory TelemetrySink the simulation layers push into: it
+ * aggregates everything one run emits and serializes it to JSONL or
+ * Chrome trace-event format (Perfetto).
  */
 
 #pragma once
@@ -20,42 +20,13 @@
 namespace tcm::telemetry {
 
 /**
- * Receives scheduler-decision events. Schedulers hold a nullable
- * pointer to one of these (SchedulerPolicy::setDecisionSink) and emit
- * only when attached — the detached cost is one branch per decision
- * point (quantum boundary, batch formation), never per cycle.
- */
-class DecisionSink
-{
-  public:
-    virtual ~DecisionSink() = default;
-
-    virtual void onDecision(DecisionEvent event) = 0;
-};
-
-/**
- * Receives per-read lifecycle breakdowns from a memory controller:
- * @p queueing cycles from controller-queue arrival to the column
- * command (scheduling delay), @p service cycles from the column command
- * to data delivery at the core.
- */
-class LifecycleSink
-{
-  public:
-    virtual ~LifecycleSink() = default;
-
-    virtual void recordLifecycle(ThreadId thread, Cycle queueing,
-                                 Cycle service) = 0;
-};
-
-/**
  * Everything one run's telemetry recorded, in one value type: interval
  * time series (ring-buffered), the decision-event trace, and per-thread
  * lifecycle latency statistics. One sink serves exactly one run — the
  * parallel experiment runner creates one per worker task, so sinks need
  * no internal synchronization.
  */
-class TelemetrySink : public DecisionSink, public LifecycleSink
+class TelemetrySink
 {
   public:
     /** Run identity stamped into the serialized output. */
@@ -99,10 +70,21 @@ class TelemetrySink : public DecisionSink, public LifecycleSink
      */
     void addSimulatorSample(const SimulatorSample &sample);
 
-    void onDecision(DecisionEvent event) override;
+    /**
+     * Scheduler-decision event. Schedulers hold a nullable pointer to
+     * the sink (SchedulerPolicy::setDecisionSink) and emit only when
+     * attached: one branch per decision point (quantum boundary, batch
+     * formation), never per cycle.
+     */
+    void onDecision(DecisionEvent event);
 
-    void recordLifecycle(ThreadId thread, Cycle queueing,
-                         Cycle service) override;
+    /**
+     * Per-read lifecycle breakdown from a memory controller: @p queueing
+     * cycles from controller-queue arrival to the column command
+     * (scheduling delay), @p service cycles from the column command to
+     * data delivery at the core.
+     */
+    void recordLifecycle(ThreadId thread, Cycle queueing, Cycle service);
 
     // -- introspection (tests, reports) -------------------------------------
 

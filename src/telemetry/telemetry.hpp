@@ -28,34 +28,18 @@ namespace tcm::telemetry {
 /**
  * Telemetry knobs, carried on sim::SystemConfig. `enabled` is the
  * master switch read by the experiment drivers (sim::runWorkload); the
- * lower-level Simulator::attachTelemetry API works regardless.
+ * lower-level Simulator::attach API works regardless. An attached sink
+ * receives scheduler-decision events, per-read lifecycle breakdowns and
+ * (when sampleInterval > 0) interval samples.
  */
 struct TelemetryConfig
 {
-    /** Experiment drivers attach a sink to every run when set. */
+    /** Experiment drivers attach a sink, and the behaviour probe, to
+     *  every run when set. */
     bool enabled = false;
 
     /** Cycles between interval samples; 0 disables the sampler. */
     Cycle sampleInterval = 10'000;
-
-    /** Emit scheduler-decision events (quanta, batches, rank updates). */
-    bool traceDecisions = true;
-
-    /** Record per-read queueing-vs-service lifecycle latencies. */
-    bool traceLifecycle = true;
-
-    /**
-     * Enable the behaviour probe on telemetry runs so thread samples
-     * carry instantaneous RBL/BLP/outstanding-miss gauges. Without it
-     * those gauges are recorded as absent (null in JSONL), never 0.
-     */
-    bool probeBehavior = true;
-
-    /** Ring capacity for thread and channel sample series (each). */
-    std::size_t maxSamples = 1 << 16;
-
-    /** Ring capacity for decision events. */
-    std::size_t maxEvents = 1 << 16;
 
     /**
      * When non-empty, experiment drivers serialize each run's sink to
@@ -67,6 +51,10 @@ struct TelemetryConfig
     std::string dir;
     std::string filePrefix;
 };
+
+/** Capacity of each telemetry ring (every sample series and the
+ *  decision events); older entries are evicted and counted. */
+inline constexpr std::size_t kRingCapacity = 1 << 16;
 
 /** Sentinel for "gauge not measured" (probe off / no traffic). */
 inline constexpr double kNoGauge =

@@ -195,7 +195,7 @@ commandTrace(bool cycleSkip, std::size_t events)
 
     sim::Simulator sim(config, mix, spec, /*seed=*/99);
     dram::CommandTraceRecorder recorder(events);
-    sim.attachCommandObserver(&recorder);
+    sim.attach({.commands = {&recorder}});
     sim.step(30'000);
     EXPECT_TRUE(recorder.full());
     return recorder.text();

@@ -118,7 +118,7 @@ checkCommandTrace(const sim::SystemConfig &config,
 
     sim::Simulator sim(config, mix, scaled, /*seed=*/99);
     dram::CommandTraceRecorder recorder(kEvents);
-    sim.attachCommandObserver(&recorder);
+    sim.attach({.commands = {&recorder}});
     sim.step(30'000);
     ASSERT_TRUE(recorder.full())
         << "run produced only " << recorder.lines().size() << " of "

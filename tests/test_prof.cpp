@@ -1,12 +1,13 @@
 /**
  * @file
- * Observer-purity and reporting tests for the simulator self-profiler
- * (tcm::prof). The load-bearing contract: attaching a profiler changes
- * NOTHING the simulation produces — every RunResult field, every
- * telemetry JSONL byte, and the golden DRAM command trace are
- * bit-identical with the profiler on or off, across both execution
- * kernels (per-cycle oracle and cycle-skip). The profiler may read the
- * wall clock; the simulation may not.
+ * Observer purity and reporting tests for the simulator self-profiler
+ * (tcm::prof). The load-bearing contract, ObserverPurity: attaching
+ * every observer at once (protocol checker, command recorder, telemetry
+ * with the behaviour probe, profiler) changes NOTHING the simulation
+ * produces — the DRAM command stream, every IPC and metric, and every
+ * telemetry JSONL byte are bit-identical, for every registered policy
+ * under both execution kernels (per-cycle oracle and cycle-skip). The
+ * profiler may read the wall clock; the simulation may not.
  */
 
 #include <cstdlib>
@@ -14,15 +15,19 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dram/observer.hpp"
+#include "metrics/metrics.hpp"
 #include "prof/profiler.hpp"
 #include "sim/experiment.hpp"
+#include "sim/paper_experiments.hpp"
 #include "sim/report.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/sink.hpp"
 #include "workload/mixes.hpp"
 
 using namespace tcm;
@@ -54,84 +59,136 @@ readFile(const std::string &path)
     return ss.str();
 }
 
-/** Serialize a run's telemetry to JSONL and return the bytes. */
-std::string
-telemetryBytes(const sim::RunResult &r, const std::string &tag)
-{
-    EXPECT_TRUE(r.telemetry != nullptr);
-    std::filesystem::path path = std::filesystem::temp_directory_path() /
-                                 ("tcmsim_prof_" + tag + ".jsonl");
-    r.telemetry->writeJsonl(path.string());
-    std::string bytes = readFile(path.string());
-    std::filesystem::remove(path);
-    return bytes;
-}
-
-sim::RunResult
-runAt(const sched::SchedulerSpec &spec, bool cycleSkip, bool profiled,
-      const sim::ExperimentScale &scale,
-      const std::vector<workload::ThreadProfile> &mix)
-{
-    sim::SystemConfig cfg = profConfig(cycleSkip, profiled);
-    sim::AloneIpcCache cache(cfg, scale.warmup, scale.measure);
-    return sim::runWorkload(cfg, mix, spec, scale, cache, /*seed=*/13);
-}
-
-void
-expectIdentical(const sim::RunResult &plain, const sim::RunResult &prof,
-                const std::string &tag)
-{
-    ASSERT_EQ(plain.ipcShared.size(), prof.ipcShared.size());
-    for (std::size_t t = 0; t < plain.ipcShared.size(); ++t) {
-        EXPECT_EQ(plain.ipcShared[t], prof.ipcShared[t])
-            << tag << " thread " << t;
-        EXPECT_EQ(plain.ipcAlone[t], prof.ipcAlone[t])
-            << tag << " thread " << t;
-    }
-    EXPECT_EQ(plain.metrics.weightedSpeedup, prof.metrics.weightedSpeedup)
-        << tag;
-    EXPECT_EQ(plain.metrics.maxSlowdown, prof.metrics.maxSlowdown) << tag;
-    EXPECT_EQ(plain.metrics.harmonicSpeedup, prof.metrics.harmonicSpeedup)
-        << tag;
-    EXPECT_EQ(plain.metrics.speedups, prof.metrics.speedups) << tag;
-    EXPECT_EQ(plain.metrics.slowdowns, prof.metrics.slowdowns) << tag;
-
-    // The telemetry JSONL stream is part of the bit-identity contract:
-    // the profiler's "simulator" lane lives only in the Chrome trace.
-    EXPECT_EQ(telemetryBytes(plain, tag + "_plain"),
-              telemetryBytes(prof, tag + "_prof"))
-        << tag;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Bit-identity: profiler on vs off, across both kernels.
+// Observer purity: every policy x {per-cycle oracle, cycle-skip}.
 // ---------------------------------------------------------------------------
 
-TEST(ProfilerPurity, BitIdenticalAcrossKernels)
+namespace {
+
+constexpr Cycle kPurityWarmup = 20'000;
+constexpr Cycle kPurityMeasure = 120'000;
+
+/** Which observers a purity run attaches besides the command recorder. */
+enum class Attached
 {
-    // The env fallback must not contaminate the profiled=false legs.
-    ::unsetenv("TCMSIM_PROFILE");
+    RecorderOnly,
+    AllButProfiler, //!< checker, recorder, telemetry with probe
+    All,            //!< ... and the profiler
+};
 
-    sim::ExperimentScale scale;
-    scale.warmup = 20'000;
-    scale.measure = 120'000;
-    auto mix = workload::randomMix(6, 0.5, /*seed=*/42);
+/** What one purity run produced. */
+struct Observed
+{
+    std::string commands; //!< the full DRAM command stream
+    std::vector<double> ipc;
+    metrics::WorkloadMetrics metrics;
+    std::string jsonl; //!< telemetry bytes; empty without a sink
+};
 
-    for (const std::string &name : sched::policyNames()) {
-        const sched::SchedulerSpec spec = sched::specByName(name).spec;
-        for (bool cycleSkip : {false, true}) {
-            std::string tag = name + (cycleSkip ? "_skip" : "_oracle");
-            sim::RunResult plain = runAt(spec, cycleSkip, false, scale, mix);
-            sim::RunResult prof = runAt(spec, cycleSkip, true, scale, mix);
-            EXPECT_EQ(plain.profile, nullptr) << tag;
-            ASSERT_NE(prof.profile, nullptr) << tag;
-            EXPECT_TRUE(prof.profile->enabled) << tag;
-            expectIdentical(plain, prof, tag);
-        }
+Observed
+observedRun(const std::string &policy, bool cycleSkip, Attached attached)
+{
+    const bool observed = attached != Attached::RecorderOnly;
+    sim::SystemConfig config = profConfig(cycleSkip, false);
+    config.protocolCheck = observed;
+    auto mix = workload::randomMix(config.numCores, 0.5, /*seed=*/42);
+    sched::SchedulerSpec spec = sched::specByName(policy).spec;
+    spec.scaleToRun(kPurityMeasure);
+
+    sim::Simulator sim(config, mix, spec, /*seed=*/13,
+                       /*enableProbe=*/observed);
+    dram::CommandTraceRecorder recorder;
+    telemetry::TelemetrySink sink(config.telemetry);
+    prof::Profiler profiler;
+    sim::Observers observers{.commands = {&recorder}};
+    if (observed)
+        observers.telemetry = &sink;
+    if (attached == Attached::All)
+        observers.profiler = &profiler;
+    sim.attach(observers);
+    sim.run(kPurityWarmup, kPurityMeasure);
+
+    // One alone-IPC denominator set serves every run: the metrics then
+    // differ only if the shared IPCs do.
+    static sim::AloneIpcCache cache(profConfig(true, false), kPurityWarmup,
+                                    kPurityMeasure);
+    Observed out;
+    out.commands = recorder.text();
+    std::vector<double> alone;
+    for (ThreadId t = 0; t < sim.numThreads(); ++t) {
+        out.ipc.push_back(sim.measuredIpc(t));
+        alone.push_back(cache.aloneIpc(mix[t]));
     }
+    out.metrics = metrics::computeMetrics(alone, out.ipc);
+    if (dram::ProtocolChecker *checker = sim.protocolChecker()) {
+        checker->finalize(sim.now());
+        EXPECT_EQ(checker->violationCount(), 0u) << checker->report();
+    }
+    if (attached == Attached::All) {
+        EXPECT_GT(profiler.report()
+                      .phaseCalls[static_cast<int>(prof::Phase::CtrlTick)],
+                  0u);
+    }
+    if (observed) {
+        EXPECT_GT(sink.totalRecords(), 0u);
+        std::filesystem::path path =
+            std::filesystem::temp_directory_path() /
+            ("tcmsim_purity_" + std::to_string(static_cast<int>(attached)) +
+             ".jsonl");
+        sink.writeJsonl(path.string());
+        out.jsonl = readFile(path.string());
+        std::filesystem::remove(path);
+    }
+    return out;
 }
+
+class ObserverPurity
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{
+};
+
+} // namespace
+
+TEST_P(ObserverPurity, EveryObserverLeavesTheRunBitIdentical)
+{
+    const auto &[policy, cycleSkip] = GetParam();
+
+    const Observed plain =
+        observedRun(policy, cycleSkip, Attached::RecorderOnly);
+    const Observed all = observedRun(policy, cycleSkip, Attached::All);
+    const Observed unprofiled =
+        observedRun(policy, cycleSkip, Attached::AllButProfiler);
+
+    // Check 1: the command stream is the strongest equality oracle the
+    // simulator exposes; identical streams mean identical decisions.
+    ASSERT_FALSE(plain.commands.empty());
+    EXPECT_EQ(plain.commands, all.commands);
+    EXPECT_EQ(plain.ipc, all.ipc);
+    EXPECT_EQ(plain.metrics.weightedSpeedup, all.metrics.weightedSpeedup);
+    EXPECT_EQ(plain.metrics.maxSlowdown, all.metrics.maxSlowdown);
+    EXPECT_EQ(plain.metrics.harmonicSpeedup, all.metrics.harmonicSpeedup);
+    EXPECT_EQ(plain.metrics.speedups, all.metrics.speedups);
+    EXPECT_EQ(plain.metrics.slowdowns, all.metrics.slowdowns);
+
+    // Check 2: the JSONL stream is part of the bit-identity contract;
+    // the profiler's "simulator" lane lives only in the Chrome trace.
+    ASSERT_FALSE(all.jsonl.empty());
+    EXPECT_EQ(unprofiled.jsonl, all.jsonl);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPolicy, ObserverPurity,
+    ::testing::Combine(::testing::ValuesIn(sched::policyNames()),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ObserverPurity::ParamType> &info) {
+        std::string name = std::get<0>(info.param);
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name + (std::get<1>(info.param) ? "_skip" : "_oracle");
+    });
 
 // ---------------------------------------------------------------------------
 // Command-stream identity: a profiled run reproduces the same committed
@@ -154,10 +211,9 @@ commandTrace(bool cycleSkip, bool profiled, std::size_t events)
 
     sim::Simulator sim(config, mix, spec, /*seed=*/99);
     prof::Profiler profiler;
-    if (profiled)
-        sim.attachProfiler(&profiler);
     dram::CommandTraceRecorder recorder(events);
-    sim.attachCommandObserver(&recorder);
+    sim.attach({.commands = {&recorder},
+                .profiler = profiled ? &profiler : nullptr});
     sim.step(30'000);
     EXPECT_TRUE(recorder.full());
     return recorder.text();
@@ -200,7 +256,7 @@ TEST(ProfilerReport, EveryRegisteredSchedulerGetsHorizonAttribution)
         config.cycleSkip = true;
         sim::Simulator sim(config, mix, spec, /*seed=*/3);
         prof::Profiler profiler;
-        sim.attachProfiler(&profiler);
+        sim.attach({.profiler = &profiler});
         sim.step(80'000);
 
         prof::ProfileReport r = profiler.report();
@@ -283,7 +339,7 @@ TEST(ProfilerReport, JsonAndPrintAreWellFormed)
     config.numCores = 4;
     sim::Simulator sim(config, mix, spec, /*seed=*/3);
     prof::Profiler profiler;
-    sim.attachProfiler(&profiler);
+    sim.attach({.profiler = &profiler});
     sim.step(40'000);
 
     prof::ProfileReport r = profiler.report();
@@ -367,6 +423,20 @@ TEST(ProfileConfig, RunWorkloadWritesProfileJson)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ProfileConfig, Table4HonorsTheEnvironmentKnob)
+{
+    // table4 builds its Simulators directly; it must resolve the
+    // profile request exactly as runWorkload does.
+    sim::ExperimentScale scale;
+    scale.warmup = 1'000;
+    scale.measure = 4'000;
+    ::setenv("TCMSIM_PROFILE", "1", 1);
+    sim::results::ResultsDoc doc =
+        sim::paper::table4(sim::SystemConfig{}, scale);
+    ::unsetenv("TCMSIM_PROFILE");
+    EXPECT_FALSE(doc.profileMetrics.empty());
+}
+
 TEST(Profiler, DetachedSitesAreInert)
 {
     // A null shard must mean "no clock read, no write": the detached
@@ -377,18 +447,6 @@ TEST(Profiler, DetachedSitesAreInert)
         prof::ScopedPhase timed(&shard, prof::Phase::CtrlTick);
     }
     EXPECT_EQ(shard.calls[static_cast<int>(prof::Phase::CtrlTick)], 1u);
-    // Attaching then detaching restores the unprofiled fast path.
-    sim::SystemConfig config;
-    config.numCores = 2;
-    config.numChannels = 1;
-    auto mix = workload::randomMix(2, 0.5, /*seed=*/8);
-    sim::Simulator sim(config, mix, sched::SchedulerSpec::frfcfs(), 4);
-    prof::Profiler profiler;
-    sim.attachProfiler(&profiler);
-    EXPECT_TRUE(sim.hasProfiler());
-    sim.attachProfiler(nullptr);
-    EXPECT_FALSE(sim.hasProfiler());
-    sim.step(10'000); // must not touch the detached profiler
 }
 
 // ---------------------------------------------------------------------------
@@ -403,6 +461,7 @@ TEST(SimulatorLane, ChromeTraceGainsLaneOnlyWhenProfiled)
     scale.measure = 40'000;
     auto mix = workload::randomMix(4, 0.5, /*seed=*/42);
 
+    std::vector<sim::RunResult> runs;
     auto chromeTrace = [&](bool profiled) {
         sim::SystemConfig cfg = profConfig(true, profiled);
         sim::AloneIpcCache cache(cfg, scale.warmup, scale.measure);
@@ -410,6 +469,8 @@ TEST(SimulatorLane, ChromeTraceGainsLaneOnlyWhenProfiled)
             sim::runWorkload(cfg, mix, sched::SchedulerSpec::tcmSpec(),
                              scale, cache, /*seed=*/13);
         EXPECT_TRUE(r.telemetry != nullptr);
+        EXPECT_EQ(r.profile != nullptr && r.profile->enabled, profiled);
+        runs.push_back(r);
         std::filesystem::path path =
             std::filesystem::temp_directory_path() /
             (profiled ? "tcmsim_lane_on.json" : "tcmsim_lane_off.json");
@@ -421,6 +482,9 @@ TEST(SimulatorLane, ChromeTraceGainsLaneOnlyWhenProfiled)
 
     std::string off = chromeTrace(false);
     std::string on = chromeTrace(true);
+    // runWorkload's results, alone IPCs included, ignore the profiler.
+    EXPECT_EQ(runs[0].ipcShared, runs[1].ipcShared);
+    EXPECT_EQ(runs[0].ipcAlone, runs[1].ipcAlone);
     EXPECT_EQ(off.find("\"simulator\""), std::string::npos);
     EXPECT_NE(on.find("\"simulator\""), std::string::npos);
     EXPECT_NE(on.find("sim.wall_ms"), std::string::npos);

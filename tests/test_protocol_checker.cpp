@@ -671,7 +671,7 @@ TEST_P(AuditedController, RandomInjectionIsProtocolClean)
     policy->setCoreCounters(&counters);
 
     mem::MemoryController mc(0, timing, mem::ControllerParams{}, *policy);
-    mc.addCommandObserver(&checker);
+    mc.observe({&checker}, nullptr, nullptr, nullptr);
     policy->attachQueue(0, &mc);
 
     Pcg32 rng(5);

@@ -268,7 +268,7 @@ runMode(const std::string &policyName, bool cycleSkip, const std::string &tag)
     sim::Simulator sim(config, mix, lookup.spec, /*seed=*/13);
 
     telemetry::TelemetrySink sink(config.telemetry);
-    sim.attachTelemetry(&sink);
+    sim.attach({.telemetry = &sink});
 
     sim.run(/*warmup=*/10'000, /*measure=*/60'000);
 

@@ -11,6 +11,7 @@
  */
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -382,6 +383,35 @@ TEST_F(SweepdTest, InterruptedSpoolManifestResumesOnNextDrain)
     ASSERT_EQ(
         lines(readFile(path("state") + "/results/fleet.jsonl")).size(),
         8u);
+}
+
+TEST_F(SweepdTest, EnvironmentProfilesGetOneFilePerJob)
+{
+    // Same scheduler and seed throughout: only the stream point tells
+    // the jobs apart, so it must name their TCMSIM_PROFILE files.
+    const std::string manifest =
+        writeManifest("profiled.manifest", "tcmsim-manifest v1\n"
+                                           "cores 4\n"
+                                           "channels 2\n"
+                                           "warmup 1000\n"
+                                           "cycles 5000\n"
+                                           "job tcm ddr2-800 0.5 0 1\n"
+                                           "job tcm ddr3-1600 0.5 0 1\n"
+                                           "job tcm ddr2-800 1 0 1\n"
+                                           "job tcm ddr2-800 0.5 1 1\n");
+    const std::string profiles = path("profiles");
+    ::setenv("TCMSIM_PROFILE", profiles.c_str(), 1);
+    Server server(options("state"));
+    RunOutcome outcome = server.runManifest(manifest, path("out.jsonl"));
+    ::unsetenv("TCMSIM_PROFILE");
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+
+    std::size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(profiles)) {
+        EXPECT_EQ(entry.path().extension(), ".json") << entry.path();
+        ++files;
+    }
+    EXPECT_EQ(files, 4u);
 }
 
 TEST_F(SweepdTest, BadManifestPathFailsCleanly)

@@ -250,14 +250,13 @@ main(int argc, char **argv)
             workloads, cores, intensity,
             seed + static_cast<std::uint64_t>(intensity * 1000));
         // Workload w reuses seed + w at every intensity, so the file
-        // names need the intensity to stay distinct.
+        // names need the intensity to stay distinct. The profile prefix
+        // also names TCMSIM_PROFILE files (sim::requestedProfile).
         sim::SystemConfig runConfig = config;
         char prefix[32];
         std::snprintf(prefix, sizeof prefix, "i%.2f_", intensity);
-        if (runConfig.telemetry.enabled)
-            runConfig.telemetry.filePrefix = prefix;
-        if (runConfig.profile.enabled)
-            runConfig.profile.filePrefix = prefix;
+        runConfig.telemetry.filePrefix = prefix;
+        runConfig.profile.filePrefix = prefix;
         byIntensity.push_back(sim::runMatrix(runConfig, set, specs, scale,
                                              cache, seed, jobs));
     }
