@@ -9,34 +9,10 @@ Bank::Bank(const TimingParams &timing) : timing_(&timing)
 {
 }
 
-bool
-Bank::canActivate(Cycle now) const
-{
-    return precharged() && now >= actAllowedAt_;
-}
-
-bool
-Bank::canRead(Cycle now) const
-{
-    return !precharged() && now >= rdAllowedAt_;
-}
-
-bool
-Bank::canWrite(Cycle now) const
-{
-    return !precharged() && now >= wrAllowedAt_;
-}
-
-bool
-Bank::canPrecharge(Cycle now) const
-{
-    return !precharged() && now >= preAllowedAt_;
-}
-
 Cycle
 Bank::activate(Cycle now, RowId row)
 {
-    assert(canActivate(now));
+    assert(precharged() && now >= actAllowedAt_);
     assert(row != kNoRow);
     openRow_ = row;
     rdAllowedAt_ = now + timing_->tRCD;
@@ -49,7 +25,7 @@ Bank::activate(Cycle now, RowId row)
 Cycle
 Bank::read(Cycle now)
 {
-    assert(canRead(now));
+    assert(!precharged() && now >= rdAllowedAt_);
     // Same-bank columns are same-group by definition: the long spacing.
     preAllowedAt_ = std::max(preAllowedAt_, now + timing_->tRTP);
     rdAllowedAt_ = std::max(rdAllowedAt_, now + timing_->tCCD_L);
@@ -60,7 +36,7 @@ Bank::read(Cycle now)
 Cycle
 Bank::write(Cycle now)
 {
-    assert(canWrite(now));
+    assert(!precharged() && now >= wrAllowedAt_);
     Cycle data_end = now + timing_->tCWL + timing_->tBURST;
     preAllowedAt_ = std::max(preAllowedAt_, data_end + timing_->tWR);
     rdAllowedAt_ = std::max(rdAllowedAt_, now + timing_->tCCD_L);
@@ -71,7 +47,7 @@ Bank::write(Cycle now)
 Cycle
 Bank::precharge(Cycle now)
 {
-    assert(canPrecharge(now));
+    assert(!precharged() && now >= preAllowedAt_);
     openRow_ = kNoRow;
     actAllowedAt_ = std::max(actAllowedAt_, now + timing_->tRP);
     return timing_->tRP;
@@ -93,16 +69,6 @@ Bank::autoPrecharge()
     // (all folded into preAllowedAt_) and takes tRP.
     actAllowedAt_ = std::max(actAllowedAt_, preAllowedAt_ + timing_->tRP);
     return timing_->tRP;
-}
-
-Cycle
-Bank::earliestUseful(RowId row) const
-{
-    if (precharged())
-        return actAllowedAt_;
-    if (openRow_ == row)
-        return rdAllowedAt_;
-    return preAllowedAt_;
 }
 
 } // namespace tcm::dram

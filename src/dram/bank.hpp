@@ -14,9 +14,10 @@ namespace tcm::dram {
  * Models one DRAM bank: the open row (row-buffer contents) plus the
  * earliest cycle at which each command class may legally be issued.
  *
- * The bank enforces only *bank-local* constraints (tRCD, tRP, tRAS, tRC,
- * tRTP, tWR). Rank-level (tRRD, tFAW, tWTR) and channel-level (command
- * bus, data bus, tCCD) constraints live in Rank and Channel.
+ * The bank keeps only *bank-local* registers (tRCD, tRP, tRAS, tRC,
+ * tRTP, tWR). It decides no legality itself: Channel::earliestIssue
+ * combines these registers with the rank-level (tRRD, tFAW, tWTR,
+ * power-down) and channel-level (command bus, data bus, tCCD) ones.
  */
 class Bank
 {
@@ -28,13 +29,6 @@ class Bank
 
     /** True when the bank is precharged (no row open). */
     bool precharged() const { return openRow_ == kNoRow; }
-
-    /** @{ Legality checks for issuing a command at cycle @p now. */
-    bool canActivate(Cycle now) const;
-    bool canRead(Cycle now) const;
-    bool canWrite(Cycle now) const;
-    bool canPrecharge(Cycle now) const;
-    /** @} */
 
     /**
      * Issue ACT for @p row at @p now. Asserts legality.
@@ -66,13 +60,7 @@ class Bank
      */
     Cycle autoPrecharge();
 
-    /**
-     * Earliest cycle at which *some* command toward servicing a request
-     * for @p row could issue (used by the controller's idle fast-path).
-     */
-    Cycle earliestUseful(RowId row) const;
-
-    /** @{ Earliest-issue registers (timing introspection). */
+    /** @{ Earliest-issue registers, read by Channel::earliestIssue. */
     Cycle actAllowedAt() const { return actAllowedAt_; }
     Cycle rdAllowedAt() const { return rdAllowedAt_; }
     Cycle wrAllowedAt() const { return wrAllowedAt_; }

@@ -44,66 +44,10 @@ Channel::colAllowedAt(int group) const
     return lastColCmdAt_ + spacing;
 }
 
-bool
-Channel::canIssue(CommandKind kind, BankId b, Cycle now) const
-{
-    if (!cmdBusFree(now))
-        return false;
-    const Bank &bank = banks_[b];
-    const Rank &rank = ranks_[rankOf(b)];
-    switch (kind) {
-      case CommandKind::Activate:
-        return bank.canActivate(now) &&
-               rank.canActivate(now, timing_->groupInRank(b));
-      case CommandKind::Read: {
-        if (!rank.commandsAllowed(now))
-            return false;
-        Cycle data_start = now + timing_->tCL;
-        Cycle bus_free = dataBusFreeAt_;
-        if (lastBurstRank_ >= 0 && lastBurstRank_ != rankOf(b))
-            bus_free += timing_->tRTRS;
-        return bank.canRead(now) && rank.canRead(now) &&
-               now >= colAllowedAt(timing_->groupOfBank(b)) &&
-               data_start >= bus_free;
-      }
-      case CommandKind::Write: {
-        if (!rank.commandsAllowed(now))
-            return false;
-        Cycle data_start = now + timing_->tCWL;
-        Cycle bus_free = dataBusFreeAt_;
-        if (lastBurstRank_ >= 0 && lastBurstRank_ != rankOf(b))
-            bus_free += timing_->tRTRS;
-        return bank.canWrite(now) &&
-               now >= colAllowedAt(timing_->groupOfBank(b)) &&
-               data_start >= bus_free;
-      }
-      case CommandKind::Precharge:
-        return rank.commandsAllowed(now) && bank.canPrecharge(now);
-      case CommandKind::Refresh: {
-        // Refresh internally activates every bank: each bank must be
-        // precharged with tRP elapsed (and tRFC since the previous
-        // refresh), exactly as if an ACT were issued to it.
-        if (!rank.commandsAllowed(now))
-            return false;
-        int r = rankOf(b);
-        int base = r * timing_->banksPerRank();
-        for (int i = 0; i < timing_->banksPerRank(); ++i)
-            if (!banks_[base + i].canActivate(now))
-                return false;
-        return true;
-      }
-      case CommandKind::PowerDown:
-        return rank.canPowerDown(now) && rankPrecharged(rankOf(b));
-      case CommandKind::PowerUp:
-        return rank.canPowerUp(now);
-    }
-    return false;
-}
-
 IssueResult
 Channel::issue(CommandKind kind, BankId b, RowId row, Cycle now)
 {
-    assert(canIssue(kind, b, now));
+    assert(earliestIssue(kind, b) <= now);
     IssueResult res{};
     Bank &bank = banks_[b];
     Rank &rank = ranks_[rankOf(b)];
@@ -166,13 +110,6 @@ Channel::autoPrecharge(BankId b)
 }
 
 bool
-Channel::allBanksPrecharged() const
-{
-    return std::all_of(banks_.begin(), banks_.end(),
-                       [](const Bank &b) { return b.precharged(); });
-}
-
-bool
 Channel::rankPrecharged(int rank) const
 {
     int base = rank * timing_->banksPerRank();
@@ -186,60 +123,55 @@ Cycle
 Channel::earliestIssue(CommandKind kind, BankId b) const
 {
     const Bank &bank = banks_[b];
-    const Rank &rank = ranks_[rankOf(b)];
-    Cycle rtrs = lastBurstRank_ >= 0 && lastBurstRank_ != rankOf(b)
-                     ? timing_->tRTRS
-                     : 0;
+    const int r = rankOf(b);
+    const Rank &rank = ranks_[r];
+    // Every command waits for the command bus; every command but a
+    // PowerUp also for the rank's power state (never while it is down).
     Cycle t = cmdBusFreeAt_;
+    if (kind == CommandKind::PowerUp)
+        return std::max(t, rank.earliestPowerUp());
+    t = std::max(t, rank.earliestCommandsAllowed());
     switch (kind) {
       case CommandKind::Activate:
         if (!bank.precharged())
             return kCycleNever;
-        t = std::max(t, bank.actAllowedAt());
-        t = std::max(t, rank.earliestActivate(timing_->groupInRank(b)));
-        return t;
+        return std::max({t, bank.actAllowedAt(),
+                         rank.earliestActivate(timing_->groupInRank(b))});
       case CommandKind::Read:
+      case CommandKind::Write: {
         if (bank.precharged())
             return kCycleNever;
-        t = std::max(t, rank.earliestCommandsAllowed());
-        t = std::max(t, bank.rdAllowedAt());
-        t = std::max(t, rank.earliestRead());
-        t = std::max(t, colAllowedAt(timing_->groupOfBank(b)));
-        if (dataBusFreeAt_ + rtrs > timing_->tCL)
-            t = std::max(t, dataBusFreeAt_ + rtrs - timing_->tCL);
-        return t;
-      case CommandKind::Write:
-        if (bank.precharged())
-            return kCycleNever;
-        t = std::max(t, rank.earliestCommandsAllowed());
-        t = std::max(t, bank.wrAllowedAt());
-        t = std::max(t, colAllowedAt(timing_->groupOfBank(b)));
-        if (dataBusFreeAt_ + rtrs > timing_->tCWL)
-            t = std::max(t, dataBusFreeAt_ + rtrs - timing_->tCWL);
-        return t;
+        const bool read = kind == CommandKind::Read;
+        t = std::max({t, read ? bank.rdAllowedAt() : bank.wrAllowedAt(),
+                      read ? rank.earliestRead() : 0,
+                      colAllowedAt(timing_->groupOfBank(b))});
+        // The burst starts tCL (tCWL) after the command and must not
+        // overlap the previous one, plus tRTRS on a rank switch.
+        Cycle bus_free = dataBusFreeAt_;
+        if (lastBurstRank_ >= 0 && lastBurstRank_ != r)
+            bus_free += timing_->tRTRS;
+        Cycle latency = read ? timing_->tCL : timing_->tCWL;
+        return bus_free > latency ? std::max(t, bus_free - latency) : t;
+      }
       case CommandKind::Precharge:
         if (bank.precharged())
             return kCycleNever;
-        t = std::max(t, rank.earliestCommandsAllowed());
         return std::max(t, bank.preAllowedAt());
       case CommandKind::Refresh: {
-        if (!rankPrecharged(rankOf(b)))
+        // Refresh internally activates every bank: each must be
+        // precharged with tRP (and tRFC since the previous refresh)
+        // elapsed, exactly as if an ACT were issued to it.
+        if (!rankPrecharged(r))
             return kCycleNever;
-        int r = rankOf(b);
         int base = r * timing_->banksPerRank();
-        t = std::max(t, rank.earliestCommandsAllowed());
         for (int i = 0; i < timing_->banksPerRank(); ++i)
             t = std::max(t, banks_[base + i].actAllowedAt());
         return t;
       }
       case CommandKind::PowerDown:
-        if (rank.poweredDown() || !rankPrecharged(rankOf(b)))
-            return kCycleNever;
-        return std::max(t, rank.earliestCommandsAllowed());
+        return rankPrecharged(r) ? t : kCycleNever;
       case CommandKind::PowerUp:
-        if (!rank.poweredDown())
-            return kCycleNever;
-        return std::max(t, rank.earliestPowerUp());
+        break; // handled above
     }
     return kCycleNever;
 }

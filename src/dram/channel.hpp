@@ -19,8 +19,10 @@
 namespace tcm::dram {
 
 /**
- * Aggregates bank, rank and bus constraints behind a single
- * `canIssue`/`issue` interface the memory controller drives. One command
+ * Aggregates bank, rank and bus constraints behind the `earliestIssue`/
+ * `issue` interface the memory controller drives. `earliestIssue` is the
+ * one place those constraints are combined: `canIssue` is
+ * `earliestIssue <= now`, and `issue` asserts it. One command
  * may occupy the command bus per tCK; read/write data bursts occupy the
  * shared data bus (with a tRTRS gap when consecutive bursts come from
  * different ranks); column commands are separated channel-wide by
@@ -66,17 +68,16 @@ class Channel
      */
     Cycle cmdBusFreeAt() const { return cmdBusFreeAt_; }
 
-    /**
-     * True if command @p kind targeting bank @p b (row match for RD/WR
-     * is the caller's concern) is legal at @p now, including bank, rank
-     * and bus constraints. For Refresh, @p b names any bank of the rank
-     * to refresh. The command bus must also be free (checked here).
-     */
-    bool canIssue(CommandKind kind, BankId b, Cycle now) const;
+    /** True if command @p kind to bank @p b is legal at @p now. */
+    bool canIssue(CommandKind kind, BankId b, Cycle now) const
+    {
+        return earliestIssue(kind, b) <= now;
+    }
 
     /**
-     * Issue the command; asserts `canIssue`. For ACT, @p row names the row
-     * to open. Returns occupancy/data-window info for attribution.
+     * Issue the command; asserts it is legal at @p now. For ACT, @p row
+     * names the row to open. Returns occupancy/data-window info for
+     * attribution.
      */
     IssueResult issue(CommandKind kind, BankId b, RowId row, Cycle now);
 
@@ -85,9 +86,6 @@ class Channel
      * (closed-page policy). Returns the precharge occupancy (tRP).
      */
     Cycle autoPrecharge(BankId b);
-
-    /** True when every bank in every rank is precharged. */
-    bool allBanksPrecharged() const;
 
     /** True when every bank of rank @p rank is precharged. */
     bool rankPrecharged(int rank) const;
@@ -111,11 +109,14 @@ class Channel
     }
 
     /**
-     * Lower bound on the first cycle at which @p kind could issue to
-     * bank @p b, assuming no further commands issue in between. Never
-     * later than the true time, so a scheduler may sleep until it.
-     * Returns kCycleNever when the command is ineligible regardless of
-     * time (e.g. RD to a precharged bank).
+     * First cycle at which @p kind could issue to bank @p b, assuming no
+     * further commands issue in between, under every bank, rank and bus
+     * constraint (row match for RD/WR is the caller's concern). For
+     * Refresh, PowerDown and PowerUp, @p b names any bank of the rank.
+     * Exact: the command is legal at every cycle from this one on and
+     * at none before. kCycleNever when only another command can make
+     * it legal (RD to a precharged bank, anything but PowerUp to a
+     * powered-down rank).
      */
     Cycle earliestIssue(CommandKind kind, BankId b) const;
 

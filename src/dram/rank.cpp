@@ -9,28 +9,6 @@ Rank::Rank(const TimingParams &timing) : timing_(&timing)
     actHistory_.fill(kCycleNever);
 }
 
-bool
-Rank::canActivate(Cycle now, int group) const
-{
-    if (!commandsAllowed(now))
-        return false;
-    if (lastActGroup_ >= 0) {
-        Cycle spacing = group == lastActGroup_ ? timing_->tRRD_L
-                                               : timing_->tRRD_S;
-        if (now < lastActAt_ + spacing)
-            return false;
-    }
-    // The oldest of the last four ACTs must be at least tFAW in the past.
-    Cycle oldest = actHistory_[actHistoryPos_];
-    return oldest == kCycleNever || now >= oldest + timing_->tFAW;
-}
-
-bool
-Rank::canRead(Cycle now) const
-{
-    return now >= rdAllowedAt_;
-}
-
 void
 Rank::recordActivate(Cycle now, int group)
 {
@@ -43,7 +21,7 @@ Rank::recordActivate(Cycle now, int group)
 Cycle
 Rank::earliestActivate(int group) const
 {
-    Cycle t = earliestCommandsAllowed();
+    Cycle t = 0;
     if (lastActGroup_ >= 0) {
         Cycle spacing = group == lastActGroup_ ? timing_->tRRD_L
                                                : timing_->tRRD_S;
@@ -60,18 +38,6 @@ Rank::recordWrite(Cycle now)
 {
     Cycle data_end = now + timing_->tCWL + timing_->tBURST;
     rdAllowedAt_ = std::max(rdAllowedAt_, data_end + timing_->tWTR);
-}
-
-bool
-Rank::canPowerDown(Cycle now) const
-{
-    return !poweredDown_ && now >= pdExitAt_;
-}
-
-bool
-Rank::canPowerUp(Cycle now) const
-{
-    return poweredDown_ && now >= pdSince_ + timing_->tCKE;
 }
 
 void
@@ -93,22 +59,6 @@ Cycle
 Rank::earliestPowerUp() const
 {
     return poweredDown_ ? pdSince_ + timing_->tCKE : kCycleNever;
-}
-
-bool
-Rank::commandsAllowed(Cycle now) const
-{
-    return !poweredDown_ && now >= pdExitAt_;
-}
-
-Cycle
-Rank::earliestCommandsAllowed() const
-{
-    // A powered-down rank needs a PowerUp (no sooner than tCKE after
-    // entry) plus the tXP exit latency before the first command.
-    if (poweredDown_)
-        return pdSince_ + timing_->tCKE + timing_->tXP;
-    return pdExitAt_;
 }
 
 Cycle

@@ -19,18 +19,13 @@ namespace tcm::dram {
  * window (tFAW), the write-to-read turnaround (tWTR), and the precharge
  * power-down state (entered/exited by the controller's PowerDown/PowerUp
  * commands; tCKE bounds the minimum residency, tXP delays the first valid
- * command after exit).
+ * command after exit). Like Bank it only keeps registers; legality is
+ * decided by Channel::earliestIssue.
  */
 class Rank
 {
   public:
     explicit Rank(const TimingParams &timing);
-
-    /** True if an ACT to bank group @p group may issue at @p now. */
-    bool canActivate(Cycle now, int group) const;
-
-    /** True if a RD may issue at @p now (tWTR satisfied). */
-    bool canRead(Cycle now) const;
 
     /** Record an issued ACT to bank group @p group at @p now. */
     void recordActivate(Cycle now, int group);
@@ -38,7 +33,7 @@ class Rank
     /** Record an issued WR at @p now (arms the tWTR turnaround). */
     void recordWrite(Cycle now);
 
-    /** Earliest cycle an ACT to @p group could issue (tRRD, tFAW, tXP). */
+    /** Earliest cycle an ACT to @p group could issue (tRRD, tFAW). */
     Cycle earliestActivate(int group) const;
 
     /** Earliest cycle a RD could issue (tWTR). */
@@ -48,12 +43,6 @@ class Rank
 
     /** True when the rank is in precharge power-down. */
     bool poweredDown() const { return poweredDown_; }
-
-    /** True if a PowerDown command may issue at @p now (tXP honored). */
-    bool canPowerDown(Cycle now) const;
-
-    /** True if a PowerUp command may issue at @p now (tCKE residency). */
-    bool canPowerUp(Cycle now) const;
 
     /** Enter power-down at @p now. */
     void recordPowerDown(Cycle now);
@@ -65,16 +54,14 @@ class Rank
     Cycle earliestPowerUp() const;
 
     /**
-     * True when rank-scoped commands (ACT, REF) are not blocked by the
-     * power state: the rank is up and tXP since the last exit elapsed.
+     * First cycle the power state lets a command other than PowerUp
+     * issue: tXP after the last exit, or kCycleNever while the rank is
+     * down (only a PowerUp can end that).
      */
-    bool commandsAllowed(Cycle now) const;
-
-    /**
-     * Lower bound on the first cycle commandsAllowed could hold, assuming
-     * a PowerUp issues as early as legal when the rank is down.
-     */
-    Cycle earliestCommandsAllowed() const;
+    Cycle earliestCommandsAllowed() const
+    {
+        return poweredDown_ ? kCycleNever : pdExitAt_;
+    }
 
     /**
      * Cycles spent in power-down through @p now, including the current

@@ -253,14 +253,14 @@ MemoryController::trySpeculativePrecharge(Cycle now, Cycle &nextPossible)
         if (channel_.bank(b).precharged() ||
             anyQueued([b](BankId bank, RowId) { return bank == b; }))
             continue;
-        if (channel_.canIssue(CommandKind::Precharge, b, now)) {
+        const Cycle at = channel_.earliestIssue(CommandKind::Precharge, b);
+        if (at <= now) {
             channel_.issue(CommandKind::Precharge, b, kNoRow, now);
             ++stats_.precharges;
             ++stats_.speculativePrecharges;
             return true;
         }
-        nextPossible = std::min(
-            nextPossible, channel_.earliestIssue(CommandKind::Precharge, b));
+        nextPossible = std::min(nextPossible, at);
     }
     return false;
 }
@@ -308,7 +308,7 @@ MemoryController::tryIssue(RequestLane &lane, prof::ControllerShard *shard,
         if (best >= 0) {
             // Dominance skip: a candidate whose key loses to the best
             // issuable one found so far cannot win the scan, so the
-            // (much costlier) canIssue probe is unnecessary.
+            // (much costlier) timing probe is unnecessary.
             if (hi < bestHi) {
                 ++skipped;
                 continue;
@@ -320,12 +320,12 @@ MemoryController::tryIssue(RequestLane &lane, prof::ControllerShard *shard,
             }
         }
         CommandKind cmd = nextCommand(reqs[i]);
-        if (!channel_.canIssue(cmd, bank[i], now)) {
+        const Cycle at = channel_.earliestIssue(cmd, bank[i]);
+        if (at > now) {
             // nextPossible is only trusted when no command issues this
             // cycle — and then best stayed negative, no candidate was
             // dominance-skipped, and this accumulation is complete.
-            nextPossible =
-                std::min(nextPossible, channel_.earliestIssue(cmd, bank[i]));
+            nextPossible = std::min(nextPossible, at);
             continue;
         }
         best = static_cast<int>(i);

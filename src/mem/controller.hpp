@@ -244,8 +244,9 @@ class MemoryController : public QueueAccess
 
     /**
      * Scan @p lane by packed priority key and issue one command if
-     * possible, skipping the canIssue check for candidates whose key
-     * loses to the best issuable one found so far. When no command can
+     * possible. Each examined candidate costs one
+     * Channel::earliestIssue call; candidates whose key loses to the
+     * best issuable one found so far skip it. When no command can
      * issue, lowers @p nextPossible to the earliest cycle any candidate
      * could become issuable. A non-null @p shard times the scan as
      * Phase::ReadScan and counts it; reads only, so the read-scan

@@ -501,8 +501,8 @@ paperClaims()
 
     // -- Infrastructure: interval sampling ----------------------------------
     // Subjects come from the paper::sampling probe (the fig4 grid run
-    // full-length and interval-sampled; claims-gate leg
-    // `claims --sampling-probe`, bench_sampling standalone). The
+    // full-length and interval-sampled; every `claims` run without
+    // --sampled, bench_sampling standalone). The
     // deterministic claims (error bands, preserved orderings, cycle
     // ratio) are the sampling contract; the wall-clock claim is the
     // point of the feature. Error bands were pinned from both blessed

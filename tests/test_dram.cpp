@@ -64,10 +64,12 @@ TEST(Bank, StartsPrechargedAndActivatable)
     TimingParams t = noRefreshTiming();
     Bank bank(t);
     EXPECT_TRUE(bank.precharged());
-    EXPECT_TRUE(bank.canActivate(0));
-    EXPECT_FALSE(bank.canRead(0));
-    EXPECT_FALSE(bank.canWrite(0));
-    EXPECT_FALSE(bank.canPrecharge(0));
+    EXPECT_EQ(bank.actAllowedAt(), 0u);
+    // A precharged bank takes an ACT and nothing else.
+    Channel ch(t);
+    EXPECT_EQ(ch.earliestIssue(CommandKind::Read, 0), kCycleNever);
+    EXPECT_EQ(ch.earliestIssue(CommandKind::Write, 0), kCycleNever);
+    EXPECT_EQ(ch.earliestIssue(CommandKind::Precharge, 0), kCycleNever);
 }
 
 TEST(Bank, ActivateOpensRowAfterTrcd)
@@ -76,10 +78,9 @@ TEST(Bank, ActivateOpensRowAfterTrcd)
     Bank bank(t);
     bank.activate(100, 7);
     EXPECT_EQ(bank.openRow(), 7);
-    EXPECT_FALSE(bank.canActivate(100 + 1)); // already open
-    EXPECT_FALSE(bank.canRead(100 + t.tRCD - 1));
-    EXPECT_TRUE(bank.canRead(100 + t.tRCD));
-    EXPECT_TRUE(bank.canWrite(100 + t.tRCD));
+    EXPECT_FALSE(bank.precharged()); // a second ACT needs a PRE first
+    EXPECT_EQ(bank.rdAllowedAt(), 100 + t.tRCD);
+    EXPECT_EQ(bank.wrAllowedAt(), 100 + t.tRCD);
 }
 
 TEST(Bank, PrechargeRespectsTras)
@@ -87,12 +88,10 @@ TEST(Bank, PrechargeRespectsTras)
     TimingParams t = noRefreshTiming();
     Bank bank(t);
     bank.activate(0, 3);
-    EXPECT_FALSE(bank.canPrecharge(t.tRAS - 1));
-    EXPECT_TRUE(bank.canPrecharge(t.tRAS));
+    EXPECT_EQ(bank.preAllowedAt(), t.tRAS);
     bank.precharge(t.tRAS);
     EXPECT_TRUE(bank.precharged());
-    EXPECT_FALSE(bank.canActivate(t.tRAS + t.tRP - 1));
-    EXPECT_TRUE(bank.canActivate(t.tRAS + t.tRP));
+    EXPECT_EQ(bank.actAllowedAt(), t.tRAS + t.tRP);
 }
 
 TEST(Bank, ReadPushesPrechargeOutByTrtp)
@@ -102,8 +101,7 @@ TEST(Bank, ReadPushesPrechargeOutByTrtp)
     bank.activate(0, 1);
     Cycle rd_at = t.tRAS; // read issued late: tRTP now dominates tRAS
     bank.read(rd_at);
-    EXPECT_FALSE(bank.canPrecharge(rd_at + t.tRTP - 1));
-    EXPECT_TRUE(bank.canPrecharge(rd_at + t.tRTP));
+    EXPECT_EQ(bank.preAllowedAt(), rd_at + t.tRTP);
 }
 
 TEST(Bank, WriteRecoveryBlocksPrecharge)
@@ -114,8 +112,7 @@ TEST(Bank, WriteRecoveryBlocksPrecharge)
     Cycle wr_at = t.tRAS;
     bank.write(wr_at);
     Cycle data_end = wr_at + t.tCWL + t.tBURST;
-    EXPECT_FALSE(bank.canPrecharge(data_end + t.tWR - 1));
-    EXPECT_TRUE(bank.canPrecharge(data_end + t.tWR));
+    EXPECT_EQ(bank.preAllowedAt(), data_end + t.tWR);
 }
 
 TEST(Bank, SameBankActToActRespectsTrc)
@@ -128,7 +125,7 @@ TEST(Bank, SameBankActToActRespectsTrc)
     // Even though tRP has elapsed, tRC must also hold.
     Cycle trp_done = t.tRAS + t.tRP;
     EXPECT_GE(trp_done, t.tRC); // with DDR2-800, tRC == tRAS + tRP
-    EXPECT_TRUE(bank.canActivate(t.tRC));
+    EXPECT_EQ(bank.actAllowedAt(), t.tRC);
 }
 
 TEST(Bank, ActivateOccupancyIsTrcd)
@@ -145,8 +142,7 @@ TEST(Bank, RefreshBlocksActivateForTrfc)
     TimingParams t = noRefreshTiming();
     Bank bank(t);
     bank.refresh(500);
-    EXPECT_FALSE(bank.canActivate(500 + t.tRFC - 1));
-    EXPECT_TRUE(bank.canActivate(500 + t.tRFC));
+    EXPECT_EQ(bank.actAllowedAt(), 500 + t.tRFC);
 }
 
 // ---------------------------------------------------------------------------
@@ -157,10 +153,9 @@ TEST(Rank, TrrdSeparatesActivates)
 {
     TimingParams t = noRefreshTiming();
     Rank rank(t);
-    EXPECT_TRUE(rank.canActivate(0, 0));
+    EXPECT_EQ(rank.earliestActivate(0), 0u);
     rank.recordActivate(0, 0);
-    EXPECT_FALSE(rank.canActivate(t.tRRD_L - 1, 0));
-    EXPECT_TRUE(rank.canActivate(t.tRRD_L, 0));
+    EXPECT_EQ(rank.earliestActivate(0), t.tRRD_L);
 }
 
 TEST(Rank, FourActivateWindowEnforced)
@@ -169,13 +164,13 @@ TEST(Rank, FourActivateWindowEnforced)
     Rank rank(t);
     Cycle now = 0;
     for (int i = 0; i < 4; ++i) {
-        EXPECT_TRUE(rank.canActivate(now, 0));
+        EXPECT_EQ(rank.earliestActivate(0), now);
         rank.recordActivate(now, 0);
         now += t.tRRD_L;
     }
     // The fifth ACT must wait until tFAW after the first.
-    EXPECT_FALSE(rank.canActivate(now, 0));
-    EXPECT_TRUE(rank.canActivate(t.tFAW, 0));
+    ASSERT_GT(t.tFAW, now);
+    EXPECT_EQ(rank.earliestActivate(0), t.tFAW);
 }
 
 TEST(Rank, WriteToReadTurnaround)
@@ -184,8 +179,7 @@ TEST(Rank, WriteToReadTurnaround)
     Rank rank(t);
     rank.recordWrite(100);
     Cycle ready = 100 + t.tCWL + t.tBURST + t.tWTR;
-    EXPECT_FALSE(rank.canRead(ready - 1));
-    EXPECT_TRUE(rank.canRead(ready));
+    EXPECT_EQ(rank.earliestRead(), ready);
 }
 
 // ---------------------------------------------------------------------------
@@ -330,8 +324,7 @@ TEST(Bank, AutoPrechargeClosesRowAfterConstraints)
     EXPECT_TRUE(bank.precharged());
     // Next ACT waits for the implicit precharge: preAllowedAt
     // (tRAS-bound here) + tRP.
-    EXPECT_FALSE(bank.canActivate(t.tRAS + t.tRP - 1));
-    EXPECT_TRUE(bank.canActivate(t.tRAS + t.tRP));
+    EXPECT_EQ(bank.actAllowedAt(), t.tRAS + t.tRP);
 }
 
 // ---------------------------------------------------------------------------
@@ -597,24 +590,21 @@ TEST(PowerDown, RankEntersAndExitsWithTckeAndTxp)
     TimingParams t = noRefreshTiming();
     Rank rank(t);
     EXPECT_FALSE(rank.poweredDown());
-    EXPECT_TRUE(rank.canPowerDown(0));
-    EXPECT_FALSE(rank.canPowerUp(0));
+    EXPECT_EQ(rank.earliestCommandsAllowed(), 0u);
+    EXPECT_EQ(rank.earliestPowerUp(), kCycleNever);
 
     rank.recordPowerDown(100);
     EXPECT_TRUE(rank.poweredDown());
-    EXPECT_FALSE(rank.commandsAllowed(100));
     // Minimum residency: tCKE before the PDX.
-    EXPECT_FALSE(rank.canPowerUp(100 + t.tCKE - 1));
-    EXPECT_TRUE(rank.canPowerUp(100 + t.tCKE));
     EXPECT_EQ(rank.earliestPowerUp(), 100 + t.tCKE);
-    // Commands resume only tXP after the exit.
-    EXPECT_EQ(rank.earliestCommandsAllowed(), 100 + t.tCKE + t.tXP);
+    // No other command until a PDX ends the residency.
+    EXPECT_EQ(rank.earliestCommandsAllowed(), kCycleNever);
 
     Cycle up = 100 + t.tCKE;
     rank.recordPowerUp(up);
     EXPECT_FALSE(rank.poweredDown());
-    EXPECT_FALSE(rank.commandsAllowed(up + t.tXP - 1));
-    EXPECT_TRUE(rank.commandsAllowed(up + t.tXP));
+    // Commands resume only tXP after the exit.
+    EXPECT_EQ(rank.earliestCommandsAllowed(), up + t.tXP);
     EXPECT_EQ(rank.powerDownCycles(up + 1000), t.tCKE);
 }
 
@@ -630,6 +620,8 @@ TEST(PowerDown, ChannelGatesCommandsOnPowerState)
     EXPECT_FALSE(ch.canIssue(CommandKind::Refresh, 0, t.tCKE + 100));
     EXPECT_FALSE(ch.canIssue(CommandKind::PowerDown, 0, t.tCKE + 100));
     EXPECT_EQ(ch.earliestIssue(CommandKind::PowerDown, 0), kCycleNever);
+    // Only a PDX can end the residency, so nothing else has a time.
+    EXPECT_EQ(ch.earliestIssue(CommandKind::Activate, 0), kCycleNever);
     // PDX waits out tCKE.
     EXPECT_FALSE(ch.canIssue(CommandKind::PowerUp, 0, t.tCKE - 1));
     ASSERT_TRUE(ch.canIssue(CommandKind::PowerUp, 0, t.tCKE));

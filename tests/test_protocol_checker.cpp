@@ -2,7 +2,7 @@
  * @file
  * Tests for the independent DDR2 protocol checker.
  *
- * Three layers:
+ * Four layers:
  *  1. Negative unit tests: hand-crafted illegal command sequences, one
  *     per constraint, each asserting the violation carries the right
  *     constraint name. The checker needs these to be trusted — a
@@ -14,7 +14,10 @@
  *     the checker attached; zero violations required. Because the
  *     checker reports violations as *data* (never asserts), this
  *     audit holds even in builds where NDEBUG elides the DRAM model's
- *     own `canIssue` assertions.
+ *     own issue-path assertions.
+ *  4. Boundary: on random legal command streams, the checker accepts
+ *     each command at the engine's `Channel::earliestIssue` cycle and
+ *     flags it one cycle earlier.
  */
 
 #include <string>
@@ -22,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.hpp"
+#include "dram/channel.hpp"
 #include "dram/protocol.hpp"
 #include "dram/protocol_checker.hpp"
 #include "mem/controller.hpp"
@@ -700,12 +704,114 @@ TEST_P(AuditedController, RandomInjectionIsProtocolClean)
     EXPECT_EQ(checker.violationCount(), 0u) << checker.report();
 }
 
+namespace {
+
+std::string
+protocolTestName(const testing::TestParamInfo<std::string> &info)
+{
+    std::string n = info.param;
+    for (char &c : n)
+        if (c == '-')
+            c = '_';
+    return n;
+}
+
+} // namespace
+
 INSTANTIATE_TEST_SUITE_P(AllProtocols, AuditedController,
                          testing::ValuesIn(dram::protocolNames()),
-                         [](const testing::TestParamInfo<std::string> &i) {
-                             std::string n = i.param;
-                             for (char &c : n)
-                                 if (c == '-')
-                                     c = '_';
-                             return n;
-                         });
+                         protocolTestName);
+
+// ---------------------------------------------------------------------------
+// The engine's one legality function against the referee, at the cycle
+// boundary: a random legal command stream straight into one channel.
+// ---------------------------------------------------------------------------
+
+class EarliestIssueBoundary : public testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(EarliestIssueBoundary, RefereeAcceptsAtEarliestIssueOnlyFromThen)
+{
+    dram::ProtocolLookup lookup = dram::protocolByName(GetParam());
+    ASSERT_TRUE(lookup.ok) << lookup.error;
+    dram::TimingParams timing = lookup.spec.derive();
+    timing.refreshEnabled = false; // REFs below are the stream's own
+    // One rank: the engine spaces column commands channel-wide, while
+    // the checker applies tCCD per rank, so across ranks the checker
+    // accepts some reads the engine still holds back (DESIGN.md §7).
+    ASSERT_EQ(timing.ranksPerChannel, 1);
+    dram::Channel ch(timing);
+    dram::ProtocolChecker checker(timing);
+    ch.observe({&checker});
+
+    const int banks = timing.banksPerChannel;
+    Pcg32 rng(23);
+    std::uint64_t probes = 0;
+    bool issued = false;
+    bool closing = false; // precharging every bank for a REF or PDE
+    Cycle last = 0;
+    for (int step = 0; step < 5000; ++step) {
+        // A command the current state allows, to a random bank. Now and
+        // then close every bank and issue a rank-level command, as the
+        // refresh and power engines do.
+        BankId b = static_cast<BankId>(rng.nextBelow(banks));
+        CommandKind kind = CommandKind::Activate;
+        RowId row = kNoRow;
+        if (ch.rankPoweredDown(0)) {
+            kind = CommandKind::PowerUp;
+        } else if (closing || rng.nextBool(0.05)) {
+            closing = !ch.rankPrecharged(0);
+            if (!closing) {
+                kind = rng.nextBool(0.5) ? CommandKind::Refresh
+                                         : CommandKind::PowerDown;
+            } else {
+                while (ch.bank(b).precharged())
+                    b = static_cast<BankId>((b + 1) % banks);
+                kind = CommandKind::Precharge;
+            }
+        } else if (ch.bank(b).precharged()) {
+            row = static_cast<RowId>(rng.nextBelow(8));
+        } else {
+            const std::uint32_t pick = rng.nextBelow(8);
+            kind = pick < 4   ? CommandKind::Read
+                   : pick < 6 ? CommandKind::Write
+                              : CommandKind::Precharge;
+            row = ch.bank(b).openRow();
+        }
+        const Cycle at = ch.earliestIssue(kind, b);
+        ASSERT_NE(at, kCycleNever) << "step " << step;
+
+        dram::CommandEvent ev;
+        ev.rank = 0;
+        ev.bank = b;
+        ev.kind = kind;
+        ev.row = row;
+        ev.cycle = at;
+        dram::ProtocolChecker onTime = checker;
+        onTime.onCommand(ev);
+        EXPECT_EQ(onTime.violationCount(), 0u)
+            << "step " << step << ": " << onTime.report();
+        if (at > 0 && (!issued || at - 1 > last)) {
+            ev.cycle = at - 1;
+            dram::ProtocolChecker early = checker;
+            early.onCommand(ev);
+            EXPECT_GT(early.violationCount(), 0u)
+                << "step " << step << ": " << dram::formatCommandEvent(ev)
+                << " accepted one cycle before earliestIssue";
+            ++probes;
+        }
+
+        // Issue it, sometimes late, so that different constraints bind
+        // the commands that follow.
+        last = at + (rng.nextBool(0.3) ? rng.nextBelow(400) : 0);
+        ch.issue(kind, b, row, last);
+        issued = true;
+    }
+    EXPECT_EQ(checker.violationCount(), 0u) << checker.report();
+    EXPECT_GT(probes, 4000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProtocols, EarliestIssueBoundary,
+                         testing::ValuesIn(dram::protocolNames()),
+                         protocolTestName);

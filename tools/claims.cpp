@@ -55,10 +55,6 @@ struct Options
     // the full-run goldens, so --sampled excludes --baseline/--regold.
     bool sampled = false;
     sim::SamplingConfig samplingCfg; // applied to scale when sampled
-    // Additionally run the paper::sampling probe (the fig4 grid twice:
-    // full and sampled) and evaluate the sampling.* claims. Off by
-    // default: the probe roughly doubles the fig4 cost.
-    bool samplingProbe = false;
 };
 
 void
@@ -87,10 +83,8 @@ usage(std::FILE *out)
         "                       verdicts must still pass on the sampled\n"
         "                       estimates. Excludes --baseline/--regold\n"
         "                       (sampled numbers are not the goldens')\n"
-        "  --sampling-probe     also run the fig4 grid sampled and\n"
-        "                       evaluate the sampling.* claims (error\n"
-        "                       bands, ordering preservation, speedup);\n"
-        "                       reuses the full fig4 grid already run\n");
+        "Without --sampled the gate also runs the fig4 grid sampled\n"
+        "and evaluates the sampling.* claims against the full grid.\n");
 }
 
 /** Report a malformed or out-of-range option value; always false. */
@@ -167,8 +161,6 @@ parseArgs(int argc, char **argv, Options &opt)
                     return false;
                 }
             }
-        } else if (arg == "--sampling-probe") {
-            opt.samplingProbe = true;
         } else if (arg == "--help" || arg == "-h") {
             usage(stdout);
             std::exit(0);
@@ -187,13 +179,6 @@ parseArgs(int argc, char **argv, Options &opt)
                      "claims: --sampled excludes --baseline/--regold "
                      "(sampled estimates legitimately differ from the "
                      "full-run goldens)\n");
-        return false;
-    }
-    if (opt.sampled && opt.samplingProbe) {
-        std::fprintf(stderr,
-                     "claims: --sampling-probe needs the full-run grids "
-                     "(drop --sampled; the probe runs the sampled leg "
-                     "itself)\n");
         return false;
     }
     return true;
@@ -230,9 +215,9 @@ main(int argc, char **argv)
 
     std::vector<sim::claims::Claim> registry = sim::claims::paperClaims();
     // The sampling.* claims read the paper::sampling probe document,
-    // which only --sampling-probe produces (the probe re-runs the fig4
-    // grid sampled, roughly doubling that grid's cost).
-    if (!opt.samplingProbe) {
+    // which compares the full fig4 grid with a sampled one; a sampled
+    // leg has no full grid to compare against.
+    if (opt.sampled) {
         std::erase_if(registry, [](const sim::claims::Claim &c) {
             return c.id.rfind("sampling.", 0) == 0;
         });
@@ -283,7 +268,9 @@ main(int argc, char **argv)
         docs.push_back(sim::paper::table6(config, opt.scale, opt.jobs));
         std::fprintf(stderr, "claims: running scheduler-zoo grid...\n");
         docs.push_back(sim::paper::zoo(config, opt.scale, opt.jobs));
-        if (opt.samplingProbe) {
+        if (!opt.sampled) {
+            // The sampled grid simulates about a fifth of the full
+            // one's cycles, so the probe adds little to the gate.
             std::fprintf(stderr,
                          "claims: running sampling probe (sampled fig4 "
                          "grid)...\n");

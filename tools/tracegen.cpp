@@ -8,6 +8,9 @@
  *   tracegen dump <input.trace> <output.txt>
  *   tracegen convert <input.txt> <output.trace>
  *
+ * count must be >= 1, mpki and blp finite and >= 0, rbl in [0,1];
+ * a malformed or out-of-range number exits 2 with a message naming it.
+ *
  * Examples:
  *   tracegen mcf mcf.trace 1000000
  *   tracegen custom my.trace 500000 7 42.0 0.8 2.5
@@ -20,11 +23,12 @@
  * header) is the interchange format for converting real traces.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/numfmt.hpp"
 #include "workload/benchmark_table.hpp"
 #include "workload/trace_file.hpp"
 
@@ -42,6 +46,36 @@ usage(const char *argv0)
         std::fprintf(stderr, "%s ", p.name.c_str());
     std::fprintf(stderr, "\n");
     return 2;
+}
+
+[[noreturn]] void
+dieBadValue(const char *arg, const char *text, const char *want)
+{
+    std::fprintf(stderr, "tracegen: %s needs %s, got '%s'\n", arg, want,
+                 text);
+    std::exit(2);
+}
+
+/** Whole-string unsigned argument >= @p min, or exit 2. */
+std::uint64_t
+u64Arg(const char *arg, const char *text, std::uint64_t min)
+{
+    std::uint64_t v = 0;
+    if (!tcm::parseU64(text, &v) || v < min)
+        dieBadValue(arg, text,
+                    ("an integer >= " + std::to_string(min)).c_str());
+    return v;
+}
+
+/** Whole-string finite number in [0, @p max], or exit 2. */
+double
+doubleArg(const char *arg, const char *text, double max, const char *want)
+{
+    double v = 0.0;
+    if (!tcm::parseDouble(text, &v) || !std::isfinite(v) || v < 0.0 ||
+        v > max)
+        dieBadValue(arg, text, want);
+    return v;
 }
 
 } // namespace
@@ -73,18 +107,19 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::uint64_t count = argc > 3 ? std::strtoull(argv[3], nullptr, 10)
-                                   : 1'000'000;
-    std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
+    std::uint64_t count = argc > 3 ? u64Arg("count", argv[3], 1) : 1'000'000;
+    std::uint64_t seed = argc > 4 ? u64Arg("seed", argv[4], 0) : 1;
 
     ThreadProfile profile;
     if (which == "custom") {
         if (argc < 8)
             return usage(argv[0]);
         profile.name = "custom";
-        profile.mpki = std::strtod(argv[5], nullptr);
-        profile.rbl = std::strtod(argv[6], nullptr);
-        profile.blp = std::strtod(argv[7], nullptr);
+        profile.mpki =
+            doubleArg("mpki", argv[5], HUGE_VAL, "a finite number >= 0");
+        profile.rbl = doubleArg("rbl", argv[6], 1.0, "a fraction in [0,1]");
+        profile.blp =
+            doubleArg("blp", argv[7], HUGE_VAL, "a finite number >= 0");
     } else {
         try {
             profile = benchmarkProfile(which);
