@@ -1,8 +1,8 @@
 /**
  * @file
- * Small helpers for reading experiment-scaling knobs from the environment.
+ * Reading experiment-scaling knobs from the environment.
  *
- * Benches use these so that a CI machine can run short experiments while a
+ * Benches use this so that a CI machine can run short experiments while a
  * beefier host can scale toward the paper's full 100M-cycle, 96-workload
  * setup by exporting TCMSIM_CYCLES / TCMSIM_WORKLOADS / TCMSIM_WARMUP.
  */
@@ -10,14 +10,19 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace tcm {
 
-/** Read an integer environment variable, with default when unset/bad. */
-std::int64_t envInt(const std::string &name, std::int64_t def);
-
-/** Read a double environment variable, with default when unset/bad. */
-double envDouble(const std::string &name, double def);
+/**
+ * Integer environment variable @p name: @p def when unset or empty.
+ * A set value must be one whole decimal integer (common/numfmt) in
+ * [@p min, @p max]; anything else ("10k", "3e5", " 7", a value out of
+ * range) throws std::invalid_argument naming the variable and its text.
+ */
+std::int64_t
+envInt(const std::string &name, std::int64_t def, std::int64_t min,
+       std::int64_t max = std::numeric_limits<std::int64_t>::max());
 
 } // namespace tcm

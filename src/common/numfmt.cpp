@@ -64,6 +64,14 @@ parseInt(const std::string &s, int *out)
 }
 
 bool
+parseInt(const std::string &s, std::int64_t *out)
+{
+    const char *last = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), last, *out);
+    return ec == std::errc() && p == last;
+}
+
+bool
 parseDouble(const std::string &s, double *out)
 {
     const char *last = s.data() + s.size();

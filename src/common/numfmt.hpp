@@ -39,6 +39,7 @@ std::string formatDouble(double v, int precision);
  */
 bool parseU64(const std::string &s, std::uint64_t *out, int base = 10);
 bool parseInt(const std::string &s, int *out);
+bool parseInt(const std::string &s, std::int64_t *out);
 bool parseDouble(const std::string &s, double *out);
 /** @} */
 

@@ -81,7 +81,7 @@ ThreadPool::parallelFor(std::size_t n,
 int
 ThreadPool::defaultJobs()
 {
-    std::int64_t fromEnv = envInt("TCMSIM_JOBS", 0);
+    std::int64_t fromEnv = envInt("TCMSIM_JOBS", 0, 0);
     if (fromEnv > 0)
         return static_cast<int>(std::min<std::int64_t>(fromEnv, 512));
     unsigned hw = std::thread::hardware_concurrency();

@@ -78,8 +78,10 @@ class ThreadPool
 
     /**
      * Pool size implied by the environment: TCMSIM_JOBS when set to a
-     * positive integer, otherwise std::thread::hardware_concurrency()
-     * (>= 1). Read at every call so tests can flip the knob at runtime.
+     * positive integer (capped at 512), otherwise
+     * std::thread::hardware_concurrency() (>= 1). A TCMSIM_JOBS that is
+     * not one integer >= 0 throws (see envInt). Read at every call so
+     * tests can flip the knob at runtime.
      */
     static int defaultJobs();
 

@@ -16,8 +16,8 @@ namespace tcm::dram {
  *
  * The bank keeps only *bank-local* registers (tRCD, tRP, tRAS, tRC,
  * tRTP, tWR). It decides no legality itself: Channel::earliestIssue
- * combines these registers with the rank-level (tRRD, tFAW, tWTR,
- * power-down) and channel-level (command bus, data bus, tCCD) ones.
+ * combines these registers with the rank-level (tRRD, tFAW, tWTR) and
+ * channel-level (command bus, data bus, tCCD) ones.
  */
 class Bank
 {

@@ -90,12 +90,6 @@ Channel::issue(CommandKind kind, BankId b, RowId row, Cycle now)
         res.occupancy = timing_->tRFC;
         break;
       }
-      case CommandKind::PowerDown:
-        rank.recordPowerDown(now);
-        break;
-      case CommandKind::PowerUp:
-        rank.recordPowerUp(now);
-        break;
     }
     return res;
 }
@@ -125,12 +119,8 @@ Channel::earliestIssue(CommandKind kind, BankId b) const
     const Bank &bank = banks_[b];
     const int r = rankOf(b);
     const Rank &rank = ranks_[r];
-    // Every command waits for the command bus; every command but a
-    // PowerUp also for the rank's power state (never while it is down).
+    // Every command waits for the command bus.
     Cycle t = cmdBusFreeAt_;
-    if (kind == CommandKind::PowerUp)
-        return std::max(t, rank.earliestPowerUp());
-    t = std::max(t, rank.earliestCommandsAllowed());
     switch (kind) {
       case CommandKind::Activate:
         if (!bank.precharged())
@@ -168,10 +158,6 @@ Channel::earliestIssue(CommandKind kind, BankId b) const
             t = std::max(t, banks_[base + i].actAllowedAt());
         return t;
       }
-      case CommandKind::PowerDown:
-        return rankPrecharged(r) ? t : kCycleNever;
-      case CommandKind::PowerUp:
-        break; // handled above
     }
     return kCycleNever;
 }

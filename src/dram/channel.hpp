@@ -90,33 +90,14 @@ class Channel
     /** True when every bank of rank @p rank is precharged. */
     bool rankPrecharged(int rank) const;
 
-    /** True when rank @p rank is in precharge power-down. */
-    bool rankPoweredDown(int rank) const
-    {
-        return ranks_[rank].poweredDown();
-    }
-
-    /** Earliest cycle a PowerUp to rank @p rank could issue. */
-    Cycle rankPowerUpAllowedAt(int rank) const
-    {
-        return ranks_[rank].earliestPowerUp();
-    }
-
-    /** Power-down cycles of rank @p rank through @p now (energy). */
-    Cycle rankPowerDownCycles(int rank, Cycle now) const
-    {
-        return ranks_[rank].powerDownCycles(now);
-    }
-
     /**
      * First cycle at which @p kind could issue to bank @p b, assuming no
      * further commands issue in between, under every bank, rank and bus
      * constraint (row match for RD/WR is the caller's concern). For
-     * Refresh, PowerDown and PowerUp, @p b names any bank of the rank.
-     * Exact: the command is legal at every cycle from this one on and
-     * at none before. kCycleNever when only another command can make
-     * it legal (RD to a precharged bank, anything but PowerUp to a
-     * powered-down rank).
+     * Refresh, @p b names any bank of the rank. Exact: the command is
+     * legal at every cycle from this one on and at none before.
+     * kCycleNever when only another command can make it legal (RD to a
+     * precharged bank, REF to a rank with a row open).
      */
     Cycle earliestIssue(CommandKind kind, BankId b) const;
 

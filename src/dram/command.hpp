@@ -17,8 +17,6 @@ enum class CommandKind
     Write,     //!< Column write into the open row
     Precharge, //!< Close the open row
     Refresh,   //!< All-bank refresh (rank level)
-    PowerDown, //!< Enter precharge power-down (rank level)
-    PowerUp,   //!< Exit power-down; commands legal after tXP (rank level)
 };
 
 /** Human-readable command name (for logs and test failure messages). */
@@ -47,8 +45,6 @@ commandName(CommandKind kind)
       case CommandKind::Write: return "WR";
       case CommandKind::Precharge: return "PRE";
       case CommandKind::Refresh: return "REF";
-      case CommandKind::PowerDown: return "PDE";
-      case CommandKind::PowerUp: return "PDX";
     }
     return "???";
 }

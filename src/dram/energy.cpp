@@ -26,7 +26,6 @@ EnergyParams::forGeneration(Generation generation)
     p.eRefresh *= scale;
     p.pBackgroundActive *= scale;
     p.pBackgroundIdle *= scale;
-    p.pBackgroundPowerDown *= scale;
     return p;
 }
 
@@ -60,14 +59,11 @@ computeEnergy(const EnergyParams &params, const CommandCounts &counts,
     e.refreshPj = params.eRefresh * static_cast<double>(counts.refreshes);
 
     // Background: the (banks x elapsed) cycle budget splits into busy
-    // cycles (active power), power-down bank-cycles (power-down power),
-    // and the rest (standby power).
+    // cycles (active power) and the rest (standby power).
     double budget = static_cast<double>(elapsed) * banksPerChannel;
     double busy =
         std::min(static_cast<double>(counts.bankBusyCycles), budget);
-    double down = std::min(
-        static_cast<double>(counts.powerDownBankCycles), budget - busy);
-    double idle = budget - busy - down;
+    double idle = budget - busy;
     double cycle_seconds = 1.0 / (cyclesPerNs * 1e9);
     // mW * s = mJ = 1e9 pJ; divide the DIMM background power evenly
     // across banks so the budget accounting stays per-bank.
@@ -75,10 +71,7 @@ computeEnergy(const EnergyParams &params, const CommandCounts &counts,
         params.pBackgroundActive / banksPerChannel * cycle_seconds * 1e9;
     double idle_pj_per_bank_cycle =
         params.pBackgroundIdle / banksPerChannel * cycle_seconds * 1e9;
-    double down_pj_per_bank_cycle =
-        params.pBackgroundPowerDown / banksPerChannel * cycle_seconds * 1e9;
     e.backgroundPj = busy * active_pj_per_bank_cycle +
-                     down * down_pj_per_bank_cycle +
                      idle * idle_pj_per_bank_cycle;
     return e;
 }

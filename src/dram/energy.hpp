@@ -7,7 +7,7 @@
  * calculators (IDD0/IDD4/IDD5 windows, eight chips per DIMM), scaled per
  * generation by forGeneration(). They are deliberately round figures:
  * this model ranks scheduler energy behaviour (row hits vs conflicts,
- * refresh overhead, power-down residency), it does not claim
+ * refresh overhead), it does not claim
  * millijoule-accurate absolute numbers.
  */
 
@@ -28,12 +28,6 @@ struct CommandCounts
     std::uint64_t writes = 0;
     std::uint64_t refreshes = 0;
     std::uint64_t bankBusyCycles = 0;
-    /**
-     * Bank-cycles spent in precharge power-down (per-rank power-down
-     * cycles times the rank's bank count). 0 unless the controller's
-     * power management is enabled.
-     */
-    std::uint64_t powerDownBankCycles = 0;
 };
 
 /** Per-command energies (picojoules) and background power (milliwatts). */
@@ -45,7 +39,6 @@ struct EnergyParams
     double eRefresh = 35'000.0; //!< one all-bank refresh
     double pBackgroundActive = 750.0; //!< mW while banks are busy
     double pBackgroundIdle = 400.0;   //!< mW otherwise (standby)
-    double pBackgroundPowerDown = 150.0; //!< mW in precharge power-down
 
     /** DDR2-800 DIMM defaults (see file comment). */
     static EnergyParams ddr2_800() { return EnergyParams{}; }
@@ -86,8 +79,8 @@ struct EnergyBreakdown
 /**
  * Compute the energy breakdown implied by @p counts over @p elapsed CPU
  * cycles. Background power is split by bank state: bankBusyCycles of the
- * window's (banks x cycles) budget at active power, powerDownBankCycles
- * at power-down power, the rest at standby power.
+ * window's (banks x cycles) budget at active power, the rest at standby
+ * power.
  *
  * @param banksPerChannel number of banks behind the controller
  * @param cyclesPerNs CPU cycles per nanosecond (TimingParams::cyclesPerNs)

@@ -26,8 +26,7 @@ ProtocolSpec::table() const
         {"tCCD_S", tCCD_S}, {"tCCD_L", tCCD_L}, {"tRRD_S", tRRD_S},
         {"tRRD_L", tRRD_L}, {"tWR", tWR},       {"tWTR", tWTR},
         {"tRTP", tRTP},     {"tFAW", tFAW},     {"tRTRS", tRTRS},
-        {"tREFI", tREFI},   {"tRFC", tRFC},     {"tXP", tXP},
-        {"tCKE", tCKE},
+        {"tREFI", tREFI},   {"tRFC", tRFC},
     };
 }
 
@@ -91,8 +90,6 @@ ProtocolSpec::derive() const
     t.tRTRS = cycles(tRTRS);
     t.tREFI = cycles(tREFI);
     t.tRFC = cycles(tRFC);
-    t.tXP = cycles(tXP);
-    t.tCKE = cycles(tCKE);
     t.cpuToMcDelay = cpuToMcDelay;
     t.mcToCpuDelay = mcToCpuDelay;
     t.bankGroupsPerRank = bankGroupsPerRank;
@@ -137,8 +134,6 @@ ddr2_800()
     s.tRTRS = {0.0, 2};
     s.tREFI = {7800.0, 0};
     s.tRFC = {127.5, 0};
-    s.tXP = {0.0, 2};
-    s.tCKE = {0.0, 3};
     return s;
 }
 
@@ -173,8 +168,6 @@ ddr3_1333()
     s.tRTRS = {0.0, 2};
     s.tREFI = {7800.0, 0};
     s.tRFC = {160.0, 0};
-    s.tXP = {6.0, 3};
-    s.tCKE = {5.625, 3};
     return s;
 }
 
@@ -209,8 +202,6 @@ ddr3_1600()
     s.tRTRS = {0.0, 2};
     s.tREFI = {7800.0, 0};
     s.tRFC = {160.0, 0};
-    s.tXP = {6.0, 3};
-    s.tCKE = {5.0, 3};
     return s;
 }
 
@@ -245,8 +236,6 @@ ddr4_2400()
     s.tRTRS = {0.0, 2};
     s.tREFI = {7800.0, 0};
     s.tRFC = {260.0, 0}; // 4 Gb device class
-    s.tXP = {6.0, 4};
-    s.tCKE = {5.0, 3};
     return s;
 }
 

@@ -72,8 +72,6 @@ struct ProtocolSpec
     ProtocolParam tCCD_S, tCCD_L; //!< column spacing: cross-/same-group
     ProtocolParam tRRD_S, tRRD_L; //!< ACT spacing: cross-/same-group
     ProtocolParam tWR, tWTR, tRTP, tFAW, tRTRS, tREFI, tRFC;
-    ProtocolParam tXP;  //!< power-down exit to first valid command
-    ProtocolParam tCKE; //!< minimum power-down residency
 
     // -- System side ---------------------------------------------------------
     double cpuGhz = 5.0;      //!< CPU clock; cyclesPerNs = cpuGhz

@@ -29,11 +29,6 @@ const char *const kConstraintNames[] = {
     "tREFI-overdue", // RefreshOverdue
     "tCCD_L",        // TccdL
     "tRRD_L",        // TrrdL
-    "PDE-row-open",  // PdRowOpen
-    "PD-bad-state",  // PdBadState
-    "cmd-powered-down", // CmdWhilePoweredDown
-    "tCKE",          // Tcke
-    "tXP",           // Txp
 };
 static_assert(sizeof(kConstraintNames) / sizeof(kConstraintNames[0]) ==
                   static_cast<std::size_t>(Constraint::Count_),
@@ -379,49 +374,6 @@ ProtocolChecker::checkRefresh(ChannelState &cs, const CommandEvent &ev)
 }
 
 void
-ProtocolChecker::checkPowerDown(ChannelState &cs, const CommandEvent &ev)
-{
-    RankState &rank = cs.ranks[ev.rank];
-    const int banksPerRank = timing_->banksPerRank();
-    const BankId base = static_cast<BankId>(ev.rank * banksPerRank);
-
-    if (rank.poweredDown)
-        flag(Constraint::PdBadState, ev, kCycleNever, &rank.lastPde);
-    for (BankId b = base; b < base + banksPerRank; ++b) {
-        if (cs.banks[b].openRow != kNoRow) {
-            CommandEvent ref = ev;
-            ref.bank = b;
-            flag(Constraint::PdRowOpen, ref, kCycleNever,
-                 cs.banks[b].hasAct ? &cs.banks[b].lastAct : nullptr);
-        }
-    }
-    if (rank.hasPdx && ev.cycle < rank.lastPdx.cycle + timing_->tXP)
-        flag(Constraint::Txp, ev, rank.lastPdx.cycle + timing_->tXP,
-             &rank.lastPdx);
-
-    rank.poweredDown = true;
-    rank.lastPde = ev;
-}
-
-void
-ProtocolChecker::checkPowerUp(ChannelState &cs, const CommandEvent &ev)
-{
-    RankState &rank = cs.ranks[ev.rank];
-
-    if (!rank.poweredDown) {
-        flag(Constraint::PdBadState, ev, kCycleNever,
-             rank.hasPdx ? &rank.lastPdx : nullptr);
-    } else if (ev.cycle < rank.lastPde.cycle + timing_->tCKE) {
-        flag(Constraint::Tcke, ev, rank.lastPde.cycle + timing_->tCKE,
-             &rank.lastPde);
-    }
-
-    rank.poweredDown = false;
-    rank.hasPdx = true;
-    rank.lastPdx = ev;
-}
-
-void
 ProtocolChecker::onCommand(const CommandEvent &ev)
 {
     ++eventsAudited_;
@@ -437,21 +389,6 @@ ProtocolChecker::onCommand(const CommandEvent &ev)
         flag(Constraint::CmdBusConflict, ev,
              cs.lastCmd.cycle + timing_->tCK, &cs.lastCmd);
 
-    // Power-state discipline for everything except the PDE/PDX pair
-    // itself: a powered-down rank accepts no commands, and after a PDX
-    // the rank stays locked out for tXP.
-    if (ev.kind != CommandKind::PowerDown &&
-        ev.kind != CommandKind::PowerUp) {
-        RankState &rank = cs.ranks[ev.rank];
-        if (rank.poweredDown)
-            flag(Constraint::CmdWhilePoweredDown, ev, kCycleNever,
-                 &rank.lastPde);
-        else if (rank.hasPdx &&
-                 ev.cycle < rank.lastPdx.cycle + timing_->tXP)
-            flag(Constraint::Txp, ev, rank.lastPdx.cycle + timing_->tXP,
-                 &rank.lastPdx);
-    }
-
     switch (ev.kind) {
       case CommandKind::Activate:
         checkActivate(cs, ev);
@@ -465,12 +402,6 @@ ProtocolChecker::onCommand(const CommandEvent &ev)
         break;
       case CommandKind::Refresh:
         checkRefresh(cs, ev);
-        break;
-      case CommandKind::PowerDown:
-        checkPowerDown(cs, ev);
-        break;
-      case CommandKind::PowerUp:
-        checkPowerUp(cs, ev);
         break;
     }
 

@@ -22,9 +22,7 @@
  *                within bank groups when the protocol defines groups),
  *                rolling four-activate window (tFAW), WR-to-RD
  *                turnaround (tWTR), refresh with a row open,
- *                post-refresh lockout (tRFC), tREFI refresh obligation,
- *                power-down discipline (PDE with a row open, commands to
- *                a powered-down rank, tCKE residency, tXP exit latency)
+ *                post-refresh lockout (tRFC), tREFI refresh obligation
  *   per channel: one command per tCK on the command bus, data-bus burst
  *                overlap including the tRTRS rank-switch gap, column
  *                command spacing (tCCD — split into tCCD_S/tCCD_L when
@@ -73,11 +71,6 @@ enum class Constraint : std::size_t
     RefreshOverdue,  //!< rank exceeded its refresh deadline (see params)
     TccdL,           //!< same-group column command sooner than tCCD_L
     TrrdL,           //!< same-group ACT sooner than tRRD_L
-    PdRowOpen,       //!< PDE while some bank of the rank has a row open
-    PdBadState,      //!< PDE while already down, or PDX while up
-    CmdWhilePoweredDown, //!< any command to a powered-down rank
-    Tcke,            //!< PDX sooner than tCKE after the PDE
-    Txp,             //!< command sooner than tXP after a PDX
     Count_,
 };
 
@@ -196,11 +189,6 @@ class ProtocolChecker : public CommandObserver
         // unused when the protocol has a single bank group.
         std::vector<CommandEvent> lastActPerGroup;
         std::vector<bool> hasActPerGroup;
-        // Power-down discipline.
-        bool poweredDown = false;
-        CommandEvent lastPde;
-        bool hasPdx = false;
-        CommandEvent lastPdx;
     };
 
     struct ChannelState
@@ -232,8 +220,6 @@ class ProtocolChecker : public CommandObserver
     void checkPrecharge(ChannelState &cs, const CommandEvent &ev);
     void checkAutoPrecharge(ChannelState &cs, const CommandEvent &ev);
     void checkRefresh(ChannelState &cs, const CommandEvent &ev);
-    void checkPowerDown(ChannelState &cs, const CommandEvent &ev);
-    void checkPowerUp(ChannelState &cs, const CommandEvent &ev);
 
     /** Effective precharge-start lower bound for a row epoch's events. */
     Cycle epochPreStart(const BankState &bank) const;

@@ -40,33 +40,4 @@ Rank::recordWrite(Cycle now)
     rdAllowedAt_ = std::max(rdAllowedAt_, data_end + timing_->tWTR);
 }
 
-void
-Rank::recordPowerDown(Cycle now)
-{
-    poweredDown_ = true;
-    pdSince_ = now;
-}
-
-void
-Rank::recordPowerUp(Cycle now)
-{
-    poweredDown_ = false;
-    pdAccum_ += now - pdSince_;
-    pdExitAt_ = now + timing_->tXP;
-}
-
-Cycle
-Rank::earliestPowerUp() const
-{
-    return poweredDown_ ? pdSince_ + timing_->tCKE : kCycleNever;
-}
-
-Cycle
-Rank::powerDownCycles(Cycle now) const
-{
-    if (poweredDown_ && now > pdSince_)
-        return pdAccum_ + (now - pdSince_);
-    return pdAccum_;
-}
-
 } // namespace tcm::dram

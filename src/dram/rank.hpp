@@ -1,7 +1,7 @@
 /**
  * @file
  * Rank-level DRAM timing constraints (tRRD, tFAW, write-to-read
- * turnaround) and the per-rank power-down state machine.
+ * turnaround).
  */
 
 #pragma once
@@ -16,11 +16,8 @@ namespace tcm::dram {
 /**
  * Tracks constraints that span all banks of one rank: activate-to-activate
  * spacing (tRRD_S/tRRD_L, split by bank group), the rolling four-activate
- * window (tFAW), the write-to-read turnaround (tWTR), and the precharge
- * power-down state (entered/exited by the controller's PowerDown/PowerUp
- * commands; tCKE bounds the minimum residency, tXP delays the first valid
- * command after exit). Like Bank it only keeps registers; legality is
- * decided by Channel::earliestIssue.
+ * window (tFAW) and the write-to-read turnaround (tWTR). Like Bank it
+ * only keeps registers; legality is decided by Channel::earliestIssue.
  */
 class Rank
 {
@@ -39,36 +36,6 @@ class Rank
     /** Earliest cycle a RD could issue (tWTR). */
     Cycle earliestRead() const { return rdAllowedAt_; }
 
-    // -- Power-down -----------------------------------------------------------
-
-    /** True when the rank is in precharge power-down. */
-    bool poweredDown() const { return poweredDown_; }
-
-    /** Enter power-down at @p now. */
-    void recordPowerDown(Cycle now);
-
-    /** Exit power-down at @p now; commands legal from now + tXP. */
-    void recordPowerUp(Cycle now);
-
-    /** Earliest cycle a PowerUp could issue (kCycleNever when not down). */
-    Cycle earliestPowerUp() const;
-
-    /**
-     * First cycle the power state lets a command other than PowerUp
-     * issue: tXP after the last exit, or kCycleNever while the rank is
-     * down (only a PowerUp can end that).
-     */
-    Cycle earliestCommandsAllowed() const
-    {
-        return poweredDown_ ? kCycleNever : pdExitAt_;
-    }
-
-    /**
-     * Cycles spent in power-down through @p now, including the current
-     * residency when still down (energy accounting).
-     */
-    Cycle powerDownCycles(Cycle now) const;
-
   private:
     const TimingParams *timing_;
     Cycle lastActAt_ = 0;        //!< most recent ACT (tRRD base)
@@ -76,11 +43,6 @@ class Rank
     Cycle rdAllowedAt_ = 0;      //!< next RD per tWTR
     std::array<Cycle, 4> actHistory_{}; //!< circular buffer for tFAW
     int actHistoryPos_ = 0;
-
-    bool poweredDown_ = false;
-    Cycle pdSince_ = 0;          //!< entry cycle of the current residency
-    Cycle pdExitAt_ = 0;         //!< last PowerUp + tXP (command gate)
-    Cycle pdAccum_ = 0;          //!< completed power-down cycles
 };
 
 } // namespace tcm::dram

@@ -70,8 +70,6 @@ struct TimingParams
     Cycle tRTRS;  //!< Rank-to-rank data-bus switch penalty
     Cycle tREFI;  //!< Average refresh interval
     Cycle tRFC;   //!< Refresh cycle time
-    Cycle tXP;    //!< Power-down exit to first valid command
-    Cycle tCKE;   //!< Minimum power-down residency
 
     // -- Interconnect delays (controller <-> core) -------------------------
     Cycle cpuToMcDelay; //!< Core request to controller-queue visibility

@@ -30,7 +30,6 @@ MemoryController::MemoryController(ChannelId id,
                 ? timing.tREFI + r * (timing.tREFI / timing.ranksPerChannel)
                 : kCycleNever;
     }
-    rankLastActiveAt_.resize(timing.ranksPerChannel, 0);
     openRowScratch_.resize(timing.banksPerChannel, kNoRow);
 }
 
@@ -152,10 +151,10 @@ MemoryController::maybeAutoPrecharge(const Request &served)
         return;
     // Smart-closed: keep the row open if another queued request would
     // hit it.
-    if (anyQueued([&](BankId bank, RowId row) {
-            return bank == served.bank && row == served.row;
-        }))
-        return;
+    for (const RequestLane *lane : {&queue_.readLane(), &queue_.writeLane()})
+        for (std::size_t i = 0; i < lane->size(); ++i)
+            if (lane->bank()[i] == served.bank && lane->row()[i] == served.row)
+                return;
     channel_.autoPrecharge(served.bank);
     ++stats_.precharges;
 }
@@ -170,20 +169,10 @@ MemoryController::refreshEngine(Cycle now)
             continue;
         pending = true;
         BankId base = static_cast<BankId>(r * banks_per_rank);
-        // A powered-down rank cannot accept a refresh: power it up first
-        // (tCKE permitting) and keep holding the command slot.
-        if (channel_.rankPoweredDown(r)) {
-            if (channel_.canIssue(CommandKind::PowerUp, base, now)) {
-                channel_.issue(CommandKind::PowerUp, base, kNoRow, now);
-                ++stats_.powerUps;
-            }
-            return true;
-        }
         if (channel_.canIssue(CommandKind::Refresh, base, now)) {
             channel_.issue(CommandKind::Refresh, base, kNoRow, now);
             ++stats_.refreshes;
             refreshDueAt_[r] += timing_->tREFI;
-            rankLastActiveAt_[r] = now;
             return true;
         }
         // Work toward a rank-precharged state; one PRE per cycle.
@@ -199,70 +188,6 @@ MemoryController::refreshEngine(Cycle now)
     }
     // While a refresh is owed, the command slot is reserved for it.
     return pending;
-}
-
-bool
-MemoryController::powerManagement(Cycle now)
-{
-    const int banks_per_rank = timing_->banksPerRank();
-    for (int r = 0; r < channel_.numRanks(); ++r) {
-        BankId base = static_cast<BankId>(r * banks_per_rank);
-        if (channel_.rankPoweredDown(r)) {
-            // Wake the rank as soon as work is queued for it (refresh
-            // wake-ups are the refresh engine's job).
-            if (rankHasQueuedWork(r) &&
-                channel_.canIssue(CommandKind::PowerUp, base, now)) {
-                channel_.issue(CommandKind::PowerUp, base, kNoRow, now);
-                ++stats_.powerUps;
-                rankLastActiveAt_[r] = now;
-                return true;
-            }
-            continue;
-        }
-        if (now < rankLastActiveAt_[r] + params_.powerDownIdleCycles ||
-            rankHasQueuedWork(r))
-            continue;
-        // Idle long enough: close open banks (one per cycle), then enter
-        // power-down. These precharges intentionally do not refresh the
-        // idle stamp, or each would push the entry out by a full
-        // threshold.
-        if (channel_.canIssue(CommandKind::PowerDown, base, now)) {
-            channel_.issue(CommandKind::PowerDown, base, kNoRow, now);
-            ++stats_.powerDowns;
-            return true;
-        }
-        if (channel_.cmdBusFree(now)) {
-            for (BankId b = base; b < base + banks_per_rank; ++b) {
-                if (channel_.canIssue(CommandKind::Precharge, b, now)) {
-                    channel_.issue(CommandKind::Precharge, b, kNoRow, now);
-                    ++stats_.precharges;
-                    return true;
-                }
-            }
-        }
-    }
-    return false;
-}
-
-bool
-MemoryController::trySpeculativePrecharge(Cycle now, Cycle &nextPossible)
-{
-    // Close open banks that no queued request targets; demand precharges
-    // (row conflicts) already belong to the scheduling scans.
-    for (int b = 0; b < channel_.numBanks(); ++b) {
-        if (channel_.bank(b).precharged() ||
-            anyQueued([b](BankId bank, RowId) { return bank == b; }))
-            continue;
-        const Cycle at = channel_.earliestIssue(CommandKind::Precharge, b);
-        if (at <= now) {
-            channel_.issue(CommandKind::Precharge, b, kNoRow, now);
-            ++stats_.precharges;
-            ++stats_.speculativePrecharges;
-            return true;
-        }
-        nextPossible = std::min(nextPossible, at);
-    }
-    return false;
 }
 
 bool
@@ -352,7 +277,6 @@ MemoryController::issueSelected(RequestLane &lane, std::size_t best,
     Request req = lane.requests()[best]; // copy: removal invalidates it
     dram::IssueResult res = channel_.issue(cmd, req.bank, req.row, now);
     stats_.bankBusyCycles += res.occupancy;
-    rankLastActiveAt_[channel_.rankOf(req.bank)] = now;
     if (probe_)
         probe_->addService(req.thread, res.occupancy);
     sched_->onCommand(req, cmd, now, res.occupancy);
@@ -398,9 +322,7 @@ MemoryController::issueSelected(RequestLane &lane, std::size_t best,
         maybeAutoPrecharge(req);
         break;
       case CommandKind::Refresh:
-      case CommandKind::PowerDown:
-      case CommandKind::PowerUp:
-        break; // issued by the refresh/power engines, never selected here
+        break; // issued by the refresh engine, never selected here
     }
 }
 
@@ -409,9 +331,9 @@ MemoryController::tick(Cycle now)
 {
     prof::ScopedPhase profTick(prof_ ? &prof_->phases : nullptr,
                                prof::Phase::CtrlTick);
+    RequestLane &reads = queue_.readLane();
+    RequestLane &writes = queue_.writeLane();
     {
-        RequestLane &reads = queue_.readLane();
-        RequestLane &writes = queue_.writeLane();
         const std::size_t oldReads = reads.size();
         const std::size_t oldWrites = writes.size();
         const std::vector<Request> &arrived = queue_.admitArrivals(now);
@@ -432,11 +354,6 @@ MemoryController::tick(Cycle now)
 
     if (timing_->refreshEnabled && refreshEngine(now)) {
         nextTryAt_ = now; // refresh touched channel state
-        return;
-    }
-
-    if (params_.powerDownIdleCycles > 0 && powerManagement(now)) {
-        nextTryAt_ = now; // power state moved; rescan next cycle
         return;
     }
 
@@ -470,43 +387,14 @@ MemoryController::tick(Cycle now)
         for (int b = 0; b < channel_.numBanks(); ++b)
             openRowScratch_[b] = channel_.bank(b).openRow();
 
-    if (drainingWrites_) {
-        if (tryIssue(queue_.writeLane(), nullptr, now, next_possible)) {
-            nextTryAt_ = now + timing_->tCK;
-            return;
-        }
-        // Opportunistic drains still make progress on reads if no write
-        // can issue this cycle (keeps the bus utilized); Strict reserves
-        // the whole latched drain for writes.
-        if (params_.writeDrain.mode == WriteDrainMode::Opportunistic &&
-            tryIssue(queue_.readLane(), prof_, now, next_possible)) {
-            nextTryAt_ = now + timing_->tCK;
-            return;
-        }
-        if (params_.speculativePrecharge &&
-            trySpeculativePrecharge(now, next_possible)) {
-            nextTryAt_ = now + timing_->tCK;
-            return;
-        }
-        nextTryAt_ = next_possible;
-        return;
-    }
-
-    if (tryIssue(queue_.readLane(), prof_, now, next_possible)) {
-        nextTryAt_ = now + timing_->tCK;
-        return;
-    }
-    // Opportunistic write issue when the read stream cannot use the slot.
-    if (tryIssue(queue_.writeLane(), nullptr, now, next_possible)) {
-        nextTryAt_ = now + timing_->tCK;
-        return;
-    }
-    if (params_.speculativePrecharge &&
-        trySpeculativePrecharge(now, next_possible)) {
-        nextTryAt_ = now + timing_->tCK;
-        return;
-    }
-    nextTryAt_ = next_possible;
+    // Reads go first and writes take a slot no read can use; a latched
+    // drain swaps the order. Only the read scan is profiled.
+    const bool issued =
+        drainingWrites_ ? tryIssue(writes, nullptr, now, next_possible) ||
+                              tryIssue(reads, prof_, now, next_possible)
+                        : tryIssue(reads, prof_, now, next_possible) ||
+                              tryIssue(writes, nullptr, now, next_possible);
+    nextTryAt_ = issued ? now + timing_->tCK : next_possible;
 }
 
 Cycle
@@ -537,52 +425,6 @@ MemoryController::nextEventAt(Cycle now) const
     if (!queue_.reads().empty() || !queue_.writes().empty())
         horizon = std::min(horizon,
                            std::max(nextTryAt_, channel_.cmdBusFreeAt()));
-
-    // A pending speculative precharge is scan-independent work: it can
-    // issue even with empty queues (which the scan horizon above does
-    // not cover), so fold the earliest eligible one.
-    if (params_.speculativePrecharge) {
-        for (int b = 0; b < channel_.numBanks(); ++b) {
-            if (!channel_.bank(b).precharged() &&
-                !anyQueued([b](BankId bank, RowId) { return bank == b; }))
-                horizon = std::min(
-                    horizon,
-                    channel_.earliestIssue(dram::CommandKind::Precharge, b));
-        }
-    }
-
-    // Power-management events (powerDownIdleCycles > 0): a pending
-    // wake-up, or an idle rank's next precharge/PowerDown step. Skipping
-    // past these would shift when PDE/PDX issue and break cross-mode
-    // trace identity.
-    if (params_.powerDownIdleCycles > 0) {
-        const int banks_per_rank = timing_->banksPerRank();
-        for (int r = 0; r < channel_.numRanks(); ++r) {
-            BankId base = static_cast<BankId>(r * banks_per_rank);
-            if (channel_.rankPoweredDown(r)) {
-                // Stays down until work arrives (arrival horizon above)
-                // or refresh comes due (refresh horizon above); a
-                // pending wake-up waits only on tCKE and the bus.
-                if (rankHasQueuedWork(r))
-                    horizon = std::min(
-                        horizon, std::max(channel_.rankPowerUpAllowedAt(r),
-                                          channel_.cmdBusFreeAt()));
-                continue;
-            }
-            if (rankHasQueuedWork(r))
-                continue;
-            Cycle idleAt =
-                rankLastActiveAt_[r] + params_.powerDownIdleCycles;
-            Cycle step =
-                channel_.earliestIssue(dram::CommandKind::PowerDown, base);
-            for (BankId b = base; b < base + banks_per_rank; ++b)
-                step = std::min(step,
-                                channel_.earliestIssue(
-                                    dram::CommandKind::Precharge, b));
-            if (step != kCycleNever)
-                horizon = std::min(horizon, std::max(idleAt, step));
-        }
-    }
 
     return std::max(horizon, now);
 }

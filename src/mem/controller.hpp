@@ -44,22 +44,11 @@ enum class PagePolicy
 };
 
 /**
- * Write-drain behavior while the queue sits between the watermarks.
- * Opportunistic (the baseline) keeps serving reads whenever no write can
- * issue in a drain cycle; Strict reserves the whole latched drain for
- * writes (USIMM's HI_WM/LO_WM scheme), trading read latency for drain
- * throughput.
+ * Watermark-latched write-drain policy (USIMM HI_WM/LO_WM). While a drain
+ * is latched, writes go first and reads take any slot no write can use.
  */
-enum class WriteDrainMode
-{
-    Opportunistic,
-    Strict,
-};
-
-/** Watermark-latched write-drain policy (USIMM HI_WM/LO_WM). */
 struct WriteDrainPolicy
 {
-    WriteDrainMode mode = WriteDrainMode::Opportunistic;
     int highWatermark = 48; //!< start draining at this occupancy
     int lowWatermark = 16;  //!< stop draining at this occupancy
 };
@@ -72,22 +61,6 @@ struct ControllerParams
     int readQueueCap = 128;  //!< request buffer entries
     int writeQueueCap = 64;  //!< write data buffer entries
     WriteDrainPolicy writeDrain; //!< watermark-latched write drain
-
-    /**
-     * Close open banks that no queued request targets when the command
-     * slot would otherwise go unused (USIMM-style speculative precharge).
-     * Off by default; the baseline command traces assume pure demand
-     * precharging.
-     */
-    bool speculativePrecharge = false;
-
-    /**
-     * Enter precharge power-down after a rank has been idle (no commands
-     * issued to it and nothing queued for it) this many cycles. 0
-     * disables power management entirely — the default, preserving the
-     * baseline command traces bit-for-bit.
-     */
-    Cycle powerDownIdleCycles = 0;
 
     /**
      * Skip scheduling scans until a command could possibly issue
@@ -111,9 +84,6 @@ struct ControllerStats
     std::uint64_t rowMisses = 0;   //!< column commands that needed an ACT
     std::uint64_t bankBusyCycles = 0; //!< sum of command occupancies
     std::uint64_t writeDrains = 0; //!< high-watermark drain latches
-    std::uint64_t speculativePrecharges = 0; //!< spec-PRE issues
-    std::uint64_t powerDowns = 0;  //!< PowerDown commands issued
-    std::uint64_t powerUps = 0;    //!< PowerUp commands issued
 
     void
     reset()
@@ -262,44 +232,8 @@ class MemoryController : public QueueAccess
     void issueSelected(RequestLane &lane, std::size_t best,
                        dram::CommandKind cmd, Cycle now);
 
-    /** True when a queued read or write satisfies @p pred(bank, row). */
-    template <typename Pred>
-    bool
-    anyQueued(Pred pred) const
-    {
-        for (const RequestLane *lane :
-             {&queue_.readLane(), &queue_.writeLane()})
-            for (std::size_t i = 0; i < lane->size(); ++i)
-                if (pred(lane->bank()[i], lane->row()[i]))
-                    return true;
-        return false;
-    }
-
     /** Progress the refresh engine; true if it consumed the command slot. */
     bool refreshEngine(Cycle now);
-
-    /**
-     * Per-rank power management (powerDownIdleCycles > 0): powers a rank
-     * back up when work arrives for it, and walks an idle rank down
-     * (precharge open banks, then PowerDown). True if it consumed the
-     * command slot.
-     */
-    bool powerManagement(Cycle now);
-
-    /** True when any queued read or write targets rank @p rank. */
-    bool
-    rankHasQueuedWork(int rank) const
-    {
-        return anyQueued(
-            [&](BankId bank, RowId) { return channel_.rankOf(bank) == rank; });
-    }
-
-    /**
-     * Speculative precharge: close one open bank no queued request
-     * targets. On failure lowers @p nextPossible to the earliest cycle a
-     * speculative precharge could issue. True if one issued.
-     */
-    bool trySpeculativePrecharge(Cycle now, Cycle &nextPossible);
 
     /** Closed-page policy: auto-precharge after a column command. */
     void maybeAutoPrecharge(const Request &served);
@@ -318,7 +252,6 @@ class MemoryController : public QueueAccess
     prof::ControllerShard *prof_ = nullptr;
     bool drainingWrites_ = false;
     std::vector<Cycle> refreshDueAt_; //!< per rank, staggered
-    std::vector<Cycle> rankLastActiveAt_; //!< last scheduler/refresh command
     Cycle nextTryAt_ = 0; //!< idle fast-path: no scan before this cycle
     std::uint64_t nextSeq_ = 0;
 

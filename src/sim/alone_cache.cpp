@@ -165,8 +165,6 @@ AloneIpcCache::fingerprint(const SystemConfig &c, Cycle warmup,
     appendField(d, "tRTRS", static_cast<long long>(t.tRTRS));
     appendField(d, "tREFI", static_cast<long long>(t.tREFI));
     appendField(d, "tRFC", static_cast<long long>(t.tRFC));
-    appendField(d, "tXP", static_cast<long long>(t.tXP));
-    appendField(d, "tCKE", static_cast<long long>(t.tCKE));
     appendField(d, "cpuToMc", static_cast<long long>(t.cpuToMcDelay));
     appendField(d, "mcToCpu", static_cast<long long>(t.mcToCpuDelay));
     appendField(d, "banks", t.banksPerChannel);
@@ -186,11 +184,8 @@ AloneIpcCache::fingerprint(const SystemConfig &c, Cycle warmup,
     appendField(d, "pagePolicy", static_cast<long long>(m.pagePolicy));
     appendField(d, "readCap", m.readQueueCap);
     appendField(d, "writeCap", m.writeQueueCap);
-    appendField(d, "drainMode", static_cast<long long>(m.writeDrain.mode));
     appendField(d, "drainHi", m.writeDrain.highWatermark);
     appendField(d, "drainLo", m.writeDrain.lowWatermark);
-    appendField(d, "specPre", m.speculativePrecharge ? 1 : 0);
-    appendField(d, "pdIdle", static_cast<long long>(m.powerDownIdleCycles));
 
     return fnv1a64(d);
 }

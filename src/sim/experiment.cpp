@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 
 #include "common/env.hpp"
@@ -15,10 +16,10 @@ ExperimentScale
 ExperimentScale::fromEnv()
 {
     ExperimentScale s;
-    s.measure = static_cast<Cycle>(envInt("TCMSIM_CYCLES", 300'000));
-    s.warmup = static_cast<Cycle>(envInt("TCMSIM_WARMUP", 50'000));
-    s.workloadsPerCategory =
-        static_cast<int>(envInt("TCMSIM_WORKLOADS", 8));
+    s.measure = static_cast<Cycle>(envInt("TCMSIM_CYCLES", 300'000, 1));
+    s.warmup = static_cast<Cycle>(envInt("TCMSIM_WARMUP", 50'000, 0));
+    s.workloadsPerCategory = static_cast<int>(envInt(
+        "TCMSIM_WORKLOADS", 8, 1, std::numeric_limits<int>::max()));
     return s;
 }
 

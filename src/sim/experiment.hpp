@@ -58,7 +58,11 @@ struct ExperimentScale
         return sampling.enabled ? sampling.totalMeasure() : measure;
     }
 
-    /** Defaults above, overridden from the environment. */
+    /**
+     * Defaults above, overridden from the environment (TCMSIM_CYCLES
+     * >= 1, TCMSIM_WARMUP >= 0, TCMSIM_WORKLOADS in [1, INT_MAX]; a
+     * malformed or out-of-range value throws, see envInt).
+     */
     static ExperimentScale fromEnv();
 };
 

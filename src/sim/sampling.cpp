@@ -1,28 +1,8 @@
 #include "sim/sampling.hpp"
 
-#include <cerrno>
-#include <cstdlib>
+#include "common/numfmt.hpp"
 
 namespace tcm::sim {
-
-namespace {
-
-/** Parse a non-negative integer field; false on junk/empty/overflow. */
-bool
-parseField(const std::string &s, unsigned long long *out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-} // namespace
 
 SamplingConfig
 SamplingConfig::parse(const std::string &spec, std::string *error)
@@ -40,28 +20,32 @@ SamplingConfig::parse(const std::string &spec, std::string *error)
         return fail("missing ':'");
     std::size_t c2 = spec.find(':', c1 + 1);
 
-    unsigned long long w = 0, k = 0, warm = 0;
-    if (!parseField(spec.substr(0, c1), &w))
+    std::uint64_t w = 0, k = 0, warm = cfg.warmup;
+    if (!parseU64(spec.substr(0, c1), &w))
         return fail("bad window");
     const std::string kField =
         c2 == std::string::npos ? spec.substr(c1 + 1)
                                 : spec.substr(c1 + 1, c2 - c1 - 1);
-    if (!parseField(kField, &k))
+    if (!parseU64(kField, &k))
         return fail("bad window count");
-    bool haveWarm = c2 != std::string::npos;
-    if (haveWarm && !parseField(spec.substr(c2 + 1), &warm))
+    if (c2 != std::string::npos && !parseU64(spec.substr(c2 + 1), &warm))
         return fail("bad warmup");
 
     if (w < 1000)
         return fail("window below 1000 cycles");
     if (k < 1 || k > 1'000'000)
         return fail("window count out of range");
+    // The run steps WARMUP + W*K cycles: neither W*K nor that sum may
+    // wrap the cycle counter.
+    if (w > kCycleNever / k)
+        return fail("W*K overflows the cycle counter");
+    if (warm > kCycleNever - w * k)
+        return fail("WARMUP + W*K overflows the cycle counter");
 
     cfg.enabled = true;
     cfg.window = static_cast<Cycle>(w);
     cfg.windows = static_cast<int>(k);
-    if (haveWarm)
-        cfg.warmup = static_cast<Cycle>(warm);
+    cfg.warmup = warm;
     return cfg;
 }
 

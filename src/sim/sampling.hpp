@@ -64,8 +64,9 @@ struct SamplingConfig
     /**
      * Parse a "W:K" or "W:K:WARMUP" spec (tools/sweep --sample,
      * sweepd manifests). Returns a config with enabled=true, or sets
-     * @p error and returns a disabled config on a malformed spec
-     * (non-numeric fields, W < 1000, K < 1, WARMUP < 0).
+     * @p error and returns a disabled config on a malformed spec: a
+     * field that is not one unsigned decimal (numfmt's parseU64), W <
+     * 1000, K outside [1, 10^6], or WARMUP + W*K past kCycleNever.
      */
     static SamplingConfig parse(const std::string &spec, std::string *error);
 

@@ -500,11 +500,6 @@ Simulator::commandCounts(ChannelId ch) const
     c.writes = s.writesServiced;
     c.refreshes = s.refreshes;
     c.bankBusyCycles = s.bankBusyCycles;
-    const dram::Channel &chan = controllers_[ch]->channel();
-    for (int r = 0; r < chan.numRanks(); ++r)
-        c.powerDownBankCycles +=
-            static_cast<std::uint64_t>(chan.rankPowerDownCycles(r, now_)) *
-            config_.timing.banksPerRank();
     return c;
 }
 

@@ -339,12 +339,6 @@ TEST(AloneCacheFingerprint, FingerprintCoversConfigKnobs)
                   c.controller.readQueueCap = 32;
               }));
     EXPECT_NE(fp, with([](sim::SystemConfig &c) {
-                  c.controller.speculativePrecharge = true;
-              }));
-    EXPECT_NE(fp, with([](sim::SystemConfig &c) {
-                  c.controller.powerDownIdleCycles = 500;
-              }));
-    EXPECT_NE(fp, with([](sim::SystemConfig &c) {
                   c.core.windowSize = 64;
               }));
     EXPECT_NE(fp, with([](sim::SystemConfig &c) {

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/env.hpp"
 #include "common/numfmt.hpp"
@@ -177,27 +179,45 @@ TEST(RunningStat, NegativeValuesTracked)
 TEST(Env, IntDefaultWhenUnset)
 {
     unsetenv("TCMSIM_TEST_VAR");
-    EXPECT_EQ(envInt("TCMSIM_TEST_VAR", 42), 42);
+    EXPECT_EQ(envInt("TCMSIM_TEST_VAR", 42, 0), 42);
+    setenv("TCMSIM_TEST_VAR", "", 1);
+    EXPECT_EQ(envInt("TCMSIM_TEST_VAR", 42, 0), 42);
+    unsetenv("TCMSIM_TEST_VAR");
 }
 
 TEST(Env, IntParsesValue)
 {
     setenv("TCMSIM_TEST_VAR", "123456", 1);
-    EXPECT_EQ(envInt("TCMSIM_TEST_VAR", 42), 123456);
+    EXPECT_EQ(envInt("TCMSIM_TEST_VAR", 42, 1), 123456);
+    setenv("TCMSIM_TEST_VAR", "0", 1);
+    EXPECT_EQ(envInt("TCMSIM_TEST_VAR", 42, 0), 0);
     unsetenv("TCMSIM_TEST_VAR");
 }
 
-TEST(Env, IntDefaultOnGarbage)
+TEST(Env, IntRejectsGarbage)
 {
-    setenv("TCMSIM_TEST_VAR", "abc", 1);
-    EXPECT_EQ(envInt("TCMSIM_TEST_VAR", 42), 42);
-    unsetenv("TCMSIM_TEST_VAR");
-}
-
-TEST(Env, DoubleParsesValue)
-{
-    setenv("TCMSIM_TEST_VAR", "0.25", 1);
-    EXPECT_DOUBLE_EQ(envDouble("TCMSIM_TEST_VAR", 1.0), 0.25);
+    // A prefix parse would read "10k" as 10 and "3e5" as 3 cycles.
+    for (const char *text : {"abc", "10k", "3e5", " 7", "-1"}) {
+        setenv("TCMSIM_TEST_VAR", text, 1);
+        EXPECT_THROW(envInt("TCMSIM_TEST_VAR", 42, 0), std::invalid_argument)
+            << "accepted '" << text << "'";
+    }
+    // The message names the variable and its text.
+    setenv("TCMSIM_TEST_VAR", "10k", 1);
+    try {
+        envInt("TCMSIM_TEST_VAR", 42, 0);
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("TCMSIM_TEST_VAR='10k'"),
+                  std::string::npos)
+            << e.what();
+    }
+    // Outside the bounds.
+    setenv("TCMSIM_TEST_VAR", "0", 1);
+    EXPECT_THROW(envInt("TCMSIM_TEST_VAR", 42, 1), std::invalid_argument);
+    setenv("TCMSIM_TEST_VAR", "4294967297", 1);
+    EXPECT_THROW(envInt("TCMSIM_TEST_VAR", 42, 1, 2147483647),
+                 std::invalid_argument);
     unsetenv("TCMSIM_TEST_VAR");
 }
 

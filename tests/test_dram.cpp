@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the DRAM timing model: protocol specs, bank/rank/channel
- * state machines, bank-group and power-down constraints, and the address
- * interleave.
+ * state machines, bank-group constraints, and the address interleave.
  */
 
 #include <gtest/gtest.h>
@@ -579,64 +578,4 @@ TEST(BankGroups, Ddr2SplitsCollapseToClassicConstraints)
     // spacing is the only spacing — the legacy behavior.
     for (int b = 0; b < t.banksPerChannel; ++b)
         EXPECT_EQ(t.groupOfBank(b), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Power-down state machine
-// ---------------------------------------------------------------------------
-
-TEST(PowerDown, RankEntersAndExitsWithTckeAndTxp)
-{
-    TimingParams t = noRefreshTiming();
-    Rank rank(t);
-    EXPECT_FALSE(rank.poweredDown());
-    EXPECT_EQ(rank.earliestCommandsAllowed(), 0u);
-    EXPECT_EQ(rank.earliestPowerUp(), kCycleNever);
-
-    rank.recordPowerDown(100);
-    EXPECT_TRUE(rank.poweredDown());
-    // Minimum residency: tCKE before the PDX.
-    EXPECT_EQ(rank.earliestPowerUp(), 100 + t.tCKE);
-    // No other command until a PDX ends the residency.
-    EXPECT_EQ(rank.earliestCommandsAllowed(), kCycleNever);
-
-    Cycle up = 100 + t.tCKE;
-    rank.recordPowerUp(up);
-    EXPECT_FALSE(rank.poweredDown());
-    // Commands resume only tXP after the exit.
-    EXPECT_EQ(rank.earliestCommandsAllowed(), up + t.tXP);
-    EXPECT_EQ(rank.powerDownCycles(up + 1000), t.tCKE);
-}
-
-TEST(PowerDown, ChannelGatesCommandsOnPowerState)
-{
-    TimingParams t = noRefreshTiming();
-    Channel ch(t);
-    ASSERT_TRUE(ch.canIssue(CommandKind::PowerDown, 0, 0));
-    ch.issue(CommandKind::PowerDown, 0, kNoRow, 0);
-    EXPECT_TRUE(ch.rankPoweredDown(0));
-    // No ACT/REF while down; no re-entry either.
-    EXPECT_FALSE(ch.canIssue(CommandKind::Activate, 0, t.tCKE + 100));
-    EXPECT_FALSE(ch.canIssue(CommandKind::Refresh, 0, t.tCKE + 100));
-    EXPECT_FALSE(ch.canIssue(CommandKind::PowerDown, 0, t.tCKE + 100));
-    EXPECT_EQ(ch.earliestIssue(CommandKind::PowerDown, 0), kCycleNever);
-    // Only a PDX can end the residency, so nothing else has a time.
-    EXPECT_EQ(ch.earliestIssue(CommandKind::Activate, 0), kCycleNever);
-    // PDX waits out tCKE.
-    EXPECT_FALSE(ch.canIssue(CommandKind::PowerUp, 0, t.tCKE - 1));
-    ASSERT_TRUE(ch.canIssue(CommandKind::PowerUp, 0, t.tCKE));
-    ch.issue(CommandKind::PowerUp, 0, kNoRow, t.tCKE);
-    EXPECT_FALSE(ch.rankPoweredDown(0));
-    // First ACT only after tXP.
-    EXPECT_FALSE(ch.canIssue(CommandKind::Activate, 0, t.tCKE + t.tXP - 1));
-    EXPECT_TRUE(ch.canIssue(CommandKind::Activate, 0, t.tCKE + t.tXP));
-}
-
-TEST(PowerDown, RequiresRankPrecharged)
-{
-    TimingParams t = noRefreshTiming();
-    Channel ch(t);
-    ch.issue(CommandKind::Activate, 0, 1, 0);
-    EXPECT_FALSE(ch.canIssue(CommandKind::PowerDown, 0, t.tCK));
-    EXPECT_EQ(ch.earliestIssue(CommandKind::PowerDown, 0), kCycleNever);
 }

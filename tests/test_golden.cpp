@@ -180,3 +180,19 @@ TEST(GoldenCommandTrace, DrainWideRankCommandStreamIsBitStable)
                       std::string(TCMSIM_GOLDEN_DIR) +
                           "/cmd_trace_drain_fixedrank_seed99.txt");
 }
+
+// The dual-rank trace pins the paths the single-rank DDR2 traces never
+// reach: a second rank (tRTRS rank switches, per-rank tFAW/tRRD and
+// staggered refresh), DDR4 bank groups (the tCCD_S/tCCD_L and
+// tRRD_S/tRRD_L splits) and closed page, whose auto-precharge riders
+// appear as autoPre events.
+TEST(GoldenCommandTrace, DualRankClosedPageDdr4CommandStreamIsBitStable)
+{
+    sim::SystemConfig config = traceSystem();
+    ASSERT_EQ(config.selectProtocol("ddr4-2400"), "");
+    config.timing.banksPerChannel *= 2;
+    config.timing.ranksPerChannel = 2;
+    checkCommandTrace(config, sched::SchedulerSpec::cpFrfcfsSpec(),
+                      std::string(TCMSIM_GOLDEN_DIR) +
+                          "/cmd_trace_ddr4_dualrank_cp_seed99.txt");
+}

@@ -414,80 +414,6 @@ TEST(CheckerDdr4, LegalBankGroupInterleaveIsClean)
 }
 
 // ---------------------------------------------------------------------------
-// Power-down discipline.
-// ---------------------------------------------------------------------------
-
-TEST(CheckerPowerDown, EntryWithRowOpen)
-{
-    Feeder f(dram::TimingParams::ddr2_800());
-    f.send(100, CommandKind::Activate, 0, 1);
-    f.send(500, CommandKind::PowerDown, 0);
-    EXPECT_EQ(f.checker.countOf(Constraint::PdRowOpen), 1u);
-    EXPECT_STREQ(dram::constraintName(Constraint::PdRowOpen),
-                 "PDE-row-open");
-}
-
-TEST(CheckerPowerDown, DoubleEntryIsBadState)
-{
-    Feeder f(dram::TimingParams::ddr2_800());
-    f.send(100, CommandKind::PowerDown, 0);
-    f.send(1000, CommandKind::PowerDown, 0);
-    EXPECT_EQ(f.checker.countOf(Constraint::PdBadState), 1u);
-}
-
-TEST(CheckerPowerDown, ExitBeforeTckeElapsed)
-{
-    dram::TimingParams t = dram::TimingParams::ddr2_800();
-    Feeder f(t);
-    f.send(100, CommandKind::PowerDown, 0);
-    f.send(100 + t.tCKE - 1, CommandKind::PowerUp, 0);
-    EXPECT_EQ(f.checker.countOf(Constraint::Tcke), 1u);
-    EXPECT_EQ(f.checker.violations()[0].earliestLegal, 100 + t.tCKE);
-}
-
-TEST(CheckerPowerDown, ExitWhilePoweredUpIsBadState)
-{
-    Feeder f(dram::TimingParams::ddr2_800());
-    f.send(100, CommandKind::PowerUp, 0);
-    EXPECT_EQ(f.checker.countOf(Constraint::PdBadState), 1u);
-}
-
-TEST(CheckerPowerDown, CommandToPoweredDownRank)
-{
-    dram::TimingParams t = dram::TimingParams::ddr2_800();
-    Feeder f(t);
-    f.send(100, CommandKind::PowerDown, 0);
-    f.send(100 + t.tCKE + 500, CommandKind::Activate, 0, 1);
-    EXPECT_EQ(f.checker.countOf(Constraint::CmdWhilePoweredDown), 1u);
-    EXPECT_STREQ(dram::constraintName(Constraint::CmdWhilePoweredDown),
-                 "cmd-powered-down");
-}
-
-TEST(CheckerPowerDown, CommandInsideTxpAfterExit)
-{
-    dram::TimingParams t = dram::TimingParams::ddr2_800();
-    Feeder f(t);
-    f.send(100, CommandKind::PowerDown, 0);
-    Cycle pdx = 100 + t.tCKE;
-    f.send(pdx, CommandKind::PowerUp, 0);
-    f.send(pdx + t.tXP - 1, CommandKind::Activate, 0, 1);
-    EXPECT_EQ(f.checker.countOf(Constraint::Txp), 1u);
-    EXPECT_EQ(f.checker.violations()[0].earliestLegal, pdx + t.tXP);
-}
-
-TEST(CheckerPowerDown, LegalCycleIsClean)
-{
-    dram::TimingParams t = dram::TimingParams::ddr2_800();
-    Feeder f(t);
-    f.send(100, CommandKind::PowerDown, 0);
-    Cycle pdx = 100 + t.tCKE;
-    f.send(pdx, CommandKind::PowerUp, 0);
-    f.send(pdx + t.tXP, CommandKind::Activate, 0, 1);
-    EXPECT_EQ(f.checker.violationCount(), 0u) << f.checker.report();
-    EXPECT_EQ(f.checker.eventsAudited(), 3u);
-}
-
-// ---------------------------------------------------------------------------
 // Positive tests: legal sequences pass clean.
 // ---------------------------------------------------------------------------
 
@@ -618,15 +544,6 @@ TEST_P(AuditedStress, RandomizedConfigsProduceZeroViolations)
     }
     if (rng.nextBool(0.25))
         cfg.controller.pagePolicy = mem::PagePolicy::Closed;
-    // The USIMM-style policies must hold protocol-clean too: latched
-    // strict write drain, speculative precharge, rank power-down.
-    if (rng.nextBool(0.5))
-        cfg.controller.writeDrain.mode = mem::WriteDrainMode::Strict;
-    if (rng.nextBool(0.5))
-        cfg.controller.speculativePrecharge = true;
-    if (rng.nextBool(0.5))
-        cfg.controller.powerDownIdleCycles =
-            500 + static_cast<Cycle>(rng.nextBelow(2000));
     double intensity = 0.5 + 0.25 * static_cast<double>(rng.nextBelow(3));
     cfg.protocolCheck = true;
 
@@ -749,22 +666,19 @@ TEST_P(EarliestIssueBoundary, RefereeAcceptsAtEarliestIssueOnlyFromThen)
     Pcg32 rng(23);
     std::uint64_t probes = 0;
     bool issued = false;
-    bool closing = false; // precharging every bank for a REF or PDE
+    bool closing = false; // precharging every bank for a REF
     Cycle last = 0;
     for (int step = 0; step < 5000; ++step) {
         // A command the current state allows, to a random bank. Now and
-        // then close every bank and issue a rank-level command, as the
-        // refresh and power engines do.
+        // then close every bank and issue a REF, as the refresh engine
+        // does.
         BankId b = static_cast<BankId>(rng.nextBelow(banks));
         CommandKind kind = CommandKind::Activate;
         RowId row = kNoRow;
-        if (ch.rankPoweredDown(0)) {
-            kind = CommandKind::PowerUp;
-        } else if (closing || rng.nextBool(0.05)) {
+        if (closing || rng.nextBool(0.05)) {
             closing = !ch.rankPrecharged(0);
             if (!closing) {
-                kind = rng.nextBool(0.5) ? CommandKind::Refresh
-                                         : CommandKind::PowerDown;
+                kind = CommandKind::Refresh;
             } else {
                 while (ch.bank(b).precharged())
                     b = static_cast<BankId>((b + 1) % banks);

@@ -84,6 +84,11 @@ TEST(SamplingConfig, ParseRejectsMalformedSpecs)
         "15000:0",   // K < 1
         "15000:3:z", // non-numeric warmup
         "15000:3:10000:9", // trailing field
+        "-14000:3",        // negative W
+        "14000:3:-5",      // negative warmup
+        "+14000:3",        // explicit sign
+        "18446744073709551615:2",     // W*K wraps
+        "14000:3:18446744073709551615", // WARMUP + W*K wraps
     };
     for (const char *spec : bad) {
         std::string err;

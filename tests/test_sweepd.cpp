@@ -167,6 +167,8 @@ TEST_F(SweepdTest, ManifestRejectsMalformedInputWithLineNumbers)
          "line 2"},
         {"tcmsim-manifest v1\nsample 10:2\njob tcm ddr2-800 1 0 1\n",
          "line 2"},
+        {"tcmsim-manifest v1\nsample 14000:3:-5\njob tcm ddr2-800 1 0 1\n",
+         "line 2"},
     };
     for (const Case &c : cases) {
         Manifest m;
