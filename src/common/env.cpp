@@ -1,7 +1,7 @@
 #include "common/env.hpp"
 
+#include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 #include "common/numfmt.hpp"
 
@@ -15,10 +15,13 @@ envInt(const std::string &name, std::int64_t def, std::int64_t min,
     if (!v || !*v)
         return def;
     std::int64_t parsed = 0;
-    if (!parseInt(v, &parsed) || parsed < min || parsed > max)
-        throw std::invalid_argument(
-            name + "='" + v + "': expected one integer in [" +
-            std::to_string(min) + ", " + std::to_string(max) + "]");
+    if (!parseInt(v, &parsed) || parsed < min || parsed > max) {
+        std::fprintf(stderr,
+                     "%s='%s': expected one integer in [%lld, %lld]\n",
+                     name.c_str(), v, static_cast<long long>(min),
+                     static_cast<long long>(max));
+        std::exit(2);
+    }
     return parsed;
 }
 

@@ -19,7 +19,8 @@ namespace tcm {
  * Integer environment variable @p name: @p def when unset or empty.
  * A set value must be one whole decimal integer (common/numfmt) in
  * [@p min, @p max]; anything else ("10k", "3e5", " 7", a value out of
- * range) throws std::invalid_argument naming the variable and its text.
+ * range) prints the variable, its text and the range to stderr and
+ * exits with status 2, the exit status of a malformed CLI option.
  */
 std::int64_t
 envInt(const std::string &name, std::int64_t def, std::int64_t min,

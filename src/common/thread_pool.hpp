@@ -80,7 +80,7 @@ class ThreadPool
      * Pool size implied by the environment: TCMSIM_JOBS when set to a
      * positive integer (capped at 512), otherwise
      * std::thread::hardware_concurrency() (>= 1). A TCMSIM_JOBS that is
-     * not one integer >= 0 throws (see envInt). Read at every call so
+     * not one integer >= 0 exits 2 (see envInt). Read at every call so
      * tests can flip the knob at runtime.
      */
     static int defaultJobs();

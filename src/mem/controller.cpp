@@ -74,7 +74,7 @@ void
 MemoryController::observe(std::vector<dram::CommandObserver *> commands,
                           sched::ThreadBankMonitor *probe,
                           telemetry::TelemetrySink *telemetry,
-                          prof::ControllerShard *profile)
+                          prof::Profiler *profile)
 {
     channel_.observe(std::move(commands));
     probe_ = probe;
@@ -191,10 +191,10 @@ MemoryController::refreshEngine(Cycle now)
 }
 
 bool
-MemoryController::tryIssue(RequestLane &lane, prof::ControllerShard *shard,
+MemoryController::tryIssue(RequestLane &lane, prof::Profiler *profile,
                            Cycle now, Cycle &nextPossible)
 {
-    prof::ScopedPhase profScan(shard ? &shard->phases : nullptr,
+    prof::ScopedPhase profScan(profile ? &profile->phases() : nullptr,
                                prof::Phase::ReadScan);
     const std::size_t n = lane.size();
     if (n == 0)
@@ -259,10 +259,11 @@ MemoryController::tryIssue(RequestLane &lane, prof::ControllerShard *shard,
         bestLo = lo;
         bestSeq = reqs[i].seq;
     }
-    if (shard) {
-        ++shard->scan.soaScans;
-        shard->scan.readsExamined += n - skipped;
-        shard->scan.dominanceSkipped += skipped;
+    if (profile) {
+        prof::ScanCounters &scan = profile->scan();
+        ++scan.soaScans;
+        scan.readsExamined += n - skipped;
+        scan.dominanceSkipped += skipped;
     }
     if (best < 0)
         return false;
@@ -329,7 +330,7 @@ MemoryController::issueSelected(RequestLane &lane, std::size_t best,
 void
 MemoryController::tick(Cycle now)
 {
-    prof::ScopedPhase profTick(prof_ ? &prof_->phases : nullptr,
+    prof::ScopedPhase profTick(prof_ ? &prof_->phases() : nullptr,
                                prof::Phase::CtrlTick);
     RequestLane &reads = queue_.readLane();
     RequestLane &writes = queue_.writeLane();

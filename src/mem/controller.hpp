@@ -21,7 +21,7 @@ class TelemetrySink;
 }
 
 namespace tcm::prof {
-struct ControllerShard;
+class Profiler;
 }
 
 namespace tcm::sched {
@@ -176,7 +176,7 @@ class MemoryController : public QueueAccess
     void observe(std::vector<dram::CommandObserver *> commands,
                  sched::ThreadBankMonitor *probe,
                  telemetry::TelemetrySink *telemetry,
-                 prof::ControllerShard *profile);
+                 prof::Profiler *profile);
 
     /** Number of queued + in-flight reads (tests/backpressure checks). */
     std::size_t readLoad() const { return queue_.readLoad(); }
@@ -218,11 +218,11 @@ class MemoryController : public QueueAccess
      * Channel::earliestIssue call; candidates whose key loses to the
      * best issuable one found so far skip it. When no command can
      * issue, lowers @p nextPossible to the earliest cycle any candidate
-     * could become issuable. A non-null @p shard times the scan as
+     * could become issuable. A non-null @p profile times the scan as
      * Phase::ReadScan and counts it; reads only, so the read-scan
      * counters keep their meaning.
      */
-    bool tryIssue(RequestLane &lane, prof::ControllerShard *shard, Cycle now,
+    bool tryIssue(RequestLane &lane, prof::Profiler *profile, Cycle now,
                   Cycle &nextPossible);
 
     /**
@@ -249,7 +249,7 @@ class MemoryController : public QueueAccess
     LatencyTracker latency_;
     sched::ThreadBankMonitor *probe_ = nullptr;
     telemetry::TelemetrySink *telemetry_ = nullptr;
-    prof::ControllerShard *prof_ = nullptr;
+    prof::Profiler *prof_ = nullptr;
     bool drainingWrites_ = false;
     std::vector<Cycle> refreshDueAt_; //!< per rank, staggered
     Cycle nextTryAt_ = 0; //!< idle fast-path: no scan before this cycle

@@ -71,10 +71,8 @@ skipLengthLadder()
 }
 
 void
-Profiler::configure(int numCores, int numChannels)
+Profiler::configure(int numCores)
 {
-    controllers_.assign(static_cast<std::size_t>(std::max(numChannels, 1)),
-                        ControllerShard{});
     coreRegimes_.assign(static_cast<std::size_t>(std::max(numCores, 1)), {});
 }
 
@@ -84,9 +82,8 @@ Profiler::pulse() const
     Pulse p;
     std::uint64_t ns = 0;
     for (int i = 0; i < kPhaseCount; ++i)
-        ns += main_.ns[i];
-    for (const ControllerShard &c : controllers_)
-        ns += c.phases.ns[static_cast<int>(Phase::CtrlTick)];
+        if (static_cast<Phase>(i) != Phase::ReadScan) // nests in CtrlTick
+            ns += phases_.ns[i];
     p.wallMs = static_cast<double>(ns) / 1e6;
     for (int i = 0; i < kHorizonSourceCount; ++i) {
         p.skips += skipCount_[i];
@@ -101,17 +98,9 @@ Profiler::report() const
     ProfileReport r;
     r.enabled = true;
     r.runs = 1;
-    for (int i = 0; i < kPhaseCount; ++i) {
-        r.phaseNs[i] = main_.ns[i];
-        r.phaseCalls[i] = main_.calls[i];
-    }
-    for (const ControllerShard &c : controllers_) {
-        for (int i = 0; i < kPhaseCount; ++i) {
-            r.phaseNs[i] += c.phases.ns[i];
-            r.phaseCalls[i] += c.phases.calls[i];
-        }
-        r.scan.addFrom(c.scan);
-    }
+    r.phaseNs = phases_.ns;
+    r.phaseCalls = phases_.calls;
+    r.scan = scan_;
     r.skipCount = skipCount_;
     r.skipCycles = skipCycles_;
     r.skipLengths = skipLengths_;

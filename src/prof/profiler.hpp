@@ -122,13 +122,6 @@ struct ScanCounters {
     }
 };
 
-/** Per-controller shard: written by that channel's controller, folded
- *  into the end-of-run report by Profiler::report. */
-struct ControllerShard {
-    PhaseShard phases;
-    ScanCounters scan;
-};
-
 /** How profiling is requested. */
 struct ProfileConfig {
     bool enabled = false;
@@ -188,22 +181,20 @@ struct ProfileReport {
 
 /**
  * Live collector owned by whoever attached it (runWorkload, a tool, a
- * test). configure() is called by Simulator::attach with the
- * run's geometry; all vectors are sized there once, so the hot-path
- * pointers handed to the controllers stay stable.
+ * test). configure() is called by Simulator::attach with the run's core
+ * count. The simulator and every controller tick on the stepping
+ * thread, so all of them record into the one phase shard and the one
+ * set of scan counters.
  */
 class Profiler
 {
   public:
     Profiler() = default;
 
-    void configure(int numCores, int numChannels);
+    void configure(int numCores);
 
-    PhaseShard &main() { return main_; }
-    ControllerShard *controllerShard(int channel)
-    {
-        return &controllers_[static_cast<std::size_t>(channel)];
-    }
+    PhaseShard &phases() { return phases_; }
+    ScanCounters &scan() { return scan_; }
 
     void
     recordSkip(HorizonSource src, std::uint64_t cycles)
@@ -227,12 +218,12 @@ class Profiler
     };
     Pulse pulse() const;
 
-    /** Fold every shard into a mergeable end-of-run report. */
+    /** The collected data as a mergeable end-of-run report. */
     ProfileReport report() const;
 
   private:
-    PhaseShard main_;
-    std::vector<ControllerShard> controllers_;
+    PhaseShard phases_;
+    ScanCounters scan_;
     std::array<std::uint64_t, kHorizonSourceCount> skipCount_{};
     std::array<std::uint64_t, kHorizonSourceCount> skipCycles_{};
     stats::Histogram skipLengths_ = skipLengthLadder();

@@ -136,7 +136,7 @@ runWorkload(const SystemConfig &config,
         if (!tcfg.dir.empty()) {
             // Deterministic name: parallel sweeps write the same file
             // set at any thread count.
-            prof::ScopedPhase serialize(profiler ? &profiler->main()
+            prof::ScopedPhase serialize(profiler ? &profiler->phases()
                                                  : nullptr,
                                         prof::Phase::Serialize);
             std::string base = tcfg.dir + "/" + tcfg.filePrefix +

@@ -61,7 +61,7 @@ struct ExperimentScale
     /**
      * Defaults above, overridden from the environment (TCMSIM_CYCLES
      * >= 1, TCMSIM_WARMUP >= 0, TCMSIM_WORKLOADS in [1, INT_MAX]; a
-     * malformed or out-of-range value throws, see envInt).
+     * malformed or out-of-range value exits 2, see envInt).
      */
     static ExperimentScale fromEnv();
 };

@@ -123,7 +123,7 @@ Simulator::attach(const Observers &observers)
 
     if (observers.profiler) {
         prof_ = observers.profiler;
-        prof_->configure(numThreads(), config_.numChannels);
+        prof_->configure(numThreads());
     }
 
     if (telemetry::TelemetrySink *sink = observers.telemetry) {
@@ -157,9 +157,8 @@ Simulator::observeControllers()
     commands.insert(commands.end(), commandObservers_.begin(),
                     commandObservers_.end());
     for (ChannelId ch = 0; ch < config_.numChannels; ++ch)
-        controllers_[ch]->observe(
-            commands, probe_.get(), telemetry_,
-            prof_ ? prof_->controllerShard(ch) : nullptr);
+        controllers_[ch]->observe(commands, probe_.get(), telemetry_,
+                                  prof_);
 }
 
 std::vector<telemetry::ThreadGauges>
@@ -206,7 +205,7 @@ Simulator::channelGauges() const
 void
 Simulator::sampleTelemetry()
 {
-    prof::ScopedPhase timer(prof_ ? &prof_->main() : nullptr,
+    prof::ScopedPhase timer(prof_ ? &prof_->phases() : nullptr,
                             prof::Phase::Telemetry);
     sampler_->sample(now_, threadGauges(), channelGauges(), *telemetry_);
     if (prof_) {
@@ -225,7 +224,7 @@ void
 Simulator::executeCycle(Cycle now, Cycle regimeCap)
 {
     {
-        prof::ScopedPhase timer(prof_ ? &prof_->main() : nullptr,
+        prof::ScopedPhase timer(prof_ ? &prof_->phases() : nullptr,
                                 prof::Phase::SchedTick);
         policy_->tick(now);
     }
@@ -243,7 +242,7 @@ Simulator::executeCycle(Cycle now, Cycle regimeCap)
         }
     }
     {
-        prof::ScopedPhase coreTimer(prof_ ? &prof_->main() : nullptr,
+        prof::ScopedPhase coreTimer(prof_ ? &prof_->phases() : nullptr,
                                     prof::Phase::CoreTick);
         if (regimeCap > 0) {
             // Cycle-skip mode: cores provably inside a silent regime
@@ -338,7 +337,7 @@ Simulator::step(Cycle cycles)
             break;
         prof::HorizonSource hsrc = prof::HorizonSource::Scheduler;
         const Cycle h = horizonAt(now_, end, hsrc);
-        prof::ScopedPhase coreTimer(prof_ ? &prof_->main() : nullptr,
+        prof::ScopedPhase coreTimer(prof_ ? &prof_->phases() : nullptr,
                                     prof::Phase::CoreTick);
         while (now_ < h) {
             // Refresh expired spans; cores untouched since their span

@@ -45,7 +45,7 @@ mixForJob(const Manifest &m, const JobSpec &job)
         m.workloadSeed + static_cast<std::uint64_t>(job.intensity * 1000);
     return workload::randomMix(
         m.cores, job.intensity,
-        base + 1000003ULL * static_cast<std::uint64_t>(job.mixIndex + 1));
+        base + 1000003ULL * (static_cast<std::uint64_t>(job.mixIndex) + 1));
 }
 
 /** Stable stream identity of a job (the record's point key). */
@@ -114,13 +114,38 @@ writeCheckpoint(const std::string &path, const Checkpoint &ckpt)
                                  path);
 }
 
-/** Per-protocol simulation context: config + persistent alone cache. */
-struct CacheSlot
+/** The config @p protocol's jobs of @p m run under. */
+SystemConfig
+jobConfig(const Manifest &m, const SystemConfig &base,
+          const std::string &protocol)
 {
-    SystemConfig config;
-    std::unique_ptr<AloneIpcCache> cache;
-    std::string storePath;
-    std::size_t savedEntries = 0; //!< store size at last save/load
+    SystemConfig config = base;
+    config.numCores = m.cores;
+    config.numChannels = m.channels;
+    config.selectProtocol(protocol); // validated at parse
+    return config;
+}
+
+/** The stream record of @p job, which ran to @p r. */
+std::string
+recordOf(const JobSpec &job, const ExperimentScale &scale, const RunResult &r)
+{
+    results::ResultsDoc doc("sweepd", scale);
+    results::Row &row = doc.row(job.scheduler, pointOf(job));
+    row.set("ws", r.metrics.weightedSpeedup);
+    row.set("ms", r.metrics.maxSlowdown);
+    row.set("hs", r.metrics.harmonicSpeedup);
+    if (!r.ipcRse.empty())
+        row.set("rse_max", *std::max_element(r.ipcRse.begin(),
+                                             r.ipcRse.end()));
+    return doc.toJsonLine();
+}
+
+/** A persistent alone-IPC store and its size at the last save or load. */
+struct Store
+{
+    std::string path;
+    std::size_t savedEntries = 0;
 };
 
 } // namespace
@@ -234,6 +259,62 @@ Manifest::parse(const std::string &text, Manifest *out, std::string *error)
     return true;
 }
 
+AloneCaches
+makeCaches(const Manifest &m, const SystemConfig &base)
+{
+    const ExperimentScale scale = m.scale();
+    AloneCaches caches;
+    for (const JobSpec &job : m.jobs) {
+        std::unique_ptr<AloneIpcCache> &cache = caches[job.protocol];
+        if (!cache)
+            cache = std::make_unique<AloneIpcCache>(
+                jobConfig(m, base, job.protocol), scale.effectiveWarmup(),
+                scale.effectiveMeasure());
+    }
+    return caches;
+}
+
+std::vector<RunResult>
+runJobs(const Manifest &m, const SystemConfig &base, AloneCaches &caches,
+        std::size_t first, std::size_t count, ThreadPool &pool)
+{
+    const ExperimentScale scale = m.scale();
+    // Prewarm denominators per protocol so the batch proper runs against
+    // read-only caches (misses parallelize here instead of serializing
+    // behind per-key latches mid-run).
+    std::map<std::string, SystemConfig> configs;
+    {
+        std::map<std::string,
+                 std::vector<std::vector<workload::ThreadProfile>>>
+            byProtocol;
+        for (std::size_t i = first; i < first + count; ++i) {
+            const JobSpec &job = m.jobs[i];
+            byProtocol[job.protocol].push_back(mixForJob(m, job));
+            if (!configs.count(job.protocol))
+                configs.emplace(job.protocol,
+                                jobConfig(m, base, job.protocol));
+        }
+        for (auto &[protocol, mixes] : byProtocol)
+            caches.at(protocol)->prewarm(mixes, pool);
+    }
+
+    std::vector<RunResult> runs(count);
+    pool.parallelFor(count, [&](std::size_t i) {
+        const JobSpec &job = m.jobs[first + i];
+        // Name the job's telemetry and profile files after its stream
+        // point, the one identity distinct across the manifest.
+        SystemConfig config = configs.at(job.protocol);
+        std::string prefix = pointOf(job) + "_";
+        std::replace(prefix.begin(), prefix.end(), '/', '_');
+        config.telemetry.filePrefix = prefix;
+        config.profile.filePrefix = prefix;
+        runs[i] = runWorkload(config, mixForJob(m, job),
+                              sched::specByName(job.scheduler).spec, scale,
+                              *caches.at(job.protocol), job.seed);
+    });
+    return runs;
+}
+
 Server::Server(Options options) : options_(std::move(options)) {}
 
 RunOutcome
@@ -266,6 +347,10 @@ Server::runManifest(const std::string &manifestPath,
     std::string parseError;
     if (!Manifest::parse(text, &manifest, &parseError))
         return failed(parseError);
+
+    // The pool reads TCMSIM_JOBS, and a malformed value exits: build it
+    // before the output stream is opened or truncated.
+    ThreadPool pool(options_.jobs);
 
     try {
         fs::create_directories(options_.stateDir);
@@ -307,38 +392,28 @@ Server::runManifest(const std::string &manifestPath,
     if (!stream)
         return failed("cannot append to " + outPath);
 
-    // -- persistent alone-IPC caches, one per distinct protocol -------------
-    std::map<std::string, CacheSlot> slots;
-    for (const JobSpec &job : manifest.jobs) {
-        if (slots.count(job.protocol))
-            continue;
-        CacheSlot slot;
-        slot.config.numCores = manifest.cores;
-        slot.config.numChannels = manifest.channels;
-        slot.config.selectProtocol(job.protocol); // validated at parse
-        slot.cache = std::make_unique<AloneIpcCache>(
-            slot.config, scale.effectiveWarmup(), scale.effectiveMeasure());
+    // -- persistent alone-IPC stores, one per distinct protocol -------------
+    AloneCaches caches = makeCaches(manifest, SystemConfig{});
+    std::map<std::string, Store> stores;
+    for (auto &[protocol, cache] : caches) {
         char hex[32];
         std::snprintf(hex, sizeof hex, "%016llx",
-                      static_cast<unsigned long long>(
-                          slot.cache->fingerprint()));
-        slot.storePath = options_.stateDir + "/alone-" + hex + ".cache";
-        AloneIpcCache::LoadResult loaded =
-            slot.cache->loadFromFile(slot.storePath);
+                      static_cast<unsigned long long>(cache->fingerprint()));
+        Store &store = stores[protocol];
+        store.path = options_.stateDir + "/alone-" + hex + ".cache";
+        AloneIpcCache::LoadResult loaded = cache->loadFromFile(store.path);
         if (loaded.ok) {
-            slot.savedEntries = loaded.loaded;
-            log("sweepd: alone store " + slot.storePath + ": " +
+            store.savedEntries = loaded.loaded;
+            log("sweepd: alone store " + store.path + ": " +
                 std::to_string(loaded.loaded) + " entries");
-        } else if (fs::exists(slot.storePath)) {
+        } else if (fs::exists(store.path)) {
             // A store that exists but does not load is stale or damaged;
             // denominators recompute from scratch, which is always safe.
             log("sweepd: alone store rejected (" + loaded.message +
                 "); recomputing");
         }
-        slots.emplace(job.protocol, std::move(slot));
     }
 
-    ThreadPool pool(options_.jobs);
     const std::size_t batchSize =
         options_.batch > 0 ? static_cast<std::size_t>(options_.batch)
                            : static_cast<std::size_t>(pool.jobs()) * 4;
@@ -357,58 +432,21 @@ Server::runManifest(const std::string &manifestPath,
             count = std::min<std::size_t>(
                 count, options_.stopAfter - outcome.emittedThisSession);
 
-        // Prewarm denominators per protocol so the batch proper runs
-        // against read-only caches (misses parallelize here instead of
-        // serializing behind per-key latches mid-run).
-        {
-            std::map<std::string,
-                     std::vector<std::vector<workload::ThreadProfile>>>
-                byProtocol;
-            for (std::size_t i = 0; i < count; ++i) {
-                const JobSpec &job = manifest.jobs[next + i];
-                byProtocol[job.protocol].push_back(
-                    mixForJob(manifest, job));
-            }
-            for (auto &[protocol, mixes] : byProtocol)
-                slots.at(protocol).cache->prewarm(mixes, pool);
-        }
-
-        std::vector<std::string> records(count);
+        std::vector<RunResult> runs;
         try {
-            pool.parallelFor(count, [&](std::size_t i) {
-                const JobSpec &job = manifest.jobs[next + i];
-                CacheSlot &slot = slots.at(job.protocol);
-                sched::SpecLookup lookup =
-                    sched::specByName(job.scheduler);
-                // Name the job's TCMSIM_PROFILE file after its stream
-                // point, the one identity distinct across the manifest.
-                SystemConfig config = slot.config;
-                config.profile.filePrefix = pointOf(job) + "_";
-                std::replace(config.profile.filePrefix.begin(),
-                             config.profile.filePrefix.end(), '/', '_');
-                RunResult r = runWorkload(config, mixForJob(manifest, job),
-                                          lookup.spec, scale, *slot.cache,
-                                          job.seed);
-                results::ResultsDoc doc("sweepd", scale);
-                results::Row &row =
-                    doc.row(job.scheduler, pointOf(job));
-                row.set("ws", r.metrics.weightedSpeedup);
-                row.set("ms", r.metrics.maxSlowdown);
-                row.set("hs", r.metrics.harmonicSpeedup);
-                if (!r.ipcRse.empty())
-                    row.set("rse_max",
-                            *std::max_element(r.ipcRse.begin(),
-                                              r.ipcRse.end()));
-                records[i] = doc.toJsonLine();
-            });
+            runs = runJobs(manifest, SystemConfig{}, caches, next, count,
+                           pool);
         } catch (const std::exception &e) {
             std::fclose(stream);
             return failed(std::string("job failed: ") + e.what());
         }
 
         // Emit the batch in manifest order, then checkpoint past it.
-        for (const std::string &record : records)
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::string record =
+                recordOf(manifest.jobs[next + i], scale, runs[i]);
             std::fwrite(record.data(), 1, record.size(), stream);
+        }
         if (std::fflush(stream) != 0 || std::ferror(stream)) {
             std::fclose(stream);
             return failed("stream write failed for " + outPath);
@@ -419,12 +457,13 @@ Server::runManifest(const std::string &manifestPath,
 
         // Persist any newly computed denominators before the checkpoint
         // references work that depended on them.
-        for (auto &[protocol, slot] : slots) {
-            if (slot.cache->size() == slot.savedEntries)
+        for (auto &[protocol, cache] : caches) {
+            Store &store = stores.at(protocol);
+            if (cache->size() == store.savedEntries)
                 continue;
             try {
-                slot.cache->saveToFile(slot.storePath);
-                slot.savedEntries = slot.cache->size();
+                cache->saveToFile(store.path);
+                store.savedEntries = cache->size();
             } catch (const std::exception &e) {
                 log(std::string("sweepd: alone store save failed: ") +
                     e.what());
@@ -447,9 +486,9 @@ Server::runManifest(const std::string &manifestPath,
     outcome.ok = true;
     outcome.finished = !stopped && next == total;
     outcome.emitted = next;
-    for (const auto &[protocol, slot] : slots) {
-        outcome.cacheHits += slot.cache->hits();
-        outcome.cacheMisses += slot.cache->misses();
+    for (const auto &[protocol, cache] : caches) {
+        outcome.cacheHits += cache->hits();
+        outcome.cacheMisses += cache->misses();
     }
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -486,57 +525,6 @@ Server::runManifest(const std::string &manifestPath,
         log(std::string("sweepd: summary save failed: ") + e.what());
     }
     return outcome;
-}
-
-int
-Server::drainSpool()
-{
-    auto log = [&](const std::string &msg) {
-        if (options_.log)
-            options_.log(msg);
-    };
-    const fs::path spool = fs::path(options_.stateDir) / "spool";
-    const fs::path results = fs::path(options_.stateDir) / "results";
-    const fs::path done = fs::path(options_.stateDir) / "done";
-    const fs::path failedDir = fs::path(options_.stateDir) / "failed";
-    std::error_code ec;
-    fs::create_directories(spool, ec);
-    fs::create_directories(results, ec);
-    fs::create_directories(done, ec);
-    fs::create_directories(failedDir, ec);
-
-    std::vector<fs::path> manifests;
-    for (const auto &entry : fs::directory_iterator(spool, ec))
-        if (entry.is_regular_file() &&
-            entry.path().extension() == ".manifest")
-            manifests.push_back(entry.path());
-    std::sort(manifests.begin(), manifests.end());
-
-    int finished = 0;
-    for (const fs::path &m : manifests) {
-        const std::string stem = m.stem().string();
-        RunOutcome outcome =
-            runManifest(m.string(), (results / (stem + ".jsonl")).string());
-        if (!outcome.ok) {
-            // A manifest that cannot run (parse error, I/O) would wedge
-            // the spool if left in place; park it for inspection.
-            fs::rename(m, failedDir / m.filename(), ec);
-            log("sweepd: " + stem + " failed: " + outcome.error);
-        } else if (outcome.finished) {
-            fs::rename(m, done / m.filename(), ec);
-            ++finished;
-            log("sweepd: " + stem + " finished (" +
-                std::to_string(outcome.emitted) + " jobs)");
-        } else {
-            // Interrupted by stopAfter: leave it spooled; the next
-            // drain resumes from its checkpoint.
-            log("sweepd: " + stem + " interrupted at " +
-                std::to_string(outcome.emitted) + " jobs");
-        }
-        if (options_.stopAfter != 0)
-            break; // one interruptible manifest per drain in test mode
-    }
-    return finished;
 }
 
 } // namespace tcm::sim::sweepd

@@ -1,24 +1,24 @@
 /**
  * @file
- * Sweep daemon: simulation-as-a-service over the experiment layer.
- *
- * The paper's sweeps are embarrassingly parallel but historically
- * process-shaped: every `tools/sweep` invocation recomputed its alone-IPC
- * denominators, held all results in memory, and emitted one monolithic
- * CSV at the end. The daemon inverts that shape:
+ * Manifest jobs: the one way the tools turn a grid of (scheduler,
+ * workload) runs into results, and the resumable runner behind sweepd.
  *
  *  - A *manifest* is a plain-text list of (scheduler, protocol,
  *    intensity, mix-index, seed) jobs plus the shared system/scale knobs.
- *  - Jobs are dispatched in batches across a tcm::ThreadPool; as each
- *    batch completes, its jobs are appended to the output stream **in
- *    manifest order**, one compact ResultsDoc JSONL record per job
- *    (results::ResultsDoc::toJsonLine), so a consumer can tail the file.
+ *    tools/sweep builds one in memory from its flags; sweepd reads one
+ *    from a file.
+ *  - runJobs() runs a range of jobs across a tcm::ThreadPool and returns
+ *    their results in job order; each run names its telemetry and
+ *    profile files after the job's stream point.
+ *  - Server::runManifest streams one compact ResultsDoc JSONL record per
+ *    job (results::ResultsDoc::toJsonLine) **in manifest order**, batch
+ *    by batch, so a consumer can tail the file.
  *  - Alone-IPC denominators live in persistent per-configuration stores
  *    (AloneIpcCache::saveToFile, keyed by fingerprint), loaded at
  *    startup and appended after every batch — computed once per fleet,
  *    not once per process.
- *  - After every batch the daemon writes an atomic checkpoint binding
- *    (manifest hash, jobs emitted, output byte offset). A killed daemon
+ *  - After every batch the server writes an atomic checkpoint binding
+ *    (manifest hash, jobs emitted, output byte offset). A killed run
  *    restarted on the same state truncates the stream to the last
  *    checkpoint and re-runs from there; because every record is
  *    deterministic, the final file is byte-identical to an uninterrupted
@@ -33,9 +33,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "sched/factory.hpp"
 #include "sim/experiment.hpp"
 
@@ -67,10 +70,10 @@ struct JobSpec
  *
  * Workload identity is positional, not manifest-positional: job
  * (intensity, mixIndex) always denotes randomMix(cores, intensity,
- * workloadSeed + intensity*1000 + 1000003*(mixIndex+1)) — the exact
- * workloadSet seeding of the batch drivers — so two manifests that name
- * the same job produce the same record regardless of what else they
- * contain.
+ * workloadSeed + intensity*1000 + 1000003*(mixIndex+1)), computed in
+ * std::uint64_t — the exact workloadSet seeding of the batch drivers —
+ * so two manifests that name the same job produce the same record
+ * regardless of what else they contain.
  */
 struct Manifest
 {
@@ -99,6 +102,29 @@ struct Manifest
                       std::string *error);
 };
 
+/** One alone-IPC cache per protocol a manifest names, keyed by name. */
+using AloneCaches = std::map<std::string, std::unique_ptr<AloneIpcCache>>;
+
+/**
+ * Empty alone-IPC caches for every protocol of @p m's jobs, each for the
+ * config those jobs run under: @p base with the manifest's cores and
+ * channels and that protocol, over the manifest's horizon.
+ */
+AloneCaches makeCaches(const Manifest &m, const SystemConfig &base);
+
+/**
+ * Run jobs [@p first, @p first + @p count) of @p m on @p pool and return
+ * their results in job order. Each job runs @p base with the manifest's
+ * cores and channels and the job's protocol, on the mix the manifest
+ * contract gives its (intensity, mix index), with the job's seed, and
+ * writes any telemetry or profile files under its stream point
+ * ("ddr2-800_i0.5_w0_s1_"). The batch's alone IPCs are prewarmed into
+ * @p caches (from makeCaches) first. Throws what a run throws.
+ */
+std::vector<RunResult>
+runJobs(const Manifest &m, const SystemConfig &base, AloneCaches &caches,
+        std::size_t first, std::size_t count, ThreadPool &pool);
+
 /** Outcome of one Server::runManifest call. */
 struct RunOutcome
 {
@@ -115,12 +141,10 @@ struct RunOutcome
 };
 
 /**
- * The daemon proper. One instance owns a state directory holding the
- * persistent alone-IPC stores ("alone-<fingerprint>.cache"), per-run
- * checkpoints ("<output>.ckpt") and summary documents
- * ("<output>.summary.json"). runManifest() is the one-shot core;
- * drainSpool() layers the long-running service shape on top (submit
- * work by dropping manifests into <state>/spool).
+ * The resumable manifest runner. One instance owns a state directory
+ * holding the persistent alone-IPC stores ("alone-<fingerprint>.cache");
+ * each output stream gets a checkpoint ("<output>.ckpt") and a summary
+ * document ("<output>.summary.json") next to it.
  */
 class Server
 {
@@ -136,7 +160,7 @@ class Server
          * Stop cleanly — checkpointed, caches saved — once this many
          * jobs have been emitted in this session (0 = no limit). The
          * test hook behind the kill/resume contract: a --stop-after
-         * run is indistinguishable from a daemon killed between
+         * run is indistinguishable from a run killed between
          * batches.
          */
         std::uint64_t stopAfter = 0;
@@ -150,21 +174,12 @@ class Server
      * Run the manifest at @p manifestPath, streaming one JSONL record
      * per job to @p outPath (resuming from the checkpoint when one
      * matches), then write the throughput summary next to it. Never
-     * throws; failures come back in RunOutcome::error.
+     * throws; failures come back in RunOutcome::error. A malformed
+     * TCMSIM_JOBS (read when Options::jobs <= 0) exits 2 before
+     * @p outPath is touched.
      */
     RunOutcome runManifest(const std::string &manifestPath,
                            const std::string &outPath);
-
-    /**
-     * Service mode: process every "*.manifest" in <state>/spool in name
-     * order, writing <state>/results/<stem>.jsonl and moving finished
-     * manifests to <state>/done. Returns the number of manifests fully
-     * finished this call (a stopAfter interrupt leaves the manifest
-     * spooled for the next drain — that is the resume path).
-     */
-    int drainSpool();
-
-    const Options &options() const { return options_; }
 
   private:
     Options options_;

@@ -332,8 +332,8 @@ TEST(Diff, RunProvenanceIsNeverDiffed)
     // produced the document, not about the simulated system. Two docs
     // may disagree on every one of them and still match: only bench
     // identity, scale, and result rows are compared, so CI baselines
-    // recorded on different hardware or with --profile never fail the
-    // gate.
+    // recorded on different hardware or with TCMSIM_PROFILE never fail
+    // the gate.
     results::ResultsDoc fresh = sampleDoc();
     results::ResultsDoc base = sampleDoc();
     fresh.wallSeconds = 12.5;

@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <stdexcept>
 #include <string>
 
 #include "common/env.hpp"
@@ -196,28 +195,26 @@ TEST(Env, IntParsesValue)
 
 TEST(Env, IntRejectsGarbage)
 {
-    // A prefix parse would read "10k" as 10 and "3e5" as 3 cycles.
+    // A prefix parse would read "10k" as 10 and "3e5" as 3 cycles. A
+    // rejected value ends the process with exit 2 and a message naming
+    // the variable and its text.
     for (const char *text : {"abc", "10k", "3e5", " 7", "-1"}) {
         setenv("TCMSIM_TEST_VAR", text, 1);
-        EXPECT_THROW(envInt("TCMSIM_TEST_VAR", 42, 0), std::invalid_argument)
+        EXPECT_EXIT(envInt("TCMSIM_TEST_VAR", 42, 0),
+                    ::testing::ExitedWithCode(2), "TCMSIM_TEST_VAR=")
             << "accepted '" << text << "'";
     }
-    // The message names the variable and its text.
     setenv("TCMSIM_TEST_VAR", "10k", 1);
-    try {
-        envInt("TCMSIM_TEST_VAR", 42, 0);
-        ADD_FAILURE() << "no throw";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("TCMSIM_TEST_VAR='10k'"),
-                  std::string::npos)
-            << e.what();
-    }
+    EXPECT_EXIT(envInt("TCMSIM_TEST_VAR", 42, 0),
+                ::testing::ExitedWithCode(2), "TCMSIM_TEST_VAR='10k'");
     // Outside the bounds.
     setenv("TCMSIM_TEST_VAR", "0", 1);
-    EXPECT_THROW(envInt("TCMSIM_TEST_VAR", 42, 1), std::invalid_argument);
+    EXPECT_EXIT(envInt("TCMSIM_TEST_VAR", 42, 1),
+                ::testing::ExitedWithCode(2), "TCMSIM_TEST_VAR='0'");
     setenv("TCMSIM_TEST_VAR", "4294967297", 1);
-    EXPECT_THROW(envInt("TCMSIM_TEST_VAR", 42, 1, 2147483647),
-                 std::invalid_argument);
+    EXPECT_EXIT(envInt("TCMSIM_TEST_VAR", 42, 1, 2147483647),
+                ::testing::ExitedWithCode(2),
+                "TCMSIM_TEST_VAR='4294967297'");
     unsetenv("TCMSIM_TEST_VAR");
 }
 

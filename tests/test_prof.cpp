@@ -237,9 +237,9 @@ TEST(ProfilerPurity, GoldenCommandTraceUnchanged)
 
 TEST(ProfilerReport, EveryRegisteredSchedulerGetsHorizonAttribution)
 {
-    // The acceptance bar behind `sweep --profile`: under the cycle-skip
-    // kernel every registered policy's runs take horizon jumps, and the
-    // profiler attributes every one of them to a source.
+    // The acceptance bar behind `TCMSIM_PROFILE=1 sweep`: under the
+    // cycle-skip kernel every registered policy's runs take horizon
+    // jumps, and the profiler attributes every one of them to a source.
     const char *names[] = {"frfcfs", "fcfs",   "fqm",       "stfm",
                            "parbs",  "atlas",  "tcm",       "bliss",
                            "ght",    "frfcfs-cp", "tournament"};

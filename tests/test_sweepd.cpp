@@ -1,13 +1,14 @@
 /**
  * @file
- * Sweep-daemon contract (sim/sweepd.hpp): manifests parse with
- * line-numbered rejection of anything malformed; a run streams one
- * JSONL ResultsDoc record per job in manifest order; a daemon killed
+ * Manifest-job contract (sim/sweepd.hpp): manifests parse with
+ * line-numbered rejection of anything malformed; runJobs seeds every
+ * job exactly as the matrix driver seeds the same grid; a run streams
+ * one JSONL ResultsDoc record per job in manifest order; a run killed
  * mid-queue (the --stop-after hook stops between batches exactly like a
  * kill) and restarted on the same state produces a final stream
  * byte-identical to an uninterrupted run; and a warm persistent
  * alone-IPC store eliminates every alone-run recomputation across
- * daemon generations (miss counter asserted zero).
+ * runs (miss counter asserted zero).
  */
 
 #include <cstdint>
@@ -20,10 +21,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.hpp"
 #include "sim/results.hpp"
 #include "sim/sweepd.hpp"
+#include "workload/mixes.hpp"
 
 using namespace tcm;
+using sim::sweepd::JobSpec;
 using sim::sweepd::Manifest;
 using sim::sweepd::RunOutcome;
 using sim::sweepd::Server;
@@ -344,47 +348,107 @@ TEST_F(SweepdTest, WarmPersistentCacheEliminatesAloneRecomputation)
     EXPECT_EQ(readFile(path("warm.jsonl")), readFile(path("cold.jsonl")));
 }
 
-TEST_F(SweepdTest, DrainSpoolProcessesAndParksManifests)
+TEST_F(SweepdTest, JobsSeedExactlyLikeTheMatrixDriver)
 {
-    Server server(options("state"));
-    fs::create_directories(path("state") + "/spool");
+    // The positional seeding rule that keeps sweep, sweepd and the
+    // benches in agreement: job (intensity, w) with seed `seed + w` is
+    // workloadSet(..., seed + intensity*1000)[w] run by runMatrix at
+    // base seed `seed`, bit for bit.
+    const std::uint64_t seed = 3;
+    const std::vector<std::string> names = {"frfcfs", "tcm"};
+    const std::vector<double> intensities = {0.5, 1.0};
+    const int mixes = 2;
+    Manifest m;
+    m.cores = 4;
+    m.channels = 2;
+    m.warmup = 2'000;
+    m.measure = 20'000;
+    m.workloadSeed = seed;
+    for (const std::string &name : names)
+        for (double intensity : intensities)
+            for (int w = 0; w < mixes; ++w)
+                m.jobs.push_back({name, "ddr2-800", intensity, w,
+                                  seed + static_cast<std::uint64_t>(w)});
 
-    // One good manifest and one broken one.
-    writeManifest("state/spool/10-fleet.manifest", kManifest);
-    writeManifest("state/spool/20-broken.manifest",
-                  "tcmsim-manifest v1\njob nosuch ddr2-800 1 0 1\n");
+    const sim::SystemConfig base;
+    ThreadPool pool(2);
+    sim::sweepd::AloneCaches caches = sim::sweepd::makeCaches(m, base);
+    const std::vector<sim::RunResult> runs =
+        sim::sweepd::runJobs(m, base, caches, 0, m.jobs.size(), pool);
+    ASSERT_EQ(runs.size(), m.jobs.size());
 
-    int finished = server.drainSpool();
-    EXPECT_EQ(finished, 1);
-    EXPECT_TRUE(fs::exists(path("state") + "/results/10-fleet.jsonl"));
-    EXPECT_TRUE(fs::exists(path("state") + "/done/10-fleet.manifest"));
-    EXPECT_TRUE(
-        fs::exists(path("state") + "/failed/20-broken.manifest"));
-    EXPECT_TRUE(fs::is_empty(path("state") + "/spool"));
-
-    ASSERT_EQ(
-        lines(readFile(path("state") + "/results/10-fleet.jsonl")).size(),
-        8u);
+    sim::SystemConfig config;
+    config.numCores = m.cores;
+    config.numChannels = m.channels;
+    const sim::ExperimentScale scale = m.scale();
+    sim::AloneIpcCache cache(config, scale.effectiveWarmup(),
+                             scale.effectiveMeasure());
+    std::vector<sched::SchedulerSpec> specs;
+    for (const std::string &name : names)
+        specs.push_back(sched::specByName(name).spec);
+    std::size_t j = 0;
+    for (std::size_t s = 0; s < names.size(); ++s) {
+        for (double intensity : intensities) {
+            const auto grid = sim::runMatrix(
+                config,
+                workload::workloadSet(
+                    mixes, m.cores, intensity,
+                    seed + static_cast<std::uint64_t>(intensity * 1000)),
+                specs, scale, cache, seed, 2);
+            for (int w = 0; w < mixes; ++w, ++j) {
+                const sim::RunResult &want = grid[s][w];
+                const sim::RunResult &got = runs[j];
+                EXPECT_EQ(got.metrics.weightedSpeedup,
+                          want.metrics.weightedSpeedup)
+                    << "job " << j;
+                EXPECT_EQ(got.metrics.maxSlowdown, want.metrics.maxSlowdown)
+                    << "job " << j;
+                EXPECT_EQ(got.metrics.harmonicSpeedup,
+                          want.metrics.harmonicSpeedup)
+                    << "job " << j;
+            }
+        }
+    }
 }
 
-TEST_F(SweepdTest, InterruptedSpoolManifestResumesOnNextDrain)
+TEST_F(SweepdTest, LargestMixIndexSeedsItsMixIn64Bits)
 {
-    // stopAfter interrupts the manifest mid-queue; it must stay spooled
-    // and the next drain must finish it from the checkpoint.
-    Server limited(options("state", /*stopAfter=*/3));
-    fs::create_directories(path("state") + "/spool");
-    writeManifest("state/spool/fleet.manifest", kManifest);
+    // mixIndex + 1 overflows an int at INT_MAX; the documented seed is
+    // computed in std::uint64_t.
+    const std::string manifest =
+        writeManifest("big.manifest", "tcmsim-manifest v1\n"
+                                      "cores 4\n"
+                                      "channels 2\n"
+                                      "warmup 1000\n"
+                                      "cycles 5000\n"
+                                      "workload-seed 7\n"
+                                      "job tcm ddr2-800 0.5 2147483647 1\n");
+    Server server(options("state"));
+    RunOutcome outcome = server.runManifest(manifest, path("out.jsonl"));
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const std::vector<std::string> records =
+        lines(readFile(path("out.jsonl")));
+    ASSERT_EQ(records.size(), 1u);
+    const sim::results::ResultsDoc doc =
+        sim::results::ResultsDoc::fromJson(records[0]);
+    ASSERT_EQ(doc.rows.size(), 1u);
 
-    EXPECT_EQ(limited.drainSpool(), 0);
-    EXPECT_TRUE(
-        fs::exists(path("state") + "/spool/fleet.manifest"));
-
-    Server unlimited(options("state"));
-    EXPECT_EQ(unlimited.drainSpool(), 1);
-    EXPECT_TRUE(fs::exists(path("state") + "/done/fleet.manifest"));
-    ASSERT_EQ(
-        lines(readFile(path("state") + "/results/fleet.jsonl")).size(),
-        8u);
+    const std::uint64_t mixSeed = 7 + 500 + 1000003ULL * 2147483648ULL;
+    sim::SystemConfig config;
+    config.numCores = 4;
+    config.numChannels = 2;
+    sim::ExperimentScale scale;
+    scale.warmup = 1'000;
+    scale.measure = 5'000;
+    sim::AloneIpcCache cache(config, scale.warmup, scale.measure);
+    const sim::RunResult want = sim::runWorkload(
+        config, workload::randomMix(4, 0.5, mixSeed),
+        sched::specByName("tcm").spec, scale, cache, 1);
+    const sim::results::Row &row = doc.rows[0];
+    ASSERT_NE(row.find("ws"), nullptr);
+    EXPECT_EQ(*row.find("ws"), want.metrics.weightedSpeedup);
+    EXPECT_EQ(*row.find("ms"), want.metrics.maxSlowdown);
+    EXPECT_EQ(*row.find("hs"), want.metrics.harmonicSpeedup);
 }
 
 TEST_F(SweepdTest, EnvironmentProfilesGetOneFilePerJob)

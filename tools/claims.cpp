@@ -16,7 +16,6 @@
  */
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +24,7 @@
 #include <sys/stat.h>
 #include <vector>
 
-#include "common/numfmt.hpp"
+#include "cli.hpp"
 #include "sim/claims.hpp"
 #include "sim/paper_experiments.hpp"
 #include "sim/system_config.hpp"
@@ -45,8 +44,6 @@ struct Options
     std::string outDir;
     std::string baselineDir;
     bool regold = false;
-    double relTol = 0.02;
-    double absTol = 0.02;
     bool list = false;
     // Run every grid interval-sampled (sim/sampling.hpp defaults, or an
     // explicit W:K[:WARMUP] spec). Claim verdicts must still pass on the
@@ -72,10 +69,6 @@ usage(std::FILE *out)
         "                       in DIR (BENCH_fig4.json, ...)\n"
         "  --regold             rewrite the baseline documents instead of\n"
         "                       diffing (requires --baseline)\n"
-        "  --rel-tol X          baseline diff relative tolerance "
-        "(default 0.02)\n"
-        "  --abs-tol X          baseline diff absolute tolerance "
-        "(default 0.02)\n"
         "  --list               print the claim registry and exit\n"
         "  --sampled[=W:K[:WARMUP]]\n"
         "                       run every grid interval-sampled (default\n"
@@ -87,65 +80,40 @@ usage(std::FILE *out)
         "and evaluates the sampling.* claims against the full grid.\n");
 }
 
-/** Report a malformed or out-of-range option value; always false. */
-bool
-badValue(const char *flag, const char *text, const char *want)
-{
-    std::fprintf(stderr, "claims: %s needs %s, got '%s'\n", flag, want,
-                 text);
-    return false;
-}
+const cli::Tool kTool{"claims", "", [] { usage(stderr); }};
 
-bool
+/** Baseline diff tolerances: a value matches within max(abs, rel*|base|). */
+constexpr double kRelTol = 0.02;
+constexpr double kAbsTol = 0.02;
+
+void
 parseArgs(int argc, char **argv, Options &opt)
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "claims: %s needs a value\n", flag);
-                return nullptr;
-            }
+            if (i + 1 >= argc)
+                kTool.die(std::string(flag) + " needs a value");
             return argv[++i];
         };
         if (arg == "--scale") {
             const char *v = value("--scale");
-            if (v == nullptr)
-                return false;
             if (std::strcmp(v, "ci") == 0) {
                 opt.defaultScale = false;
             } else if (std::strcmp(v, "default") == 0) {
                 opt.defaultScale = true;
                 opt.scale = sim::ExperimentScale::fromEnv();
             } else {
-                std::fprintf(stderr, "claims: unknown scale '%s'\n", v);
-                return false;
+                kTool.die(std::string("unknown scale '") + v + "'");
             }
         } else if (arg == "--jobs") {
-            const char *v = value("--jobs");
-            if (v == nullptr)
-                return false;
-            if (!parseInt(v, &opt.jobs) || opt.jobs < 0)
-                return badValue("--jobs", v, "an integer >= 0");
+            opt.jobs = kTool.intOption("--jobs", value("--jobs"), 0);
         } else if (arg == "--out") {
-            const char *v = value("--out");
-            if (v == nullptr)
-                return false;
-            opt.outDir = v;
+            opt.outDir = value("--out");
         } else if (arg == "--baseline") {
-            const char *v = value("--baseline");
-            if (v == nullptr)
-                return false;
-            opt.baselineDir = v;
+            opt.baselineDir = value("--baseline");
         } else if (arg == "--regold") {
             opt.regold = true;
-        } else if (arg == "--rel-tol" || arg == "--abs-tol") {
-            const char *v = value(arg.c_str());
-            if (v == nullptr)
-                return false;
-            double &tol = arg == "--rel-tol" ? opt.relTol : opt.absTol;
-            if (!parseDouble(v, &tol) || !std::isfinite(tol) || tol < 0.0)
-                return badValue(arg.c_str(), v, "a finite number >= 0");
         } else if (arg == "--list") {
             opt.list = true;
         } else if (arg == "--sampled" ||
@@ -156,32 +124,22 @@ parseArgs(int argc, char **argv, Options &opt)
                 std::string err;
                 opt.samplingCfg = sim::SamplingConfig::parse(
                     arg.substr(std::strlen("--sampled=")), &err);
-                if (!opt.samplingCfg.enabled) {
-                    std::fprintf(stderr, "claims: %s\n", err.c_str());
-                    return false;
-                }
+                if (!opt.samplingCfg.enabled)
+                    kTool.die(err);
             }
         } else if (arg == "--help" || arg == "-h") {
             usage(stdout);
             std::exit(0);
         } else {
-            std::fprintf(stderr, "claims: unknown option '%s'\n",
-                         arg.c_str());
-            return false;
+            kTool.die("unknown option '" + arg + "'");
         }
     }
-    if (opt.regold && opt.baselineDir.empty()) {
-        std::fprintf(stderr, "claims: --regold requires --baseline DIR\n");
-        return false;
-    }
-    if (opt.sampled && !opt.baselineDir.empty()) {
-        std::fprintf(stderr,
-                     "claims: --sampled excludes --baseline/--regold "
-                     "(sampled estimates legitimately differ from the "
-                     "full-run goldens)\n");
-        return false;
-    }
-    return true;
+    if (opt.regold && opt.baselineDir.empty())
+        kTool.die("--regold requires --baseline DIR");
+    if (opt.sampled && !opt.baselineDir.empty())
+        kTool.die("--sampled excludes --baseline/--regold (sampled "
+                  "estimates legitimately differ from the full-run "
+                  "goldens)");
 }
 
 bool
@@ -208,10 +166,7 @@ main(int argc, char **argv)
     using namespace tcm;
 
     Options opt;
-    if (!parseArgs(argc, argv, opt)) {
-        usage(stderr);
-        return 2;
-    }
+    parseArgs(argc, argv, opt);
 
     std::vector<sim::claims::Claim> registry = sim::claims::paperClaims();
     // The sampling.* claims read the paper::sampling probe document,
@@ -341,11 +296,11 @@ main(int argc, char **argv)
                 ++diverged;
                 continue;
             }
-            std::vector<std::string> lines = sim::claims::diff(
-                doc, baseline, opt.relTol, opt.absTol);
+            std::vector<std::string> lines =
+                sim::claims::diff(doc, baseline, kRelTol, kAbsTol);
             if (lines.empty()) {
                 std::printf("baseline %s: match (rel-tol %g, abs-tol %g)\n",
-                            path.c_str(), opt.relTol, opt.absTol);
+                            path.c_str(), kRelTol, kAbsTol);
                 continue;
             }
             diverged += static_cast<int>(lines.size());

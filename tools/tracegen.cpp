@@ -28,7 +28,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "common/numfmt.hpp"
+#include "cli.hpp"
 #include "workload/benchmark_table.hpp"
 #include "workload/trace_file.hpp"
 
@@ -46,36 +46,6 @@ usage(const char *argv0)
         std::fprintf(stderr, "%s ", p.name.c_str());
     std::fprintf(stderr, "\n");
     return 2;
-}
-
-[[noreturn]] void
-dieBadValue(const char *arg, const char *text, const char *want)
-{
-    std::fprintf(stderr, "tracegen: %s needs %s, got '%s'\n", arg, want,
-                 text);
-    std::exit(2);
-}
-
-/** Whole-string unsigned argument >= @p min, or exit 2. */
-std::uint64_t
-u64Arg(const char *arg, const char *text, std::uint64_t min)
-{
-    std::uint64_t v = 0;
-    if (!tcm::parseU64(text, &v) || v < min)
-        dieBadValue(arg, text,
-                    ("an integer >= " + std::to_string(min)).c_str());
-    return v;
-}
-
-/** Whole-string finite number in [0, @p max], or exit 2. */
-double
-doubleArg(const char *arg, const char *text, double max, const char *want)
-{
-    double v = 0.0;
-    if (!tcm::parseDouble(text, &v) || !std::isfinite(v) || v < 0.0 ||
-        v > max)
-        dieBadValue(arg, text, want);
-    return v;
 }
 
 } // namespace
@@ -107,19 +77,22 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::uint64_t count = argc > 3 ? u64Arg("count", argv[3], 1) : 1'000'000;
-    std::uint64_t seed = argc > 4 ? u64Arg("seed", argv[4], 0) : 1;
+    const tcm::cli::Tool tool{"tracegen"};
+    std::uint64_t count =
+        argc > 3 ? tool.u64Option("count", argv[3], 1) : 1'000'000;
+    std::uint64_t seed = argc > 4 ? tool.u64Option("seed", argv[4], 0) : 1;
 
     ThreadProfile profile;
     if (which == "custom") {
         if (argc < 8)
             return usage(argv[0]);
         profile.name = "custom";
-        profile.mpki =
-            doubleArg("mpki", argv[5], HUGE_VAL, "a finite number >= 0");
-        profile.rbl = doubleArg("rbl", argv[6], 1.0, "a fraction in [0,1]");
-        profile.blp =
-            doubleArg("blp", argv[7], HUGE_VAL, "a finite number >= 0");
+        profile.mpki = tool.doubleOption("mpki", argv[5], HUGE_VAL,
+                                         "a finite number >= 0");
+        profile.rbl =
+            tool.doubleOption("rbl", argv[6], 1.0, "a fraction in [0,1]");
+        profile.blp = tool.doubleOption("blp", argv[7], HUGE_VAL,
+                                        "a finite number >= 0");
     } else {
         try {
             profile = benchmarkProfile(which);
