@@ -53,6 +53,7 @@ Channel::issue(CommandKind kind, BankId b, RowId row, Cycle now)
     Rank &rank = ranks_[rankOf(b)];
     cmdBusFreeAt_ = now + timing_->tCK;
     lastIssueCycle_ = now;
+    ++version_;
     if (!observers_.empty())
         notifyObservers(kind, b, row, now, /*autoPre=*/false);
     switch (kind) {
@@ -100,6 +101,7 @@ Channel::autoPrecharge(BankId b)
     if (!observers_.empty())
         notifyObservers(CommandKind::Precharge, b, banks_[b].openRow(),
                         lastIssueCycle_, /*autoPre=*/true);
+    ++version_;
     return banks_[b].autoPrecharge();
 }
 

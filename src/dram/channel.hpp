@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -101,6 +102,13 @@ class Channel
      */
     Cycle earliestIssue(CommandKind kind, BankId b) const;
 
+    /**
+     * State version: bumped by every issued command and auto-precharge
+     * rider, the only things that move an earliestIssue answer. A
+     * cached answer stays exact while the version stands still.
+     */
+    std::uint64_t version() const { return version_; }
+
   private:
     /** Report one command (or auto-precharge rider) to all observers. */
     void notifyObservers(CommandKind kind, BankId b, RowId row, Cycle now,
@@ -124,6 +132,7 @@ class Channel
     int lastColGroup_ = -1;     //!< its global bank group; -1 = none yet
     Cycle lastIssueCycle_ = 0;  //!< stamps auto-precharge rider events
     int lastBurstRank_ = -1;    //!< for the tRTRS rank-switch gap
+    std::uint64_t version_ = 1; //!< see version(); 0 is never current
 };
 
 } // namespace tcm::dram

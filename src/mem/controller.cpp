@@ -31,6 +31,7 @@ MemoryController::MemoryController(ChannelId id,
                 : kCycleNever;
     }
     openRowScratch_.resize(timing.banksPerChannel, kNoRow);
+    ready_.resize(static_cast<std::size_t>(timing.banksPerChannel) * 3);
 }
 
 void
@@ -91,6 +92,38 @@ MemoryController::nextCommand(const Request &req) const
     if (bank.openRow() == req.row)
         return req.isWrite ? CommandKind::Write : CommandKind::Read;
     return CommandKind::Precharge;
+}
+
+Cycle
+MemoryController::readyAt(CommandKind cmd, BankId bank)
+{
+    // ACT and PRE share a slot: a bank's state admits exactly one of
+    // them, and that state only moves with the channel version.
+    const int slot = cmd == CommandKind::Read    ? 1
+                     : cmd == CommandKind::Write ? 2
+                                                 : 0;
+    Readiness &r = ready_[static_cast<std::size_t>(bank) * 3 + slot];
+    if (r.version != channel_.version()) {
+        r.at = channel_.earliestIssue(cmd, bank);
+        r.version = channel_.version();
+    }
+    return r.at;
+}
+
+Cycle
+MemoryController::nextIssueAt()
+{
+    // Every legal issue time is at or after the command bus frees, so a
+    // candidate ready then ends the search.
+    const Cycle busFree = channel_.cmdBusFreeAt();
+    Cycle next = kCycleNever;
+    for (const RequestLane *lane : {&queue_.readLane(), &queue_.writeLane()})
+        for (const Request &req : lane->requests()) {
+            next = std::min(next, readyAt(nextCommand(req), req.bank));
+            if (next <= busFree)
+                return next;
+        }
+    return next;
 }
 
 void
@@ -192,13 +225,13 @@ MemoryController::refreshEngine(Cycle now)
 
 bool
 MemoryController::tryIssue(RequestLane &lane, prof::Profiler *profile,
-                           Cycle now, Cycle &nextPossible)
+                           Cycle now)
 {
-    prof::ScopedPhase profScan(profile ? &profile->phases() : nullptr,
-                               prof::Phase::ReadScan);
     const std::size_t n = lane.size();
     if (n == 0)
         return false;
+    prof::ScopedPhase profScan(profile ? &profile->phases() : nullptr,
+                               prof::Phase::ReadScan);
 
     const std::vector<Request> &reqs = lane.requests();
     const BankId *bank = lane.bank();
@@ -245,14 +278,8 @@ MemoryController::tryIssue(RequestLane &lane, prof::Profiler *profile,
             }
         }
         CommandKind cmd = nextCommand(reqs[i]);
-        const Cycle at = channel_.earliestIssue(cmd, bank[i]);
-        if (at > now) {
-            // nextPossible is only trusted when no command issues this
-            // cycle — and then best stayed negative, no candidate was
-            // dominance-skipped, and this accumulation is complete.
-            nextPossible = std::min(nextPossible, at);
+        if (readyAt(cmd, bank[i]) > now)
             continue;
-        }
         best = static_cast<int>(i);
         bestCmd = cmd;
         bestHi = hi;
@@ -376,10 +403,6 @@ MemoryController::tick(Cycle now)
         ++stats_.writeDrains;
     }
 
-    // Lower bound on the next cycle a command could issue, refined by
-    // the scans below; only trusted when no command issues this cycle.
-    Cycle next_possible = kCycleNever;
-
     refreshPolicyCache();
 
     // Both scans compare against one open-row snapshot: bank state
@@ -390,12 +413,23 @@ MemoryController::tick(Cycle now)
 
     // Reads go first and writes take a slot no read can use; a latched
     // drain swaps the order. Only the read scan is profiled.
-    const bool issued =
-        drainingWrites_ ? tryIssue(writes, nullptr, now, next_possible) ||
-                              tryIssue(reads, prof_, now, next_possible)
-                        : tryIssue(reads, prof_, now, next_possible) ||
-                              tryIssue(writes, nullptr, now, next_possible);
-    nextTryAt_ = issued ? now + timing_->tCK : next_possible;
+    if (drainingWrites_) {
+        if (!tryIssue(writes, nullptr, now))
+            tryIssue(reads, prof_, now);
+    } else if (!tryIssue(reads, prof_, now)) {
+        tryIssue(writes, nullptr, now);
+    }
+
+    // The next scan worth running is at the next legal issue, with one
+    // exception. The drain latch is re-tested only at scans, so a write
+    // that left a latched drain at or below the low watermark (only a
+    // write issued just now can have) needs the scan one command slot
+    // later that unlatches it, as in a controller scanning every cycle.
+    const bool unlatchDue =
+        drainingWrites_ &&
+        writes.size() <=
+            static_cast<std::size_t>(params_.writeDrain.lowWatermark);
+    nextTryAt_ = unlatchDue ? now + timing_->tCK : nextIssueAt();
 }
 
 Cycle
@@ -416,13 +450,14 @@ MemoryController::nextEventAt(Cycle now) const
         }
     }
 
-    // Next scheduling scan that could issue a command. nextTryAt_ is a
-    // correct lower bound on the next legal issue time in both idleSkip
-    // modes (it is maintained identically; idleSkip only selects
-    // whether the per-cycle tick consults it), and no command can leave
-    // before the command bus frees. Scans before that bound are no-ops:
-    // priorities (ranks, marked bits, aging) affect which request wins
-    // a scan, never whether a command can legally issue.
+    // Next scheduling scan that could issue a command. After a scan,
+    // nextTryAt_ is the exact next legal issue time (or the unlatching
+    // scan, see tick) in both idleSkip modes (it is maintained
+    // identically; idleSkip only selects whether the per-cycle tick
+    // consults it), and no command can leave before the command bus
+    // frees. Scans before that cycle are no-ops: priorities (ranks,
+    // marked bits, aging) affect which request wins a scan, never
+    // whether a command can legally issue.
     if (!queue_.reads().empty() || !queue_.writes().empty())
         horizon = std::min(horizon,
                            std::max(nextTryAt_, channel_.cmdBusFreeAt()));

@@ -63,11 +63,13 @@ struct ControllerParams
     WriteDrainPolicy writeDrain; //!< watermark-latched write drain
 
     /**
-     * Skip scheduling scans until a command could possibly issue
-     * (cycle-exact: the skip bound is a lower bound on the next legal
-     * issue time, and arrivals re-arm the scan immediately). Purely a
-     * simulation-speed optimization; results are bit-identical either
-     * way, which tests/test_mem.cpp asserts.
+     * Skip scheduling scans until a command can legally issue. The skip
+     * bound is the exact next legal issue time (one command slot after
+     * a write that leaves a latched drain at or below the low
+     * watermark), and arrivals and refresh re-arm the scan at once.
+     * Purely a simulation-speed optimization; results are bit-identical
+     * either way, which tests/test_mem.cpp and test_sched_conformance
+     * assert.
      */
     bool idleSkip = true;
 };
@@ -137,12 +139,14 @@ class MemoryController : public QueueAccess
     /**
      * Earliest cycle >= @p now at which tick() could do externally
      * visible work, assuming no new submissions before then (the
-     * simulator executes every submission cycle, then re-queries).
-     * Conservative lower bound folding the next queued arrival, the
-     * next refresh due time, and the next possible command issue
-     * (max of nextTryAt_ and the channel's command-bus free time).
-     * Ticks at cycles before the returned value are state-preserving
-     * no-ops; kCycleNever means idle until outside input.
+     * simulator executes every submission cycle, then re-queries): the
+     * minimum of the next queued arrival, the next refresh due time,
+     * and the next scan slot, max(nextTryAt_, command-bus free time).
+     * After a scan nextTryAt_ is the exact next legal issue time (see
+     * tick), so a tick at the returned cycle may still issue nothing
+     * only when an arrival or refresh re-armed the scan. Ticks at
+     * cycles before the returned value are state-preserving no-ops;
+     * kCycleNever means idle until outside input.
      */
     Cycle nextEventAt(Cycle now) const;
 
@@ -214,16 +218,29 @@ class MemoryController : public QueueAccess
 
     /**
      * Scan @p lane by packed priority key and issue one command if
-     * possible. Each examined candidate costs one
-     * Channel::earliestIssue call; candidates whose key loses to the
-     * best issuable one found so far skip it. When no command can
-     * issue, lowers @p nextPossible to the earliest cycle any candidate
-     * could become issuable. A non-null @p profile times the scan as
+     * possible. Each examined candidate costs one readyAt lookup;
+     * candidates whose key loses to the best issuable one found so far
+     * skip it. A non-null @p profile times a non-empty scan as
      * Phase::ReadScan and counts it; reads only, so the read-scan
      * counters keep their meaning.
      */
-    bool tryIssue(RequestLane &lane, prof::Profiler *profile, Cycle now,
-                  Cycle &nextPossible);
+    bool tryIssue(RequestLane &lane, prof::Profiler *profile, Cycle now);
+
+    /**
+     * Channel::earliestIssue(@p cmd, @p bank), served from the
+     * readiness table: one entry per bank and command class (ACT or
+     * PRE, RD, WR), recomputed only when the channel version moved
+     * since it was filled.
+     */
+    Cycle readyAt(dram::CommandKind cmd, BankId bank);
+
+    /**
+     * Exact next legal issue time over both lanes: the minimum of
+     * readyAt(nextCommand(r)) over every queued request, stopping at
+     * the command-bus free time, which nothing can beat. kCycleNever
+     * when the lanes are empty.
+     */
+    Cycle nextIssueAt();
 
     /**
      * Issue nextCommand(@p lane's entry @p best) and apply every side
@@ -267,6 +284,14 @@ class MemoryController : public QueueAccess
     // Open-row snapshot the scans compare against, indexed by bank; taken
     // at most once per tick (see tick).
     std::vector<RowId> openRowScratch_;
+
+    /** One readiness-table entry (see readyAt). */
+    struct Readiness
+    {
+        Cycle at = 0;
+        std::uint64_t version = 0; //!< channel version it was filled at
+    };
+    std::vector<Readiness> ready_; //!< bank * 3 + command class
 };
 
 } // namespace tcm::mem

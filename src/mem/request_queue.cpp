@@ -4,15 +4,6 @@
 
 namespace tcm::mem {
 
-RequestLane::RequestLane(int cap)
-{
-    requests_.reserve(cap);
-    bank_.reserve(cap);
-    row_.reserve(cap);
-    arrivedAt_.reserve(cap);
-    keyHi_.reserve(cap);
-}
-
 void
 RequestLane::push(const Request &req)
 {
@@ -42,8 +33,7 @@ RequestLane::remove(std::size_t idx)
 }
 
 RequestQueue::RequestQueue(int readCap, int writeCap)
-    : readCap_(readCap), writeCap_(writeCap), reads_(readCap),
-      writes_(writeCap)
+    : readCap_(readCap), writeCap_(writeCap)
 {
 }
 

@@ -26,8 +26,6 @@ namespace tcm::mem {
 class RequestLane
 {
   public:
-    explicit RequestLane(int cap);
-
     /** Append @p req with a zero key for the controller to stamp. */
     void push(const Request &req);
 

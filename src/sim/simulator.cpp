@@ -330,6 +330,8 @@ Simulator::step(Cycle cycles)
     // just without the no-op scheduler/controller calls).
     const std::size_t n = cores_.size();
     coreSpan_.assign(n, 0);
+    std::vector<std::size_t> lockstep; // out-of-regime cores, ascending
+    lockstep.reserve(n);
     while (now_ < end) {
         executeCycle(now_, /*regimeCap=*/end - now_);
         ++now_;
@@ -345,16 +347,16 @@ Simulator::step(Cycle cycles)
             // arrived inside the horizon, and completions at executed
             // cycles reset the span).
             Cycle k = h - now_;
-            std::size_t out = 0;
+            lockstep.clear();
             for (std::size_t i = 0; i < n; ++i) {
                 if (coreSpan_[i] == 0)
                     coreSpan_[i] = cores_[i]->silentSpan(now_, end - now_);
                 if (coreSpan_[i] == 0)
-                    ++out;
+                    lockstep.push_back(i);
                 else
                     k = std::min(k, coreSpan_[i]);
             }
-            if (out == 0) {
+            if (lockstep.empty()) {
                 // Whole fleet in regime: one closed-form jump.
                 for (std::size_t i = 0; i < n; ++i) {
                     cores_[i]->fastForwardSilent(k);
@@ -377,38 +379,51 @@ Simulator::step(Cycle cycles)
                 now_ += k;
                 continue;
             }
-            // A submission this cycle is a cross-component effect:
-            // promote it to a fully executed cycle so the controller
-            // sees it in canonical order. Only out-of-regime cores can
-            // submit (both regimes preclude reaching a memory access).
+            // Mixed stretch: tick the out-of-regime cores cycle by
+            // cycle, then advance the in-regime ones once, by the closed
+            // form, over the cycles the stretch ran. It runs at most k
+            // cycles (the horizon, or the shortest in-regime span) and
+            // ends early before a cycle at which a ticked core would
+            // submit (a cross-component effect: the next executed cycle
+            // performs it in canonical order; only out-of-regime cores
+            // can submit, as both regimes preclude reaching a memory
+            // access), or once a ticked core enters a regime, so the
+            // next pass can jump.
+            Cycle ran = 0;
             bool submits = false;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (coreSpan_[i] == 0 && cores_[i]->wouldSubmitAt(now_)) {
-                    submits = true;
+            for (bool entered = false; ran < k && !entered; ++ran) {
+                const Cycle c = now_ + ran;
+                for (std::size_t i : lockstep) {
+                    if (cores_[i]->wouldSubmitAt(c)) {
+                        submits = true;
+                        break;
+                    }
+                }
+                if (submits)
                     break;
+                for (std::size_t i : lockstep) {
+                    cores_[i]->tick(c);
+                    entered = entered ||
+                              cores_[i]->silentSpan(c + 1, end - c - 1) > 0;
                 }
             }
+            for (std::size_t i = 0; i < n; ++i) {
+                const bool silent = coreSpan_[i] > 0;
+                if (silent) {
+                    cores_[i]->fastForwardSilent(ran);
+                    coreSpan_[i] -= ran;
+                }
+                if (prof_)
+                    prof_->addRegime(i,
+                                     !silent ? prof::Regime::Lockstep
+                                     : cores_[i]->dormantHead()
+                                         ? prof::Regime::Dormant
+                                         : prof::Regime::Streaming,
+                                     ran);
+            }
+            now_ += ran;
             if (submits)
                 break;
-            // Mixed single cycle: lockstep-tick the out-of-regime
-            // cores, closed-form the rest.
-            for (std::size_t i = 0; i < n; ++i) {
-                if (coreSpan_[i] > 0) {
-                    cores_[i]->fastForwardSilent(1);
-                    --coreSpan_[i];
-                    if (prof_)
-                        prof_->addRegime(i,
-                                         cores_[i]->dormantHead()
-                                             ? prof::Regime::Dormant
-                                             : prof::Regime::Streaming,
-                                         1);
-                } else {
-                    cores_[i]->tick(now_);
-                    if (prof_)
-                        prof_->addRegime(i, prof::Regime::Lockstep, 1);
-                }
-            }
-            ++now_;
         }
     }
 

@@ -277,6 +277,12 @@ TEST(ProfilerReport, EveryRegisteredSchedulerGetsHorizonAttribution)
             EXPECT_EQ(total, 80'000u) << name;
         }
         EXPECT_GT(r.scan.soaScans + r.scan.fallbackScans, 0u) << name;
+        // The read-scan timer counts scans, nothing else: at this
+        // intensity writes queue alone often enough that a scan finds
+        // the read lane empty, which must open no phase.
+        EXPECT_EQ(r.phaseCalls[static_cast<int>(prof::Phase::ReadScan)],
+                  r.scan.soaScans)
+            << name;
     }
 }
 

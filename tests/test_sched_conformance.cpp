@@ -13,9 +13,10 @@
  *     before that tick must have said "event at now". Rank/knob
  *     mutations — in ticks or hooks — must also bump the rank epoch
  *     (the controllers' snapshot-cache discipline).
- *  2. Execution-mode bit-identity: the per-cycle oracle and the
- *     cycle-skip kernel produce identical per-thread IPCs and
- *     byte-identical telemetry.
+ *  2. Execution-mode bit-identity: the fully naive reference (per-cycle
+ *     loop, controller idle skip off) and the default kernel produce
+ *     identical per-thread IPCs and byte-identical telemetry, on a
+ *     mixed system and on tight-drain saturated DDR2 and DDR4 systems.
  */
 
 #include <cstdint>
@@ -228,8 +229,8 @@ TEST_P(PolicyConformance, NextEventAtNeverUnderPredicts)
 }
 
 // ---------------------------------------------------------------------------
-// Contract 2: bit-identical results across the per-cycle oracle and the
-// cycle-skip kernel.
+// Contract 2: bit-identical results across the fully naive reference and
+// the default kernel.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -250,13 +251,49 @@ readFile(const std::string &path)
     return ss.str();
 }
 
+/** A system every policy runs under both execution modes. */
+struct ModeSystem
+{
+    const char *tag;
+    const char *protocol;
+    double intensity;
+    bool tightDrain; //!< 8-entry write queue, 6:2 watermarks
+};
+
+/**
+ * The default mixed system, plus a saturated one whose tight write
+ * queue latches and unlatches write drains all run long, on DDR2 and on
+ * DDR4 (bank groups): drain hysteresis is controller state that only
+ * a scan re-tests.
+ */
+constexpr ModeSystem kModeSystems[] = {
+    {"mixed", "ddr2-800", 0.5, false},
+    {"drain_ddr2", "ddr2-800", 1.0, true},
+    {"drain_ddr4", "ddr4-2400", 1.0, true},
+};
+
+/**
+ * One run of @p policyName on @p system. @p naive runs the reference:
+ * the per-cycle loop with a controller that scans at every free command
+ * slot (idleSkip off), so neither the kernel's horizons nor the
+ * controller's scan skipping is trusted. Otherwise the defaults run:
+ * the cycle-skip kernel with idle skip on.
+ */
 ModeResult
-runMode(const std::string &policyName, bool cycleSkip, const std::string &tag)
+runMode(const std::string &policyName, const ModeSystem &system, bool naive,
+        const std::string &tag)
 {
     sim::SystemConfig config;
     config.numCores = 6;
     config.numChannels = 2;
-    config.cycleSkip = cycleSkip;
+    EXPECT_EQ(config.selectProtocol(system.protocol), "");
+    if (system.tightDrain) {
+        config.controller.writeQueueCap = 8;
+        config.controller.writeDrain.highWatermark = 6;
+        config.controller.writeDrain.lowWatermark = 2;
+    }
+    config.cycleSkip = !naive;
+    config.controller.idleSkip = !naive;
     config.telemetry.enabled = true;
     config.telemetry.sampleInterval = 5'000;
 
@@ -264,7 +301,7 @@ runMode(const std::string &policyName, bool cycleSkip, const std::string &tag)
     EXPECT_TRUE(lookup.ok) << lookup.error;
     lookup.spec.scaleToRun(70'000);
 
-    auto mix = workload::randomMix(6, 0.5, /*seed=*/42);
+    auto mix = workload::randomMix(6, system.intensity, /*seed=*/42);
     sim::Simulator sim(config, mix, lookup.spec, /*seed=*/13);
 
     telemetry::TelemetrySink sink(config.telemetry);
@@ -288,23 +325,27 @@ runMode(const std::string &policyName, bool cycleSkip, const std::string &tag)
 
 TEST_P(PolicyConformance, ExecutionModesAreBitIdentical)
 {
-    std::string name = paramName(
+    const std::string name = paramName(
         testing::TestParamInfo<std::string>(GetParam(), 0));
 
-    // The per-cycle loop is the oracle the cycle-skip kernel must hit.
-    ModeResult oracle = runMode(GetParam(), /*cycleSkip=*/false,
-                                name + "_oracle");
-    ASSERT_FALSE(oracle.ipc.empty());
-    for (double ipc : oracle.ipc)
-        ASSERT_GT(ipc, 0.0);
+    for (const ModeSystem &system : kModeSystems) {
+        const std::string tag = name + "_" + system.tag;
+        SCOPED_TRACE(tag);
+        // The fully naive reference the default kernel must hit.
+        ModeResult oracle = runMode(GetParam(), system, /*naive=*/true,
+                                    tag + "_oracle");
+        ASSERT_FALSE(oracle.ipc.empty());
+        for (double ipc : oracle.ipc)
+            ASSERT_GT(ipc, 0.0);
 
-    ModeResult skip = runMode(GetParam(), /*cycleSkip=*/true, name + "_skip");
-    ASSERT_EQ(oracle.ipc.size(), skip.ipc.size());
-    for (std::size_t t = 0; t < oracle.ipc.size(); ++t)
-        EXPECT_EQ(oracle.ipc[t], skip.ipc[t])
-            << GetParam() << " thread " << t;
-    EXPECT_EQ(oracle.telemetry, skip.telemetry)
-        << GetParam() << ": telemetry stream diverged";
+        ModeResult skip = runMode(GetParam(), system, /*naive=*/false,
+                                  tag + "_skip");
+        ASSERT_EQ(oracle.ipc.size(), skip.ipc.size());
+        for (std::size_t t = 0; t < oracle.ipc.size(); ++t)
+            EXPECT_EQ(oracle.ipc[t], skip.ipc[t]) << "thread " << t;
+        EXPECT_EQ(oracle.telemetry, skip.telemetry)
+            << "telemetry stream diverged";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, PolicyConformance,
