@@ -5,6 +5,8 @@
 
 #pragma once
 
+#include <cstdint>
+
 #include "common/types.hpp"
 
 namespace tcm::dram {
@@ -21,6 +23,15 @@ enum class CommandKind
 
 /** Human-readable command name (for logs and test failure messages). */
 const char *commandName(CommandKind kind);
+
+/** Commands one channel issued over a measurement window. */
+struct CommandCounts
+{
+    std::uint64_t activates = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t refreshes = 0;
+};
 
 /**
  * Result of issuing a command on a channel. `occupancy` is the number of

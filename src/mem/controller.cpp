@@ -304,7 +304,6 @@ MemoryController::issueSelected(RequestLane &lane, std::size_t best,
 {
     Request req = lane.requests()[best]; // copy: removal invalidates it
     dram::IssueResult res = channel_.issue(cmd, req.bank, req.row, now);
-    stats_.bankBusyCycles += res.occupancy;
     if (probe_)
         probe_->addService(req.thread, res.occupancy);
     sched_->onCommand(req, cmd, now, res.occupancy);

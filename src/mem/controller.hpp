@@ -84,7 +84,6 @@ struct ControllerStats
     std::uint64_t refreshes = 0;
     std::uint64_t rowHits = 0;     //!< column commands to an already-open row
     std::uint64_t rowMisses = 0;   //!< column commands that needed an ACT
-    std::uint64_t bankBusyCycles = 0; //!< sum of command occupancies
     std::uint64_t writeDrains = 0; //!< high-watermark drain latches
 
     void

@@ -175,7 +175,8 @@ struct ProfileReport {
     /** Self-describing JSON document (tcmsim-profile-v1). */
     std::string toJson() const;
 
-    /** Human-readable rendering (SystemReport section). */
+    /** Human-readable rendering (`sweep` prints one per scheduler to
+     *  stderr); prints nothing unless enabled. */
     void print(std::FILE *out) const;
 };
 

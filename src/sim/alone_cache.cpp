@@ -4,8 +4,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 
+#include "common/file_io.hpp"
 #include "common/hash.hpp"
 #include "common/numfmt.hpp"
 #include "sim/simulator.hpp"
@@ -301,15 +301,7 @@ AloneIpcCache::saveToFile(const std::string &path) const
                        "fingerprint " + fp + "\n" + body + "end " +
                        std::to_string(count) + "\n";
 
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f)
-        throw std::runtime_error("alone-cache: cannot write " + tmp);
-    std::fwrite(text.data(), 1, text.size(), f);
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad || std::rename(tmp.c_str(), path.c_str()) != 0)
-        throw std::runtime_error("alone-cache: write failed for " + path);
+    replaceFile(path, "alone-cache", text);
 }
 
 } // namespace tcm::sim

@@ -1,12 +1,11 @@
 #include "sim/experiment.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <limits>
-#include <stdexcept>
 
 #include "common/env.hpp"
+#include "common/file_io.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/simulator.hpp"
 
@@ -159,12 +158,7 @@ runWorkload(const SystemConfig &config,
             std::string path = pcfg.dir + "/" + pcfg.filePrefix +
                                spec.name() + "_seed" +
                                std::to_string(seed) + ".profile.json";
-            std::FILE *f = std::fopen(path.c_str(), "w");
-            if (!f)
-                throw std::runtime_error("profile: cannot write " + path);
-            const std::string json = report->toJson();
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
+            writeFile(path, "profile", report->toJson());
         }
         result.profile = std::move(report);
     }

@@ -1,12 +1,12 @@
 #include "sim/results.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/numfmt.hpp"
 
@@ -185,15 +185,7 @@ ResultsDoc::toJsonLine() const
 void
 ResultsDoc::save(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        throw std::runtime_error("results: cannot write " + path);
-    std::string text = toJson();
-    std::fwrite(text.data(), 1, text.size(), f);
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad)
-        throw std::runtime_error("results: write error on " + path);
+    writeFile(path, "results", toJson());
 }
 
 ResultsDoc

@@ -487,7 +487,6 @@ Simulator::behavior(ThreadId t) const
         auto s = probe_->snapshot(now_);
         b.blp = s.blp[t];
         b.rbl = s.rbl[t];
-        b.probed = true;
     }
     return b;
 }
@@ -513,7 +512,6 @@ Simulator::commandCounts(ChannelId ch) const
     c.reads = s.readsServiced;
     c.writes = s.writesServiced;
     c.refreshes = s.refreshes;
-    c.bankBusyCycles = s.bankBusyCycles;
     return c;
 }
 

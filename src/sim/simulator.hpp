@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/core.hpp"
-#include "dram/energy.hpp"
+#include "dram/command.hpp"
 #include "dram/protocol_checker.hpp"
 #include "mem/controller.hpp"
 #include "prof/profiler.hpp"
@@ -66,10 +66,9 @@ class Simulator
     struct BehaviorStats
     {
         double mpki = 0.0;
-        double rbl = 0.0; //!< meaningless unless probed
-        double blp = 0.0; //!< meaningless unless probed
+        double rbl = 0.0; //!< 0 unless the simulator has the probe
+        double blp = 0.0; //!< 0 unless the simulator has the probe
         double ipc = 0.0;
-        bool probed = false; //!< rbl/blp were actually measured
     };
 
     /**
@@ -122,14 +121,11 @@ class Simulator
     const mem::SchedulerPolicy &scheduler() const { return *policy_; }
     const mem::ControllerStats &controllerStats(ChannelId ch) const;
 
-    /** Command counts of channel @p ch for dram::computeEnergy. */
+    /** Commands channel @p ch issued since the measurement began. */
     dram::CommandCounts commandCounts(ChannelId ch) const;
 
     /** Read-latency distributions of channel @p ch (measurement window). */
     const mem::LatencyTracker &latency(ChannelId ch) const;
-
-    /** Cycles simulated since beginMeasurement(). */
-    Cycle measuredCycles() const { return now_ - measureStart_; }
 
     const SystemConfig &config() const { return config_; }
 

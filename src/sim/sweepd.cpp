@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/file_io.hpp"
 #include "common/hash.hpp"
 #include "common/numfmt.hpp"
 #include "common/thread_pool.hpp"
@@ -102,16 +103,7 @@ writeCheckpoint(const std::string &path, const Checkpoint &ckpt)
                        "manifest " + hex + "\n" + "emitted " +
                        std::to_string(ckpt.emitted) + "\n" + "offset " +
                        std::to_string(ckpt.offset) + "\n";
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f)
-        throw std::runtime_error("sweepd: cannot write " + tmp);
-    std::fwrite(text.data(), 1, text.size(), f);
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad || std::rename(tmp.c_str(), path.c_str()) != 0)
-        throw std::runtime_error("sweepd: checkpoint write failed for " +
-                                 path);
+    replaceFile(path, "sweepd checkpoint", text);
 }
 
 /** The config @p protocol's jobs of @p m run under. */

@@ -70,10 +70,11 @@ struct SystemConfig
     /**
      * Simulator self-profiling (tcm::prof): wall-clock phase timers,
      * cycle-skip horizon attribution, regime occupancy and scan
-     * efficiency, reported through SystemReport and the
-     * ResultsDoc run-provenance block. Off by default; when off,
-     * sim::requestedProfile falls back to the TCMSIM_PROFILE environment
-     * knob (filePrefix still names the run's file).
+     * efficiency, reported through RunResult::profile, the run's
+     * profile file and the ResultsDoc run-provenance block. Off by
+     * default; when off, sim::requestedProfile falls back to the
+     * TCMSIM_PROFILE environment knob (filePrefix still names the
+     * run's file).
      * Purely an observer of the simulator — results are bit-identical
      * either way (tests/test_prof).
      */

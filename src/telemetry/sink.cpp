@@ -3,9 +3,8 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <functional>
-#include <stdexcept>
 
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/numfmt.hpp"
 
@@ -18,21 +17,6 @@ stats::Histogram
 lifecycleLadder()
 {
     return stats::Histogram::exponential(25.0, 1.5, 28);
-}
-
-void
-writeOrThrow(const std::string &path,
-             const std::function<void(std::FILE *)> &body)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        throw std::runtime_error("telemetry: cannot write " + path);
-    body(f);
-    if (std::ferror(f)) {
-        std::fclose(f);
-        throw std::runtime_error("telemetry: write error on " + path);
-    }
-    std::fclose(f);
 }
 
 /** JSON value for a gauge: the number, or null when not measured. */
@@ -291,7 +275,7 @@ TelemetrySink::writeJsonl(std::FILE *out) const
 void
 TelemetrySink::writeJsonl(const std::string &path) const
 {
-    writeOrThrow(path, [this](std::FILE *f) { writeJsonl(f); });
+    writeFile(path, "telemetry", [this](std::FILE *f) { writeJsonl(f); });
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +387,8 @@ TelemetrySink::writeChromeTrace(std::FILE *out) const
 void
 TelemetrySink::writeChromeTrace(const std::string &path) const
 {
-    writeOrThrow(path, [this](std::FILE *f) { writeChromeTrace(f); });
+    writeFile(path, "telemetry",
+              [this](std::FILE *f) { writeChromeTrace(f); });
 }
 
 } // namespace tcm::telemetry

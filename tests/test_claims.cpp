@@ -6,6 +6,8 @@
  */
 
 #include <cmath>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -143,6 +145,15 @@ TEST(ResultsDoc, RejectsMalformedJson)
                  std::runtime_error);
     EXPECT_THROW(results::ResultsDoc::fromJson("[1, 2]"),
                  std::runtime_error);
+}
+
+TEST(ResultsDoc, SaveToAFullDiskThrows)
+{
+    // /dev/full takes the open and the buffered write and fails only the
+    // flush in fclose, so only a checked close reports the lost file.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    EXPECT_THROW(sampleDoc().save("/dev/full"), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the library extensions: DRAM energy accounting and
+ * Tests for the library extensions: the Table 2 hardware-cost model and
  * barrier-coupled multithreaded workloads (paper Section 3.7).
  */
 
@@ -8,100 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include "dram/energy.hpp"
 #include "sched/tcm/hw_cost.hpp"
 #include "sim/simulator.hpp"
 #include "workload/benchmark_table.hpp"
 #include "workload/multithreaded.hpp"
 
 using namespace tcm;
-
-// ---------------------------------------------------------------------------
-// Energy model
-// ---------------------------------------------------------------------------
-
-TEST(Energy, ZeroCountsGiveOnlyIdleBackground)
-{
-    dram::EnergyParams p = dram::EnergyParams::ddr2_800();
-    dram::CommandCounts none;
-    dram::EnergyBreakdown e = dram::computeEnergy(p, none, 1'000'000, 4, 5.0);
-    EXPECT_EQ(e.activatePj, 0.0);
-    EXPECT_EQ(e.readPj, 0.0);
-    EXPECT_GT(e.backgroundPj, 0.0);
-    // 1M cycles at 5 GHz = 200 us; idle 400 mW -> 80 uJ = 8e7 pJ.
-    EXPECT_NEAR(e.backgroundPj, 8e7, 1e3);
-    EXPECT_NEAR(e.averageMw(1'000'000, 5.0), p.pBackgroundIdle, 0.01);
-}
-
-TEST(Energy, CommandEnergiesScaleLinearly)
-{
-    dram::EnergyParams p = dram::EnergyParams::ddr2_800();
-    dram::CommandCounts counts;
-    counts.activates = 10;
-    counts.reads = 20;
-    counts.writes = 5;
-    counts.refreshes = 2;
-    dram::EnergyBreakdown e = dram::computeEnergy(p, counts, 0, 4, 5.0);
-    EXPECT_DOUBLE_EQ(e.activatePj, 10 * p.eActPre);
-    EXPECT_DOUBLE_EQ(e.readPj, 20 * p.eRead);
-    EXPECT_DOUBLE_EQ(e.writePj, 5 * p.eWrite);
-    EXPECT_DOUBLE_EQ(e.refreshPj, 2 * p.eRefresh);
-    EXPECT_DOUBLE_EQ(e.perAccessPj(counts), e.totalPj() / 25.0);
-}
-
-TEST(Energy, BusyBanksDrawMoreBackgroundPower)
-{
-    dram::EnergyParams p = dram::EnergyParams::ddr2_800();
-    dram::CommandCounts idle, busy;
-    busy.bankBusyCycles = 4 * 100'000; // fully busy window
-    auto eIdle = dram::computeEnergy(p, idle, 100'000, 4, 5.0);
-    auto eBusy = dram::computeEnergy(p, busy, 100'000, 4, 5.0);
-    EXPECT_GT(eBusy.backgroundPj, eIdle.backgroundPj);
-    EXPECT_NEAR(eBusy.averageMw(100'000, 5.0), p.pBackgroundActive, 0.01);
-}
-
-TEST(Energy, SimulatorCountsDriveTheModel)
-{
-    sim::SystemConfig cfg;
-    cfg.numCores = 4;
-    std::vector<workload::ThreadProfile> mix(
-        4, workload::benchmarkProfile("lbm"));
-    sim::Simulator sim(cfg, mix, sched::SchedulerSpec::frfcfs(), 3);
-    sim.run(10'000, 100'000);
-
-    dram::EnergyParams p = dram::EnergyParams::ddr2_800();
-    double total = 0.0;
-    for (ChannelId ch = 0; ch < cfg.numChannels; ++ch) {
-        dram::CommandCounts c = sim.commandCounts(ch);
-        EXPECT_GT(c.reads, 0u) << "channel " << ch;
-        dram::EnergyBreakdown e =
-            dram::computeEnergy(p, c, 100'000, cfg.timing.banksPerChannel,
-                                cfg.timing.cyclesPerNs);
-        EXPECT_GT(e.totalPj(), 0.0);
-        EXPECT_GT(e.averageMw(100'000, 5.0), p.pBackgroundIdle);
-        total += e.totalPj();
-    }
-    EXPECT_GT(total, 0.0);
-}
-
-TEST(Energy, RowConflictsCostMoreThanStreams)
-{
-    // A row-conflict-heavy thread activates more per access, so its
-    // per-access energy must exceed a streaming thread's.
-    sim::SystemConfig cfg;
-    cfg.numCores = 1;
-    cfg.numChannels = 1;
-    dram::EnergyParams p = dram::EnergyParams::ddr2_800();
-
-    auto perAccess = [&](const char *bench) {
-        sim::Simulator sim(cfg, {workload::benchmarkProfile(bench)},
-                           sched::SchedulerSpec::frfcfs(), 3);
-        sim.run(10'000, 150'000);
-        dram::CommandCounts c = sim.commandCounts(0);
-        return dram::computeEnergy(p, c, 150'000, 4, 5.0).perAccessPj(c);
-    };
-    EXPECT_GT(perAccess("mcf"), perAccess("libquantum"));
-}
 
 // ---------------------------------------------------------------------------
 // Hardware cost model (Table 2)

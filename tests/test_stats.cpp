@@ -1,18 +1,15 @@
 /**
  * @file
  * Unit tests for the statistics subsystem: histogram math, the
- * controller latency tracker, and system reports.
+ * controller latency tracker, and the per-run statistics a simulator
+ * exposes (latency trackers, controller stats, command counts).
  */
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "mem/latency_tracker.hpp"
-#include "sim/report.hpp"
 #include "sim/simulator.hpp"
 #include "stats/counters.hpp"
 #include "stats/histogram.hpp"
@@ -196,10 +193,10 @@ TEST(LatencyTracker, ResetClearsEverything)
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: simulator latencies and reports
+// End-to-end: a simulator's latencies and counts
 // ---------------------------------------------------------------------------
 
-TEST(Report, UncontendedLatencyNearDatasheet)
+TEST(RunStats, UncontendedLatencyNearDatasheet)
 {
     sim::SystemConfig cfg;
     cfg.numCores = 1;
@@ -218,71 +215,35 @@ TEST(Report, UncontendedLatencyNearDatasheet)
     EXPECT_LT(merged.percentile(0.5), 2000.0);
 }
 
-TEST(Report, CollectsConsistentRows)
+TEST(RunStats, ReadCountsAgreeAcrossTrackerStatsAndCommands)
 {
     sim::SystemConfig cfg;
     cfg.numCores = 4;
     auto mix = workload::randomMix(4, 1.0, 5);
-    sim::Simulator sim(cfg, mix, sched::SchedulerSpec::tcmSpec(), 5,
-                       /*enableProbe=*/true);
+    sim::Simulator sim(cfg, mix, sched::SchedulerSpec::tcmSpec(), 5);
     sim.run(20'000, 100'000);
 
-    sim::SystemReport report = sim::SystemReport::collect(sim);
-    EXPECT_EQ(report.scheduler, "TCM");
-    EXPECT_EQ(report.measuredCycles, 100'000u);
-    ASSERT_EQ(report.threads.size(), 4u);
-    ASSERT_EQ(report.channels.size(),
-              static_cast<std::size_t>(cfg.numChannels));
-
-    std::uint64_t channelReads = 0;
-    for (const auto &c : report.channels) {
-        channelReads += c.reads;
-        EXPECT_GE(c.rowHitRate, 0.0);
-        EXPECT_LE(c.rowHitRate, 1.0);
-        EXPECT_GE(c.bankUtilization, 0.0);
-        EXPECT_LE(c.bankUtilization, 1.0);
-        EXPECT_GT(c.averagePowerMw, 0.0);
-    }
-    std::uint64_t threadReads = 0;
-    for (const auto &t : report.threads) {
-        EXPECT_GT(t.ipc, 0.0);
-        EXPECT_LE(t.latencyP50, t.latencyP99 + 1e-9);
-        EXPECT_LE(t.latencyP99, t.latencyMax + 1e-9);
-        threadReads += t.reads;
-    }
-    // Reads measured per thread equal reads serviced per channel.
-    EXPECT_EQ(threadReads, channelReads);
-}
-
-TEST(Report, CsvFilesAreWellFormed)
-{
-    sim::SystemConfig cfg;
-    cfg.numCores = 2;
-    auto mix = workload::randomMix(2, 1.0, 5);
-    sim::Simulator sim(cfg, mix, sched::SchedulerSpec::frfcfs(), 5);
-    sim.run(10'000, 50'000);
-    sim::SystemReport report = sim::SystemReport::collect(sim);
-
-    std::string prefix = "/tmp/tcmsim_test_report";
-    report.writeCsv(prefix);
-
-    for (const char *suffix : {"_threads.csv", "_channels.csv"}) {
-        std::ifstream in(prefix + suffix);
-        ASSERT_TRUE(in.good()) << suffix;
-        std::string header, firstRow;
-        std::getline(in, header);
-        std::getline(in, firstRow);
-        // Same number of commas in header and data rows.
-        auto commas = [](const std::string &s) {
-            return std::count(s.begin(), s.end(), ',');
-        };
-        EXPECT_GT(commas(header), 4);
-        EXPECT_EQ(commas(header), commas(firstRow)) << suffix;
-        std::remove((prefix + suffix).c_str());
+    for (ThreadId t = 0; t < sim.numThreads(); ++t)
+        EXPECT_GT(sim.measuredIpc(t), 0.0) << "thread " << t;
+    for (ChannelId ch = 0; ch < cfg.numChannels; ++ch) {
+        const mem::ControllerStats &s = sim.controllerStats(ch);
+        std::uint64_t threadReads = 0;
+        for (ThreadId t = 0; t < sim.numThreads(); ++t) {
+            const stats::Histogram &h = sim.latency(ch).threadHistogram(t);
+            threadReads += h.count();
+            EXPECT_LE(h.percentile(0.50), h.percentile(0.99) + 1e-9);
+            EXPECT_LE(h.percentile(0.99), h.max() + 1e-9);
+        }
+        // Every read the controller serviced was timed, and counted as
+        // a read command, exactly once.
+        EXPECT_GT(s.readsServiced, 0u) << "channel " << ch;
+        EXPECT_EQ(threadReads, s.readsServiced) << "channel " << ch;
+        EXPECT_EQ(sim.commandCounts(ch).reads, s.readsServiced)
+            << "channel " << ch;
     }
 }
 
-TEST(Report, StarvedThreadShowsTailBlowup)
+TEST(RunStats, StarvedThreadShowsTailBlowup)
 {
     // Under a strict fixed ranking, the deprioritized heavy thread's p99
     // latency must far exceed the favored thread's.
@@ -295,8 +256,9 @@ TEST(Report, StarvedThreadShowsTailBlowup)
     sim::Simulator sim(cfg, mix, sched::SchedulerSpec::fixedRank({0, 1}),
                        5);
     sim.run(20'000, 150'000);
-    sim::SystemReport r = sim::SystemReport::collect(sim);
-    EXPECT_GT(r.threads[0].latencyP99, 2.0 * r.threads[1].latencyP99);
+    const mem::LatencyTracker &lat = sim.latency(0);
+    EXPECT_GT(lat.threadHistogram(0).percentile(0.99),
+              2.0 * lat.threadHistogram(1).percentile(0.99));
 }
 
 // ---------------------------------------------------------------------------
@@ -334,10 +296,10 @@ TEST(NamedCounters, BumpTotalAndSnapshots)
 }
 
 // ---------------------------------------------------------------------------
-// Protocol audit section of the system report
+// Protocol audit of a run
 // ---------------------------------------------------------------------------
 
-TEST(Report, ProtocolAuditSectionAppearsWhenEnabled)
+TEST(RunStats, ProtocolCheckerAuditsWhenEnabled)
 {
     sim::SystemConfig cfg;
     cfg.numCores = 2;
@@ -346,15 +308,13 @@ TEST(Report, ProtocolAuditSectionAppearsWhenEnabled)
     auto mix = workload::randomMix(cfg.numCores, 1.0, 21);
     sim::Simulator sim(cfg, mix, sched::SchedulerSpec::frfcfs(), 21);
     sim.run(10'000, 40'000);
-    ASSERT_NE(sim.protocolChecker(), nullptr);
-
-    sim::SystemReport r = sim::SystemReport::collect(sim);
-    EXPECT_TRUE(r.protocol.audited);
-    EXPECT_GT(r.protocol.commandsAudited, 0u);
-    EXPECT_EQ(r.protocol.violations, 0u);
+    const dram::ProtocolChecker *checker = sim.protocolChecker();
+    ASSERT_NE(checker, nullptr);
+    EXPECT_GT(checker->eventsAudited(), 0u);
+    EXPECT_EQ(checker->violationCount(), 0u);
 }
 
-TEST(Report, ProtocolAuditSectionAbsentByDefault)
+TEST(RunStats, ProtocolCheckerAbsentByDefault)
 {
     sim::SystemConfig cfg;
     cfg.numCores = 2;
@@ -363,6 +323,4 @@ TEST(Report, ProtocolAuditSectionAbsentByDefault)
     sim::Simulator sim(cfg, mix, sched::SchedulerSpec::frfcfs(), 21);
     sim.run(10'000, 20'000);
     EXPECT_EQ(sim.protocolChecker(), nullptr);
-    sim::SystemReport r = sim::SystemReport::collect(sim);
-    EXPECT_FALSE(r.protocol.audited);
 }
