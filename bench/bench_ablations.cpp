@@ -32,7 +32,8 @@ evalConfig(const sim::SystemConfig &config, const sched::SchedulerSpec &spec,
     auto workloads = workload::workloadSet(scale.workloadsPerCategory,
                                            config.numCores, 0.5, 9900);
     sim::AloneIpcCache cache(config, scale.warmup, scale.measure);
-    return sim::evaluateSet(config, workloads, spec, scale, cache, seed);
+    return sim::evaluateMatrix(config, workloads, {spec}, scale, cache, seed)
+        .front();
 }
 
 void

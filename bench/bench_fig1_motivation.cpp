@@ -3,7 +3,8 @@
  * Reproduces Figure 1: unfairness (maximum slowdown) vs system
  * throughput (weighted speedup) of the four prior schedulers — FR-FCFS,
  * STFM, PAR-BS, ATLAS — averaged over random workloads of 50/75/100 %
- * memory intensity (the same population Figure 4 uses, without TCM).
+ * memory intensity (a population of its own, per-intensity seeds
+ * 1050/1075/1100; Figure 4 seeds its population 2050/2075/2100).
  *
  * Paper's reading: PAR-BS is most fair, ATLAS has the highest
  * throughput, no prior scheduler wins both.

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <filesystem>
 
-#include "common/numfmt.hpp"
 #include "prof/profiler.hpp"
 
 namespace tcm::bench {
@@ -23,29 +22,11 @@ printHeader(const std::string &title, const sim::ExperimentScale &scale)
     // runWorkload and paper::table4 honor the TCMSIM_PROFILE knob
     // (sim::requestedProfile); surface that on stderr so a profiled run
     // is visibly profiled while stdout (golden-diffed) stays
-    // byte-stable. Runs that build a Simulator directly are not
-    // profiled: fig2's Table 1 runs, cycleskip and micro_perf.
-    prof::ProfileConfig pcfg = prof::ProfileConfig::fromEnv();
-    if (pcfg.enabled)
-        std::fprintf(stderr, "bench: simulator self-profile on%s%s\n",
-                     pcfg.dir.empty() ? "" : ", writing to ",
-                     pcfg.dir.c_str());
-}
-
-void
-printAggregate(const sim::AggregateResult &r)
-{
-    std::printf("%-10s  WS=%6.2f  MS=%6.2f  HS=%6.3f\n", r.scheduler.c_str(),
-                r.weightedSpeedup.mean(), r.maxSlowdown.mean(),
-                r.harmonicSpeedup.mean());
-}
-
-std::string
-fmt(double v, int precision)
-{
-    // std::to_chars, not snprintf: table rows feed goldens and diffs, so
-    // they must not bend to the process locale's decimal separator.
-    return formatDouble(v, precision);
+    // byte-stable. Bench runs have no file names, so the profiles land
+    // only in the paper drivers' --json run blocks.
+    if (prof::ProfileConfig::fromEnv().enabled)
+        std::fprintf(stderr, "bench: simulator self-profile on, no per-run "
+                             "files\n");
 }
 
 std::string

@@ -20,12 +20,6 @@ namespace tcm::bench {
 /** Print the standard bench banner with the experiment scale in use. */
 void printHeader(const std::string &title, const sim::ExperimentScale &scale);
 
-/** Print one "name: WS=.. MS=.. HS=.." row. */
-void printAggregate(const sim::AggregateResult &r);
-
-/** Markdown-ish table row helpers (locale-independent). */
-std::string fmt(double v, int precision = 2);
-
 /**
  * Where this bench run's structured results should go: the value of a
  * `--json PATH` argument if present, else `$TCMSIM_BENCH_JSON/BENCH_

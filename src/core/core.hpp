@@ -158,9 +158,6 @@ class Core
 
     ThreadId id() const { return id_; }
 
-    std::uint64_t instructionsRetired() const { return counters_->instructions; }
-    std::uint64_t readMissesIssued() const { return counters_->readMisses; }
-
     /** Instructions currently occupying the window (tests). */
     int windowOccupancy() const { return occupancy_; }
 

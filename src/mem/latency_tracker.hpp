@@ -35,8 +35,6 @@ class LatencyTracker
     /** Per-thread histogram (shared bucket ladder; mergeable). */
     const stats::Histogram &threadHistogram(ThreadId t) const;
 
-    int maxThread() const { return static_cast<int>(perThread_.size()) - 1; }
-
     void reset();
 
   private:

@@ -17,7 +17,6 @@ phaseName(Phase p)
     case Phase::ReadScan: return "ctrl.scan";
     case Phase::CoreTick: return "core.tick";
     case Phase::Telemetry: return "telemetry";
-    case Phase::Serialize: return "serialize";
     }
     return "?";
 }
@@ -31,7 +30,6 @@ phaseKey(Phase p)
     case Phase::ReadScan: return "ctrl_scan";
     case Phase::CoreTick: return "core_tick";
     case Phase::Telemetry: return "telemetry";
-    case Phase::Serialize: return "serialize";
     }
     return "?";
 }

@@ -36,10 +36,9 @@ enum class Phase : int {
     ReadScan,      //!< SoA read-queue scan (subset of CtrlTick)
     CoreTick,      //!< core lockstep ticks + silent fast-forwarding
     Telemetry,     //!< interval sampling into the telemetry sink
-    Serialize,     //!< end-of-run telemetry/profile file writes
 };
 
-inline constexpr int kPhaseCount = 6;
+inline constexpr int kPhaseCount = 5;
 
 /** Stable short name ("sched.tick", ...) for reports. */
 const char *phaseName(Phase p);
@@ -125,10 +124,9 @@ struct ScanCounters {
 /** How profiling is requested. */
 struct ProfileConfig {
     bool enabled = false;
-    /** When non-empty: write one <prefix><name>_seed<N>.profile.json per
-     *  run into this directory. */
+    /** When non-empty: the grid executor (sim::runCells) writes
+     *  `<dir>/<name>.profile.json` for each named cell. */
     std::string dir;
-    std::string filePrefix;
 
     /**
      * TCMSIM_PROFILE environment knob: unset or "0" = off, "1" = on

@@ -83,9 +83,6 @@ class Ght : public SchedulerPolicy
         return ranks_[thread];
     }
 
-    /** Is @p thread in the latency-sensitive boost band? (tests) */
-    bool isBoosted(ThreadId thread) const { return boosted_[thread] != 0; }
-
     const GhtParams &params() const { return params_; }
 
   private:

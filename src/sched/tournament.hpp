@@ -106,9 +106,6 @@ class Tournament : public SchedulerPolicy
     /** The currently live candidate (tests/benches). */
     const SchedulerPolicy &live() const { return *candidates_[liveIdx_]; }
 
-    /** Index of the live candidate (tests). */
-    int liveIndex() const { return liveIdx_; }
-
     /** Exponential score average of candidate @p i (tests). */
     double score(int i) const { return scores_[i]; }
 

@@ -3,10 +3,10 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
 
 #include "common/env.hpp"
 #include "common/file_io.hpp"
-#include "common/thread_pool.hpp"
 #include "sim/simulator.hpp"
 
 namespace tcm::sim {
@@ -65,16 +65,37 @@ stepSampledWindows(Simulator &sim, const SamplingConfig &samp,
     return rse;
 }
 
+/** Write the per-run files of named cell @p cell, which ran to @p r:
+ *  the one place a per-run file name is built. */
+void
+writeRunFiles(const Cell &cell, const RunResult &r)
+{
+    auto path = [&](const std::string &dir, const char *suffix) {
+        return dir + "/" + cell.name + suffix;
+    };
+    const std::string &telemetryDir = cell.config.telemetry.dir;
+    if (r.telemetry && !telemetryDir.empty()) {
+        r.telemetry->writeJsonl(path(telemetryDir, ".jsonl"));
+        r.telemetry->writeChromeTrace(path(telemetryDir, ".trace.json"));
+    }
+    const std::string profileDir = requestedProfile(cell.config).dir;
+    if (r.profile && !profileDir.empty()) {
+        // The directory may come straight from TCMSIM_PROFILE, so create
+        // it here rather than demanding every caller does.
+        std::error_code ec;
+        std::filesystem::create_directories(profileDir, ec);
+        writeFile(path(profileDir, ".profile.json"), "profile",
+                  r.profile->toJson());
+    }
+}
+
 } // namespace
 
 prof::ProfileConfig
 requestedProfile(const SystemConfig &config)
 {
-    if (config.profile.enabled)
-        return config.profile;
-    prof::ProfileConfig env = prof::ProfileConfig::fromEnv();
-    env.filePrefix = config.profile.filePrefix;
-    return env;
+    return config.profile.enabled ? config.profile
+                                  : prof::ProfileConfig::fromEnv();
 }
 
 RunResult
@@ -101,9 +122,8 @@ runWorkload(const SystemConfig &config,
         sink->setMeta(std::move(meta)); // attach fills the rest
         observers.telemetry = sink.get();
     }
-    const prof::ProfileConfig pcfg = requestedProfile(config);
     std::unique_ptr<prof::Profiler> profiler;
-    if (pcfg.enabled) {
+    if (requestedProfile(config).enabled) {
         profiler = std::make_unique<prof::Profiler>();
         observers.profiler = profiler.get();
     }
@@ -131,38 +151,39 @@ runWorkload(const SystemConfig &config,
         result.protocolViolations = checker->violationCount();
         result.protocolReport = checker->report();
     }
-    if (sink) {
-        if (!tcfg.dir.empty()) {
-            // Deterministic name: parallel sweeps write the same file
-            // set at any thread count.
-            prof::ScopedPhase serialize(profiler ? &profiler->phases()
-                                                 : nullptr,
-                                        prof::Phase::Serialize);
-            std::string base = tcfg.dir + "/" + tcfg.filePrefix +
-                               spec.name() + "_seed" +
-                               std::to_string(seed);
-            sink->writeJsonl(base + ".jsonl");
-            sink->writeChromeTrace(base + ".trace.json");
-        }
-        result.telemetry = std::move(sink);
-    }
-    if (profiler) {
-        auto report =
+    result.telemetry = std::move(sink);
+    if (profiler)
+        result.profile =
             std::make_shared<prof::ProfileReport>(profiler->report());
-        if (!pcfg.dir.empty()) {
-            // Same deterministic naming scheme as the telemetry files.
-            // The directory may come straight from TCMSIM_PROFILE, so
-            // create it here rather than demanding every caller does.
-            std::error_code ec;
-            std::filesystem::create_directories(pcfg.dir, ec);
-            std::string path = pcfg.dir + "/" + pcfg.filePrefix +
-                               spec.name() + "_seed" +
-                               std::to_string(seed) + ".profile.json";
-            writeFile(path, "profile", report->toJson());
-        }
-        result.profile = std::move(report);
-    }
     return result;
+}
+
+std::vector<RunResult>
+runCells(const std::vector<Cell> &cells, const ExperimentScale &scale,
+         ThreadPool &pool)
+{
+    // Fill the alone-IPC denominators first, one prewarm per distinct
+    // cache, so the runs below hit read-only caches (and the alone runs
+    // parallelize instead of serializing behind per-key latches).
+    std::map<AloneIpcCache *,
+             std::vector<std::vector<workload::ThreadProfile>>>
+        mixesOf;
+    for (const Cell &cell : cells)
+        mixesOf[cell.cache].push_back(cell.mix);
+    for (auto &[cache, mixes] : mixesOf)
+        cache->prewarm(mixes, pool);
+
+    // Each task writes only its own slot, so no result synchronization
+    // is needed.
+    std::vector<RunResult> results(cells.size());
+    pool.parallelFor(cells.size(), [&](std::size_t i) {
+        const Cell &cell = cells[i];
+        results[i] = runWorkload(cell.config, cell.mix, cell.spec, scale,
+                                 *cell.cache, cell.seed);
+        if (!cell.name.empty())
+            writeRunFiles(cell, results[i]);
+    });
+    return results;
 }
 
 std::vector<std::vector<RunResult>>
@@ -173,25 +194,17 @@ runMatrix(const SystemConfig &config,
           std::uint64_t baseSeed, int jobs)
 {
     ThreadPool pool(jobs);
-
-    // Fill the alone-IPC denominators first so the sweep tasks below hit
-    // a read-only cache (and the alone runs themselves parallelize
-    // instead of serializing behind per-key latches mid-sweep).
-    cache.prewarm(workloads, pool);
+    std::vector<Cell> cells;
+    cells.reserve(specs.size() * workloads.size());
+    for (const sched::SchedulerSpec &spec : specs)
+        for (std::size_t w = 0; w < workloads.size(); ++w)
+            cells.push_back({config, &cache, workloads[w], spec,
+                             baseSeed + w, ""});
+    std::vector<RunResult> runs = runCells(cells, scale, pool);
 
     std::vector<std::vector<RunResult>> results(specs.size());
-    for (auto &row : results)
-        row.resize(workloads.size());
-
-    // One flat task per (scheduler, workload) cell; each writes only its
-    // own slot, so no result synchronization is needed.
-    const std::size_t cells = specs.size() * workloads.size();
-    pool.parallelFor(cells, [&](std::size_t i) {
-        const std::size_t s = i / workloads.size();
-        const std::size_t w = i % workloads.size();
-        results[s][w] = runWorkload(config, workloads[w], specs[s], scale,
-                                    cache, baseSeed + w);
-    });
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        results[i / workloads.size()].push_back(std::move(runs[i]));
     return results;
 }
 
@@ -219,17 +232,6 @@ evaluateMatrix(const SystemConfig &config,
         }
     }
     return aggregates;
-}
-
-AggregateResult
-evaluateSet(const SystemConfig &config,
-            const std::vector<std::vector<workload::ThreadProfile>> &workloads,
-            const sched::SchedulerSpec &spec, const ExperimentScale &scale,
-            AloneIpcCache &cache, std::uint64_t baseSeed, int jobs)
-{
-    return evaluateMatrix(config, workloads, {spec}, scale, cache, baseSeed,
-                          jobs)
-        .front();
 }
 
 std::vector<sched::SchedulerSpec>

@@ -3,10 +3,10 @@
  * Experiment drivers: run workloads under schedulers, produce metrics.
  *
  * Every (workload, scheduler) simulation is independent and
- * independently seeded, so the drivers fan the grid out across a
- * ThreadPool (TCMSIM_JOBS knob; jobs=1 runs inline). Results are
- * collected by index and reduced in workload order, so aggregate
- * metrics are bit-identical to a serial run at any thread count.
+ * independently seeded, so every grid is a list of cells that one
+ * executor, runCells, fans out across a ThreadPool (TCMSIM_JOBS knob;
+ * jobs=1 runs inline). Results are collected by index and reduced in
+ * workload order, so aggregates are bit-identical at any thread count.
  */
 
 #pragma once
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/running_stat.hpp"
+#include "common/thread_pool.hpp"
 #include "metrics/metrics.hpp"
 #include "prof/profiler.hpp"
 #include "sched/factory.hpp"
@@ -109,20 +110,44 @@ struct RunResult
 
 /**
  * The self-profile a run of @p config asks for: SystemConfig::profile
- * when enabled, else the TCMSIM_PROFILE environment knob under the
- * config's profile file prefix, so each run of a grid names its own
- * file either way.
+ * when enabled, else the TCMSIM_PROFILE environment knob.
  */
 prof::ProfileConfig requestedProfile(const SystemConfig &config);
 
 /**
  * Simulate @p mix under @p spec (time-scaled to the run length) and
- * compute the paper's metrics against memoized alone IPCs.
+ * compute the paper's metrics against memoized alone IPCs. Writes no
+ * file: the run's telemetry sink and profile come back in the result.
  */
 RunResult runWorkload(const SystemConfig &config,
                       const std::vector<workload::ThreadProfile> &mix,
                       sched::SchedulerSpec spec, const ExperimentScale &scale,
                       AloneIpcCache &cache, std::uint64_t seed);
+
+/** One run of a grid: @p mix under @p spec on @p config, seeded @p seed,
+ *  against the alone IPCs of @p cache (built for @p config). */
+struct Cell
+{
+    SystemConfig config;
+    AloneIpcCache *cache = nullptr;
+    std::vector<workload::ThreadProfile> mix;
+    sched::SchedulerSpec spec;
+    std::uint64_t seed = 0;
+    /** Stem of the run's files, unique within its grid: `<name>.jsonl`
+     *  and `.trace.json` in telemetry.dir, `<name>.profile.json` in the
+     *  requested profile's dir. Empty writes no file. */
+    std::string name;
+};
+
+/**
+ * The one grid executor. Prewarms each distinct alone cache over its
+ * cells' mixes, runs every cell through runWorkload on @p pool, writes
+ * the files of each named cell, and returns the results in cell order.
+ * Throws what a run or a file write throws (the lowest-index failure).
+ */
+std::vector<RunResult> runCells(const std::vector<Cell> &cells,
+                                const ExperimentScale &scale,
+                                ThreadPool &pool);
 
 /** Aggregate metrics of one scheduler over a set of workloads. */
 struct AggregateResult
@@ -138,11 +163,11 @@ struct AggregateResult
 };
 
 /**
- * Run every (scheduler, workload) pair of the grid as one flat parallel
- * task list and return the per-run results as result[scheduler][workload].
- * Workload @p w of every scheduler uses seed baseSeed + w (the serial
- * evaluateSet seeding), so the grid equals per-scheduler serial runs.
- * The alone-IPC cache is prewarmed across the pool first.
+ * Run every (scheduler, workload) pair of the grid as one runCells call
+ * and return the per-run results as result[scheduler][workload].
+ * Workload @p w of every scheduler uses seed baseSeed + w, so the grid
+ * equals per-scheduler serial runs. The cells have no name: no run
+ * writes a per-run file, and profiles come back in the results.
  *
  * @param jobs pool size; <= 0 means ThreadPool::defaultJobs()
  *        (TCMSIM_JOBS, else all hardware threads); 1 runs serially
@@ -167,14 +192,6 @@ evaluateMatrix(const SystemConfig &config,
                const std::vector<sched::SchedulerSpec> &specs,
                const ExperimentScale &scale, AloneIpcCache &cache,
                std::uint64_t baseSeed, int jobs = 0);
-
-/** Evaluate @p spec on every workload in @p workloads (a one-scheduler
- *  evaluateMatrix: same parallelism, same determinism guarantee). */
-AggregateResult
-evaluateSet(const SystemConfig &config,
-            const std::vector<std::vector<workload::ThreadProfile>> &workloads,
-            const sched::SchedulerSpec &spec, const ExperimentScale &scale,
-            AloneIpcCache &cache, std::uint64_t baseSeed, int jobs = 0);
 
 /** The five schedulers of the paper's headline comparison (Figure 4). */
 std::vector<sched::SchedulerSpec> paperSchedulers();

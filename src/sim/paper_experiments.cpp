@@ -44,6 +44,21 @@ stamp(results::ResultsDoc &doc, std::chrono::steady_clock::time_point t0,
         doc.profileMetrics = profile->provenance();
 }
 
+/** fig4's population, which zoo shares (with base seed 1) so its rows
+ *  compare directly: thirds at 50/75/100% intensity, seeds 2050/75/100. */
+std::vector<std::vector<workload::ThreadProfile>>
+fig4Workloads(const SystemConfig &config, const ExperimentScale &scale)
+{
+    std::vector<std::vector<workload::ThreadProfile>> workloads;
+    for (double intensity : {0.5, 0.75, 1.0}) {
+        auto set = workload::workloadSet(
+            scale.workloadsPerCategory, config.numCores, intensity,
+            2000 + static_cast<int>(intensity * 100));
+        workloads.insert(workloads.end(), set.begin(), set.end());
+    }
+    return workloads;
+}
+
 /** Merged self-profile of one evaluateMatrix grid (disabled when the
  *  runs were not profiled). */
 prof::ProfileReport
@@ -61,18 +76,10 @@ results::ResultsDoc
 fig4(const SystemConfig &config, const ExperimentScale &scale, int jobs)
 {
     auto t0 = tick();
-    // The exact bench_fig4 population: per-intensity seeds 2050/2075/2100.
-    std::vector<std::vector<workload::ThreadProfile>> workloads;
-    for (double intensity : {0.5, 0.75, 1.0}) {
-        auto set = workload::workloadSet(
-            scale.workloadsPerCategory, config.numCores, intensity,
-            2000 + static_cast<int>(intensity * 100));
-        workloads.insert(workloads.end(), set.begin(), set.end());
-    }
-
     AloneIpcCache cache(config, scale.effectiveWarmup(), scale.effectiveMeasure());
-    auto aggs = evaluateMatrix(config, workloads, paperSchedulers(), scale,
-                               cache, /*baseSeed=*/1, jobs);
+    auto aggs = evaluateMatrix(config, fig4Workloads(config, scale),
+                               paperSchedulers(), scale, cache,
+                               /*baseSeed=*/1, jobs);
 
     results::ResultsDoc doc("fig4", scale);
     for (const AggregateResult &agg : aggs) {
@@ -193,16 +200,6 @@ results::ResultsDoc
 zoo(const SystemConfig &config, const ExperimentScale &scale, int jobs)
 {
     auto t0 = tick();
-    // Same population as fig4 so zoo rows are directly comparable with
-    // the headline grid (per-intensity seeds 2050/2075/2100, baseSeed 1).
-    std::vector<std::vector<workload::ThreadProfile>> workloads;
-    for (double intensity : {0.5, 0.75, 1.0}) {
-        auto set = workload::workloadSet(
-            scale.workloadsPerCategory, config.numCores, intensity,
-            2000 + static_cast<int>(intensity * 100));
-        workloads.insert(workloads.end(), set.begin(), set.end());
-    }
-
     const std::vector<sched::SchedulerSpec> specs = {
         sched::SchedulerSpec::frfcfs(),
         sched::SchedulerSpec::atlasSpec(),
@@ -214,8 +211,8 @@ zoo(const SystemConfig &config, const ExperimentScale &scale, int jobs)
     };
 
     AloneIpcCache cache(config, scale.effectiveWarmup(), scale.effectiveMeasure());
-    auto aggs = evaluateMatrix(config, workloads, specs, scale, cache,
-                               /*baseSeed=*/1, jobs);
+    auto aggs = evaluateMatrix(config, fig4Workloads(config, scale), specs,
+                               scale, cache, /*baseSeed=*/1, jobs);
 
     results::ResultsDoc doc("zoo", scale);
     for (const AggregateResult &agg : aggs) {

@@ -9,8 +9,8 @@
  * Each driver returns a structured results document (sim/results.hpp);
  * benches render their tables from it, tools/claims evaluates the
  * claim registry against it and diffs it with the committed goldens.
- * All grids fan out through sim::runMatrix, so results are
- * bit-identical at any --jobs level.
+ * All grids fan out through sim::runMatrix (sim::runCells), so results
+ * are bit-identical at any --jobs level.
  */
 
 #pragma once

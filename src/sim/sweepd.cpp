@@ -270,41 +270,22 @@ std::vector<RunResult>
 runJobs(const Manifest &m, const SystemConfig &base, AloneCaches &caches,
         std::size_t first, std::size_t count, ThreadPool &pool)
 {
-    const ExperimentScale scale = m.scale();
-    // Prewarm denominators per protocol so the batch proper runs against
-    // read-only caches (misses parallelize here instead of serializing
-    // behind per-key latches mid-run).
-    std::map<std::string, SystemConfig> configs;
-    {
-        std::map<std::string,
-                 std::vector<std::vector<workload::ThreadProfile>>>
-            byProtocol;
-        for (std::size_t i = first; i < first + count; ++i) {
-            const JobSpec &job = m.jobs[i];
-            byProtocol[job.protocol].push_back(mixForJob(m, job));
-            if (!configs.count(job.protocol))
-                configs.emplace(job.protocol,
-                                jobConfig(m, base, job.protocol));
-        }
-        for (auto &[protocol, mixes] : byProtocol)
-            caches.at(protocol)->prewarm(mixes, pool);
+    std::vector<Cell> cells;
+    cells.reserve(count);
+    for (std::size_t i = first; i < first + count; ++i) {
+        const JobSpec &job = m.jobs[i];
+        const sched::SchedulerSpec spec = sched::specByName(job.scheduler).spec;
+        // Name the job's files after its stream point, the one identity
+        // distinct across the manifest.
+        std::string point = pointOf(job);
+        std::replace(point.begin(), point.end(), '/', '_');
+        cells.push_back({jobConfig(m, base, job.protocol),
+                         caches.at(job.protocol).get(), mixForJob(m, job),
+                         spec, job.seed,
+                         point + "_" + spec.name() + "_seed" +
+                             std::to_string(job.seed)});
     }
-
-    std::vector<RunResult> runs(count);
-    pool.parallelFor(count, [&](std::size_t i) {
-        const JobSpec &job = m.jobs[first + i];
-        // Name the job's telemetry and profile files after its stream
-        // point, the one identity distinct across the manifest.
-        SystemConfig config = configs.at(job.protocol);
-        std::string prefix = pointOf(job) + "_";
-        std::replace(prefix.begin(), prefix.end(), '/', '_');
-        config.telemetry.filePrefix = prefix;
-        config.profile.filePrefix = prefix;
-        runs[i] = runWorkload(config, mixForJob(m, job),
-                              sched::specByName(job.scheduler).spec, scale,
-                              *caches.at(job.protocol), job.seed);
-    });
-    return runs;
+    return runCells(cells, m.scale(), pool);
 }
 
 Server::Server(Options options) : options_(std::move(options)) {}

@@ -7,9 +7,8 @@
  *    intensity, mix-index, seed) jobs plus the shared system/scale knobs.
  *    tools/sweep builds one in memory from its flags; sweepd reads one
  *    from a file.
- *  - runJobs() runs a range of jobs across a tcm::ThreadPool and returns
- *    their results in job order; each run names its telemetry and
- *    profile files after the job's stream point.
+ *  - runJobs() runs a range of jobs as sim::runCells cells named after
+ *    their stream points and returns their results in job order.
  *  - Server::runManifest streams one compact ResultsDoc JSONL record per
  *    job (results::ResultsDoc::toJsonLine) **in manifest order**, batch
  *    by batch, so a consumer can tail the file.
@@ -113,13 +112,13 @@ using AloneCaches = std::map<std::string, std::unique_ptr<AloneIpcCache>>;
 AloneCaches makeCaches(const Manifest &m, const SystemConfig &base);
 
 /**
- * Run jobs [@p first, @p first + @p count) of @p m on @p pool and return
- * their results in job order. Each job runs @p base with the manifest's
- * cores and channels and the job's protocol, on the mix the manifest
- * contract gives its (intensity, mix index), with the job's seed, and
- * writes any telemetry or profile files under its stream point
- * ("ddr2-800_i0.5_w0_s1_"). The batch's alone IPCs are prewarmed into
- * @p caches (from makeCaches) first. Throws what a run throws.
+ * Run jobs [@p first, @p first + @p count) of @p m on @p pool through
+ * sim::runCells and return their results in job order. Each job runs
+ * @p base with the manifest's cores and channels and the job's protocol,
+ * on the mix the manifest contract gives its (intensity, mix index),
+ * with the job's seed, against its protocol's cache in @p caches (from
+ * makeCaches), as a cell named after its stream point
+ * ("ddr2-800_i0.5_w0_s1_TCM_seed1"). Throws what a run throws.
  */
 std::vector<RunResult>
 runJobs(const Manifest &m, const SystemConfig &base, AloneCaches &caches,

@@ -62,19 +62,20 @@ struct SystemConfig
 
     /**
      * In-run telemetry: interval time-series sampler, scheduler-decision
-     * trace, request-lifecycle breakdowns. Off by default — the fast
-     * path stays observer-free and results are bit-identical either way.
+     * trace, request-lifecycle breakdowns, returned in
+     * RunResult::telemetry. Off by default — the fast path stays
+     * observer-free and results are bit-identical either way.
      */
     telemetry::TelemetryConfig telemetry;
 
     /**
      * Simulator self-profiling (tcm::prof): wall-clock phase timers,
      * cycle-skip horizon attribution, regime occupancy and scan
-     * efficiency, reported through RunResult::profile, the run's
-     * profile file and the ResultsDoc run-provenance block. Off by
-     * default; when off, sim::requestedProfile falls back to the
-     * TCMSIM_PROFILE environment knob (filePrefix still names the
-     * run's file).
+     * efficiency, reported through RunResult::profile, a named grid
+     * cell's profile file (sim::runCells) and the ResultsDoc
+     * run-provenance block. Off by default; when off,
+     * sim::requestedProfile falls back to the TCMSIM_PROFILE
+     * environment knob.
      * Purely an observer of the simulator — results are bit-identical
      * either way (tests/test_prof).
      */

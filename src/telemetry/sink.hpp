@@ -91,10 +91,6 @@ class TelemetrySink
     const RingBuffer<ThreadSample> &threadSamples() const { return threadSamples_; }
     const RingBuffer<ChannelSample> &channelSamples() const { return channelSamples_; }
     const RingBuffer<DecisionEvent> &events() const { return events_; }
-    const RingBuffer<SimulatorSample> &simulatorSamples() const
-    {
-        return simulatorSamples_;
-    }
 
     /** Newest retained event named @p name, or nullptr. */
     const DecisionEvent *lastEvent(const std::string &name) const;
@@ -105,11 +101,6 @@ class TelemetrySink
 
     /** Lifecycle stats of @p thread (empty stats when never recorded). */
     const ThreadLifecycle &lifecycle(ThreadId thread) const;
-
-    int lifecycleMaxThread() const
-    {
-        return static_cast<int>(lifecycles_.size()) - 1;
-    }
 
     /** Total telemetry records ingested (samples + events + lifecycle). */
     std::uint64_t totalRecords() const;

@@ -42,14 +42,11 @@ struct TelemetryConfig
     Cycle sampleInterval = 10'000;
 
     /**
-     * When non-empty, experiment drivers serialize each run's sink to
-     * `<dir>/<filePrefix><scheduler>_seed<seed>.jsonl` and
-     * `....trace.json`. The naming is deterministic, so the parallel
-     * runner (one sink per worker task) writes a stable file set
-     * regardless of thread count.
+     * When non-empty, the grid executor (sim::runCells) serializes the
+     * sink of each named cell to `<dir>/<name>.jsonl` and
+     * `<dir>/<name>.trace.json`; unnamed runs write no file.
      */
     std::string dir;
-    std::string filePrefix;
 };
 
 /** Capacity of each telemetry ring (every sample series and the

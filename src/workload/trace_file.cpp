@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 namespace tcm::workload {
 
@@ -39,6 +40,7 @@ static_assert(sizeof(Record) == 16, "record layout must be stable");
 
 struct TraceWriter::Impl
 {
+    std::string path;
     std::FILE *file = nullptr;
     Header header{};
 };
@@ -46,6 +48,7 @@ struct TraceWriter::Impl
 TraceWriter::TraceWriter(const std::string &path, const Geometry &geometry)
     : impl_(new Impl)
 {
+    impl_->path = path;
     impl_->file = std::fopen(path.c_str(), "wb");
     if (!impl_->file) {
         delete impl_;
@@ -58,16 +61,18 @@ TraceWriter::TraceWriter(const std::string &path, const Geometry &geometry)
     impl_->header.rowsPerBank = geometry.rowsPerBank;
     impl_->header.colsPerRow = geometry.colsPerRow;
     impl_->header.recordCount = 0;
+    // close() rewrites this header and checks that write.
     std::fwrite(&impl_->header, sizeof(Header), 1, impl_->file);
 }
 
 TraceWriter::~TraceWriter()
 {
-    if (impl_) {
+    try {
         close();
-        delete impl_;
-        impl_ = nullptr;
+    } catch (const TraceFileError &) {
+        // Nobody to tell; a caller that needs the verdict calls close().
     }
+    delete impl_;
 }
 
 void
@@ -92,13 +97,17 @@ TraceWriter::write(const core::TraceItem &item)
 void
 TraceWriter::close()
 {
-    if (!impl_ || !impl_->file)
+    std::FILE *file = std::exchange(impl_->file, nullptr);
+    if (!file)
         return;
     impl_->header.recordCount = count_;
-    std::fseek(impl_->file, 0, SEEK_SET);
-    std::fwrite(&impl_->header, sizeof(Header), 1, impl_->file);
-    std::fclose(impl_->file);
-    impl_->file = nullptr;
+    // stdio reports a full disk only when it flushes, so a trace that
+    // fits its buffer fails nowhere but in fclose.
+    const bool patched =
+        std::fseek(file, 0, SEEK_SET) == 0 &&
+        std::fwrite(&impl_->header, sizeof(Header), 1, file) == 1;
+    if (std::fclose(file) != 0 || !patched)
+        throw TraceFileError("cannot write trace file: " + impl_->path);
 }
 
 FileTrace::FileTrace(const std::string &path, const Geometry &systemGeometry)
@@ -200,7 +209,10 @@ dumpTraceAsText(const std::string &binPath, const std::string &textPath)
                      item.access.isWrite ? 'W' : 'R', item.access.channel,
                      item.access.bank, item.access.row, item.access.col);
     }
-    std::fclose(out);
+    // A failed write sets the stream's error flag; fclose flushes the rest.
+    const bool failed = std::ferror(out) != 0;
+    if (std::fclose(out) != 0 || failed)
+        throw TraceFileError("cannot write " + textPath);
 }
 
 void

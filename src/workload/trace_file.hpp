@@ -42,6 +42,8 @@ class TraceWriter
   public:
     /** Create/truncate @p path and write the header. Throws on I/O error. */
     TraceWriter(const std::string &path, const Geometry &geometry);
+    /** Closes without throwing: call close() to learn whether the file
+     *  was written. */
     ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
@@ -50,7 +52,8 @@ class TraceWriter
     /** Append one item. */
     void write(const core::TraceItem &item);
 
-    /** Flush, backpatch the record count, and close. */
+    /** Flush, backpatch the record count, and close. Throws
+     *  TraceFileError when any of it fails (a full disk shows here). */
     void close();
 
     std::uint64_t recordsWritten() const { return count_; }
@@ -100,6 +103,8 @@ void captureSyntheticTrace(const ThreadProfile &profile,
  *   `<gap> <R|W> <channel> <bank> <row> <col>`
  * preceded by a `# geometry: channels banks rows cols` comment.
  * This is the interchange format for users converting real traces.
+ * Throws TraceFileError when @p binPath does not load or @p textPath
+ * cannot be written in full.
  */
 void dumpTraceAsText(const std::string &binPath,
                      const std::string &textPath);

@@ -322,17 +322,17 @@ TEST(ProfilerReport, ProvenanceKeysAreSchemaStable)
     r.enabled = true;
     r.runs = 1;
     auto kv = r.provenance();
-    // Fixed order: 6 phase_ms keys, 4 skip summary keys, 5 horizon
-    // sources, 3 regimes, 3 scan counters = 21 entries.
-    ASSERT_EQ(kv.size(), 21u);
+    // Fixed order: 5 phase_ms keys, 4 skip summary keys, 5 horizon
+    // sources, 3 regimes, 3 scan counters = 20 entries.
+    ASSERT_EQ(kv.size(), 20u);
     EXPECT_EQ(kv[0].first, "sched_tick_ms");
-    EXPECT_EQ(kv[5].first, "serialize_ms");
-    EXPECT_EQ(kv[6].first, "skips");
-    EXPECT_EQ(kv[9].first, "skip_max");
-    EXPECT_EQ(kv[10].first, "horizon_scheduler");
-    EXPECT_EQ(kv[14].first, "horizon_end");
-    EXPECT_EQ(kv[15].first, "dormant_cycles");
-    EXPECT_EQ(kv[20].first, "fallback_scans");
+    EXPECT_EQ(kv[4].first, "telemetry_ms");
+    EXPECT_EQ(kv[5].first, "skips");
+    EXPECT_EQ(kv[8].first, "skip_max");
+    EXPECT_EQ(kv[9].first, "horizon_scheduler");
+    EXPECT_EQ(kv[13].first, "horizon_end");
+    EXPECT_EQ(kv[14].first, "dormant_cycles");
+    EXPECT_EQ(kv[19].first, "fallback_scans");
 }
 
 TEST(ProfilerReport, JsonAndPrintAreWellFormed)
@@ -396,11 +396,12 @@ TEST(ProfileConfig, FromEnvContract)
     ::unsetenv("TCMSIM_PROFILE");
 }
 
-TEST(ProfileConfig, RunWorkloadWritesProfileJson)
+TEST(ProfileConfig, OnlyANamedCellWritesProfileJson)
 {
     ::unsetenv("TCMSIM_PROFILE");
     std::filesystem::path dir = std::filesystem::temp_directory_path() /
                                 "tcmsim_prof_json_test";
+    std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
 
     sim::ExperimentScale scale;
@@ -412,14 +413,18 @@ TEST(ProfileConfig, RunWorkloadWritesProfileJson)
     cfg.numChannels = 1;
     cfg.profile.enabled = true;
     cfg.profile.dir = dir.string();
-    cfg.profile.filePrefix = "x_";
     sim::AloneIpcCache cache(cfg, scale.warmup, scale.measure);
     sim::RunResult r = sim::runWorkload(cfg, mix,
                                         sched::SchedulerSpec::frfcfs(),
                                         scale, cache, /*seed=*/4);
     ASSERT_NE(r.profile, nullptr);
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << "runWorkload wrote";
 
-    std::filesystem::path file = dir / "x_FR-FCFS_seed4.profile.json";
+    ThreadPool pool(1);
+    sim::runCells({{cfg, &cache, mix, sched::SchedulerSpec::frfcfs(), 4,
+                    "x"}},
+                  scale, pool);
+    std::filesystem::path file = dir / "x.profile.json";
     ASSERT_TRUE(std::filesystem::exists(file)) << file;
     std::string json = readFile(file.string());
     EXPECT_NE(json.find("tcmsim-profile-v1"), std::string::npos);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,18 @@ smallConfig()
     c.numCores = 4;
     c.numChannels = 2;
     return c;
+}
+
+/** Distinct alone-run behaviours among @p mixes: the alone simulations
+ *  a cold cache needs for them. */
+std::size_t
+distinctProfiles(const std::vector<std::vector<workload::ThreadProfile>> &mixes)
+{
+    std::set<workload::ThreadProfile::AloneBehaviorKey> keys;
+    for (const auto &mix : mixes)
+        for (const auto &p : mix)
+            keys.insert(p.aloneBehaviorKey());
+    return keys.size();
 }
 
 ExperimentScale
@@ -193,15 +206,16 @@ TEST(Experiment, RunWorkloadProducesConsistentMetrics)
     EXPECT_GE(r.metrics.maxSlowdown, 1.0 - 0.1);
 }
 
-TEST(Experiment, EvaluateSetAggregates)
+TEST(Experiment, EvaluateMatrixAggregatesOneScheduler)
 {
     SystemConfig cfg = smallConfig();
     ExperimentScale scale = quickScale();
     AloneIpcCache cache(cfg, scale.warmup, scale.measure);
     auto sets = workload::workloadSet(3, 4, 0.5, 17);
-    AggregateResult agg = evaluateSet(cfg, sets,
-                                      sched::SchedulerSpec::frfcfs(), scale,
-                                      cache, 1);
+    AggregateResult agg =
+        evaluateMatrix(cfg, sets, {sched::SchedulerSpec::frfcfs()}, scale,
+                       cache, 1)
+            .front();
     EXPECT_EQ(agg.weightedSpeedup.count(), 3u);
     EXPECT_EQ(agg.scheduler, "FR-FCFS");
 }
@@ -285,14 +299,7 @@ TEST(AloneCache, PrewarmFillsEveryDistinctProfile)
     SystemConfig cfg = smallConfig();
     AloneIpcCache cache(cfg, 5000, 30'000);
     auto sets = workload::workloadSet(3, 4, 0.5, 23);
-    std::size_t distinct = 0;
-    {
-        std::set<workload::ThreadProfile::AloneBehaviorKey> keys;
-        for (const auto &mix : sets)
-            for (const auto &p : mix)
-                keys.insert(p.aloneBehaviorKey());
-        distinct = keys.size();
-    }
+    const std::size_t distinct = distinctProfiles(sets);
     ThreadPool pool(4);
     cache.prewarm(sets, pool);
     EXPECT_EQ(cache.size(), distinct);
@@ -325,7 +332,7 @@ expectAggregatesIdentical(const AggregateResult &a, const AggregateResult &b)
 
 } // namespace
 
-TEST(Experiment, EvaluateSetDeterministicAcrossJobCounts)
+TEST(Experiment, OneSchedulerDeterministicAcrossJobCounts)
 {
     // The acceptance bar of the parallel runner: TCMSIM_JOBS=1 and
     // TCMSIM_JOBS=8 produce bit-identical aggregates.
@@ -336,14 +343,16 @@ TEST(Experiment, EvaluateSetDeterministicAcrossJobCounts)
     setenv("TCMSIM_JOBS", "1", 1);
     AloneIpcCache serialCache(cfg, scale.warmup, scale.measure);
     AggregateResult serial =
-        evaluateSet(cfg, sets, sched::SchedulerSpec::tcmSpec(), scale,
-                    serialCache, 5);
+        evaluateMatrix(cfg, sets, {sched::SchedulerSpec::tcmSpec()}, scale,
+                       serialCache, 5)
+            .front();
 
     setenv("TCMSIM_JOBS", "8", 1);
     AloneIpcCache parallelCache(cfg, scale.warmup, scale.measure);
     AggregateResult parallel =
-        evaluateSet(cfg, sets, sched::SchedulerSpec::tcmSpec(), scale,
-                    parallelCache, 5);
+        evaluateMatrix(cfg, sets, {sched::SchedulerSpec::tcmSpec()}, scale,
+                       parallelCache, 5)
+            .front();
     unsetenv("TCMSIM_JOBS");
 
     expectAggregatesIdentical(serial, parallel);
@@ -375,9 +384,9 @@ TEST(Experiment, EvaluateMatrixDeterministicAcrossJobCounts)
         expectAggregatesIdentical(serial[s], parallel[s]);
 }
 
-TEST(Experiment, EvaluateMatrixEqualsPerSchedulerEvaluateSet)
+TEST(Experiment, EvaluateMatrixEqualsPerSchedulerMatrices)
 {
-    // The matrix is a packing of independent evaluateSet calls: same
+    // The matrix is a packing of independent one-scheduler grids: same
     // seeds, same fold order, so bit-identical per scheduler.
     SystemConfig cfg = smallConfig();
     ExperimentScale scale = quickScale();
@@ -393,7 +402,69 @@ TEST(Experiment, EvaluateMatrixEqualsPerSchedulerEvaluateSet)
     AloneIpcCache cacheB(cfg, scale.warmup, scale.measure);
     for (std::size_t s = 0; s < specs.size(); ++s) {
         AggregateResult single =
-            evaluateSet(cfg, sets, specs[s], scale, cacheB, 3);
+            evaluateMatrix(cfg, sets, {specs[s]}, scale, cacheB, 3).front();
         expectAggregatesIdentical(matrix[s], single);
+    }
+}
+
+TEST(Experiment, MatrixRunsWriteNoPerRunFiles)
+{
+    // Two TCM shuffle variants share the display name and the seeds, so
+    // no file name could tell their runs apart: a matrix writes no
+    // per-run file and hands every run's profile and sink back instead.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) / "tcmsim_matrix_files";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    SystemConfig cfg = smallConfig();
+    cfg.profile.enabled = true;
+    cfg.profile.dir = dir.string();
+    cfg.telemetry.enabled = true;
+    cfg.telemetry.dir = dir.string();
+    ExperimentScale scale = quickScale();
+    sched::SchedulerSpec random = sched::SchedulerSpec::tcmSpec();
+    random.tcm.shuffleMode = sched::ShuffleMode::Random;
+    sched::SchedulerSpec insertion = sched::SchedulerSpec::tcmSpec();
+    insertion.tcm.shuffleMode = sched::ShuffleMode::Insertion;
+    ASSERT_STREQ(random.name(), insertion.name());
+
+    AloneIpcCache cache(cfg, scale.warmup, scale.measure);
+    auto grid = runMatrix(cfg, workload::workloadSet(2, 4, 0.5, 31),
+                          {random, insertion}, scale, cache, 1, /*jobs=*/2);
+    for (const auto &row : grid)
+        for (const RunResult &r : row) {
+            EXPECT_NE(r.profile, nullptr);
+            EXPECT_NE(r.telemetry, nullptr);
+        }
+    EXPECT_TRUE(fs::is_empty(dir));
+    fs::remove_all(dir);
+}
+
+TEST(Experiment, RunCellsPrewarmsEachCacheOverItsOwnCells)
+{
+    // Cells on two configurations, interleaved: each cache simulates
+    // exactly the distinct profiles of its own cells, and a rerun of the
+    // same cells simulates nothing.
+    ExperimentScale scale = quickScale();
+    SystemConfig ddr2 = smallConfig();
+    SystemConfig ddr3 = smallConfig();
+    ASSERT_EQ(ddr3.selectProtocol("ddr3-1600"), "");
+    AloneIpcCache cache2(ddr2, scale.warmup, scale.measure);
+    AloneIpcCache cache3(ddr3, scale.warmup, scale.measure);
+    auto mixes2 = workload::workloadSet(2, 4, 0.5, 43);
+    auto mixes3 = workload::workloadSet(2, 4, 1.0, 47);
+    std::vector<Cell> cells;
+    for (const sched::SchedulerSpec &spec :
+         {sched::SchedulerSpec::frfcfs(), sched::SchedulerSpec::tcmSpec()})
+        for (std::size_t w = 0; w < 2; ++w) {
+            cells.push_back({ddr2, &cache2, mixes2[w], spec, w, ""});
+            cells.push_back({ddr3, &cache3, mixes3[w], spec, w, ""});
+        }
+
+    ThreadPool pool(2);
+    for (int pass = 0; pass < 2; ++pass) {
+        EXPECT_EQ(runCells(cells, scale, pool).size(), cells.size());
+        EXPECT_EQ(cache2.misses(), distinctProfiles(mixes2)) << pass;
+        EXPECT_EQ(cache3.misses(), distinctProfiles(mixes3)) << pass;
     }
 }

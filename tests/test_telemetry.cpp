@@ -337,6 +337,7 @@ TEST(TelemetrySerialization, JsonlAndChromeTraceAreWellFormed)
     config.telemetry.sampleInterval = 5'000;
     config.telemetry.dir = dir;
     std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
     std::filesystem::create_directories(dir, ec);
     ASSERT_FALSE(ec);
 
@@ -344,17 +345,20 @@ TEST(TelemetrySerialization, JsonlAndChromeTraceAreWellFormed)
     scale.warmup = 5'000;
     scale.measure = 50'000;
     sim::AloneIpcCache cache(config, scale.warmup, scale.measure);
+    ThreadPool pool(1);
     sim::RunResult r =
-        sim::runWorkload(config, smallMix(),
-                         sched::SchedulerSpec::tcmSpec(), scale, cache,
-                         /*seed=*/21);
+        sim::runCells({{config, &cache, smallMix(),
+                        sched::SchedulerSpec::tcmSpec(), /*seed=*/21,
+                        "TCM_seed21"}},
+                      scale, pool)
+            .front();
 
     ASSERT_NE(r.telemetry, nullptr);
     EXPECT_GT(r.telemetry->totalRecords(), 0u);
     EXPECT_EQ(r.telemetry->meta().scheduler, "TCM");
     EXPECT_EQ(r.telemetry->meta().seed, 21u);
 
-    // Deterministic file naming: <dir>/<scheduler>_seed<seed>.
+    // A named cell writes <dir>/<name>.jsonl and <dir>/<name>.trace.json.
     std::string base = dir + "/TCM_seed21";
     std::string jsonl = readFile(base + ".jsonl");
     std::string trace = readFile(base + ".trace.json");

@@ -4,6 +4,7 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -182,6 +183,28 @@ TEST(TraceFile, ConvertRejectsMalformedText)
     EXPECT_THROW(convertTextTrace(txt, bin), TraceFileError);
 
     std::remove(txt.c_str());
+    std::remove(bin.c_str());
+}
+
+TEST(TraceFile, WritesToAFullDiskThrow)
+{
+    // /dev/full takes the open and the buffered writes and fails only
+    // the flush, so a short trace or dump is lost in fclose or nowhere.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    Geometry g;
+    EXPECT_THROW(captureSyntheticTrace(benchmarkProfile("mcf"), g, 1, 10,
+                                       "/dev/full"),
+                 TraceFileError);
+    // Unclosed, the writer's destructor swallows the same failure.
+    EXPECT_NO_THROW({
+        TraceWriter writer("/dev/full", g);
+        writer.write(core::TraceItem{});
+    });
+
+    std::string bin = tempPath("full_dump_bin");
+    captureSyntheticTrace(benchmarkProfile("mcf"), g, 1, 10, bin);
+    EXPECT_THROW(dumpTraceAsText(bin, "/dev/full"), TraceFileError);
     std::remove(bin.c_str());
 }
 

@@ -50,7 +50,8 @@
  *
  * A malformed or out-of-range option value exits 2 with a message:
  * intensities must lie in [0,1]; workloads, cores, channels and cycles
- * must be >= 1; jobs, warmup and seed must be >= 0.
+ * must be >= 1; jobs, warmup and seed must be >= 0. A CSV that cannot
+ * be written in full (a full disk included) exits 1 with a message.
  *
  * Columns: scheduler,intensity,workload,seed,ws,ms,hs
  * Row order and values are independent of --jobs: runs are independently
@@ -194,6 +195,10 @@ main(int argc, char **argv)
             std::fprintf(stderr, "sweep: %s intensity %.2f workload %d:\n%s",
                          job.scheduler.c_str(), job.intensity, job.mixIndex,
                          r.protocolReport.c_str());
+    }
+    if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+        std::fprintf(stderr, "sweep: cannot write the CSV to stdout\n");
+        return 1;
     }
     if (check) {
         std::fprintf(stderr,

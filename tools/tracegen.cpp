@@ -10,6 +10,8 @@
  *
  * count must be >= 1, mpki and blp finite and >= 0, rbl in [0,1];
  * a malformed or out-of-range number exits 2 with a message naming it.
+ * A trace that cannot be read or written in full (a full disk
+ * included) exits 1 with one line on stderr.
  *
  * Examples:
  *   tracegen mcf mcf.trace 1000000
@@ -48,10 +50,9 @@ usage(const char *argv0)
     return 2;
 }
 
-} // namespace
-
+/** The tool; a trace that cannot be read or written throws. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace tcm::workload;
 
@@ -64,15 +65,10 @@ main(int argc, char **argv)
     if (which == "dump" || which == "convert") {
         if (argc != 4)
             return usage(argv[0]);
-        try {
-            if (which == "dump")
-                dumpTraceAsText(argv[2], argv[3]);
-            else
-                convertTextTrace(argv[2], argv[3]);
-        } catch (const TraceFileError &e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 1;
-        }
+        if (which == "dump")
+            dumpTraceAsText(argv[2], argv[3]);
+        else
+            convertTextTrace(argv[2], argv[3]);
         std::printf("%s: %s -> %s\n", which.c_str(), argv[2], argv[3]);
         return 0;
     }
@@ -103,16 +99,24 @@ main(int argc, char **argv)
     }
 
     Geometry geometry; // baseline: 4 channels x 4 banks
-    try {
-        captureSyntheticTrace(profile, geometry, seed, count, path);
-    } catch (const TraceFileError &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
+    captureSyntheticTrace(profile, geometry, seed, count, path);
     std::printf("wrote %llu records of %s (MPKI %.2f, RBL %.2f, BLP %.2f) "
                 "to %s\n",
                 static_cast<unsigned long long>(count),
                 profile.name.c_str(), profile.mpki, profile.rbl,
                 profile.blp, path.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const tcm::workload::TraceFileError &e) {
+        std::fprintf(stderr, "tracegen: %s\n", e.what());
+        return 1;
+    }
 }
