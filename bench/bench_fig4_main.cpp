@@ -27,6 +27,7 @@ main(int argc, char **argv)
     sim::ExperimentScale scale = sim::ExperimentScale::fromEnv();
     bench::printHeader("Figure 4: TCM vs prior schedulers (headline)",
                        scale);
+    bench::noteSelfProfile();
     std::printf("workloads: %d (equal thirds at 50/75/100%% intensity)\n\n",
                 3 * scale.workloadsPerCategory);
 

@@ -36,6 +36,7 @@ main(int argc, char **argv)
         }
     }
     bench::printHeader("BM_Sampling: interval-sampled vs full runs", scale);
+    bench::noteSelfProfile();
 
     sim::SystemConfig config;
     sim::results::ResultsDoc doc;

@@ -25,6 +25,7 @@ main(int argc, char **argv)
     bench::printHeader(
         "Table 4: synthetic clone calibration (measured alone vs paper)",
         scale);
+    bench::noteSelfProfile();
 
     sim::results::ResultsDoc doc = sim::paper::table4(config, scale);
 

@@ -27,6 +27,7 @@ main(int argc, char **argv)
     sim::ExperimentScale scale = sim::ExperimentScale::fromEnv();
     bench::printHeader("Table 6: maximum slowdown by shuffling algorithm",
                        scale);
+    bench::noteSelfProfile();
 
     sim::results::ResultsDoc doc = sim::paper::table6(config, scale);
 

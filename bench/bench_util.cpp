@@ -19,11 +19,14 @@ printHeader(const std::string &title, const sim::ExperimentScale &scale)
                 scale.workloadsPerCategory);
     std::printf("(override with TCMSIM_WARMUP / TCMSIM_CYCLES / TCMSIM_WORKLOADS)\n");
     std::printf("==============================================================\n");
-    // runWorkload and paper::table4 honor the TCMSIM_PROFILE knob
-    // (sim::requestedProfile); surface that on stderr so a profiled run
-    // is visibly profiled while stdout (golden-diffed) stays
-    // byte-stable. Bench runs have no file names, so the profiles land
-    // only in the paper drivers' --json run blocks.
+}
+
+void
+noteSelfProfile()
+{
+    // Surface the knob on stderr so a profiled run is visibly profiled
+    // while stdout (golden-diffed) stays byte-stable. Bench runs have no
+    // file names, so the profiles land only in the --json run block.
     if (prof::ProfileConfig::fromEnv().enabled)
         std::fprintf(stderr, "bench: simulator self-profile on, no per-run "
                              "files\n");

@@ -21,6 +21,14 @@ namespace tcm::bench {
 void printHeader(const std::string &title, const sim::ExperimentScale &scale);
 
 /**
+ * Note on stderr that TCMSIM_PROFILE is on. Called only by the benches
+ * built on the paper drivers (sim::paper), which resolve the knob
+ * (sim::requestedProfile) and profile their runs; other benches' runs
+ * ignore it.
+ */
+void noteSelfProfile();
+
+/**
  * Where this bench run's structured results should go: the value of a
  * `--json PATH` argument if present, else `$TCMSIM_BENCH_JSON/BENCH_
  * <bench>.json` (the env var names a directory, created on demand so

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     sim::ExperimentScale scale = sim::ExperimentScale::fromEnv();
     bench::printHeader("Scheduler zoo: BLISS / GHT / FRFCFS-CP / Tournament",
                        scale);
+    bench::noteSelfProfile();
     std::printf("workloads: %d (equal thirds at 50/75/100%% intensity)\n\n",
                 3 * scale.workloadsPerCategory);
 

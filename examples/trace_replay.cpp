@@ -25,9 +25,10 @@ main()
     config.numCores = 2;
     workload::Geometry geometry = config.geometry();
 
-    // 1. Capture traces (normally done once, offline, via tools/tracegen).
-    const char *mcfPath = "/tmp/tcmsim_mcf.trace";
-    const char *libqPath = "/tmp/tcmsim_libq.trace";
+    // 1. Capture traces (normally done once, offline, via tools/tracegen)
+    //    into the working directory.
+    const char *mcfPath = "tcmsim_mcf.trace";
+    const char *libqPath = "tcmsim_libq.trace";
     workload::captureSyntheticTrace(workload::benchmarkProfile("mcf"),
                                     geometry, 1, 200'000, mcfPath);
     workload::captureSyntheticTrace(

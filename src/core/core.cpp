@@ -50,7 +50,7 @@ Core::retire(Cycle now)
     }
 }
 
-void
+bool
 Core::fetch(Cycle now)
 {
     int slots = params_.fetchWidth;
@@ -104,94 +104,14 @@ Core::fetch(Cycle now)
             havePending_ = false;
         }
     }
-}
-
-void
-Core::tick(Cycle now)
-{
-    retire(now);
-    fetch(now);
+    return memIssued > 0;
 }
 
 bool
-Core::wouldSubmitAt(Cycle now)
+Core::tick(Cycle now)
 {
-    // Fast negative: a submission requires fetch to reach the pending
-    // access, which it cannot while enough plain instructions precede
-    // it to exhaust every fetch slot.
-    if (havePending_ &&
-        pendingGap_ >= static_cast<std::uint64_t>(params_.fetchWidth))
-        return false;
-
-    // Fast negative: fully stalled window (head miss undone) admits no
-    // fetch at all.
-    if (occupancy_ >= params_.windowSize && !window_.empty() &&
-        window_.front().plain == 0) {
-        auto it = done_.find(window_.front().missId);
-        if (it == done_.end() || it->second > now)
-            return false;
-    }
-
-    // --- exact peek: retire (no mutation) ---
-    int slots = params_.retireWidth;
-    int freed = 0;
-    std::size_t idx = 0;
-    while (slots > 0 && idx < window_.size()) {
-        const Entry &e = window_[idx];
-        if (e.plain > 0) {
-            std::uint32_t n = std::min<std::uint32_t>(
-                static_cast<std::uint32_t>(slots), e.plain);
-            freed += static_cast<int>(n);
-            slots -= static_cast<int>(n);
-            if (n < e.plain)
-                break;
-            ++idx;
-        } else {
-            auto it = done_.find(e.missId);
-            if (it == done_.end() || it->second > now)
-                break;
-            freed += 1;
-            slots -= 1;
-            ++idx;
-        }
-    }
-
-    // --- exact peek: fetch (mutates only the trace-pull cache) ---
-    int occ = occupancy_ - freed;
-    slots = params_.fetchWidth;
-    std::uint64_t gap = pendingGap_;
-    bool have = havePending_;
-    while (slots > 0 && occ < params_.windowSize) {
-        if (!have) {
-            // The real tick would pull this item now; caching it in the
-            // pending slot preserves trace order exactly.
-            TraceItem item = trace_->next();
-            pendingGap_ = item.gap;
-            pendingAccess_ = item.access;
-            havePending_ = true;
-            have = true;
-            gap = pendingGap_;
-        }
-        if (gap > 0) {
-            std::uint32_t n =
-                static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                    {static_cast<std::uint64_t>(slots),
-                     static_cast<std::uint64_t>(params_.windowSize - occ),
-                     gap}));
-            occ += static_cast<int>(n);
-            gap -= n;
-            slots -= static_cast<int>(n);
-            continue;
-        }
-        // The pending access is at the fetch head: the real tick
-        // submits iff the mem-op budget and the target queue allow it.
-        if (params_.maxMemPerCycle <= 0)
-            return false;
-        mem::MemoryController *mc = controllers_[pendingAccess_.channel];
-        return pendingAccess_.isWrite ? mc->canAcceptWrite()
-                                      : mc->canAcceptRead();
-    }
-    return false;
+    retire(now);
+    return fetch(now);
 }
 
 } // namespace tcm::core

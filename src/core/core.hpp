@@ -54,8 +54,13 @@ class Core
          std::vector<mem::MemoryController *> controllers,
          mem::CoreCounters *counters);
 
-    /** Advance one cycle: retire, then fetch/issue. */
-    void tick(Cycle now);
+    /**
+     * Advance one cycle: retire, then fetch/issue. Returns true when the
+     * cycle submitted a read or a write to a memory controller, the one
+     * effect a core has outside itself and its counters (the
+     * cycle-skip kernel re-queries its horizon after such a cycle).
+     */
+    bool tick(Cycle now);
 
     /** DRAM data for @p missId will be available at @p readyAt. */
     void completeMiss(std::uint64_t missId, Cycle readyAt);
@@ -63,23 +68,14 @@ class Core
     // -- event-horizon support (cycle-skipping kernel) ----------------------
 
     /**
-     * Exact predicate: would tick(@p now) submit a read or write to a
-     * memory controller? Simulates retire and fetch arithmetic without
-     * mutating core state, except that it may pull the next trace item
-     * into the pending slot — an order-preserving prefetch the real
-     * tick would perform at this same cycle. O(1) in the common cases
-     * (long plain stretch, or a stalled window).
-     */
-    bool wouldSubmitAt(Cycle now);
-
-    /**
      * Number of cycles starting at @p now (capped at @p maxSpan) that
      * this core can provably advance with no externally visible effect
      * other than counter updates, under the span guarantee that no
-     * completion arrives and controller queue occupancies are frozen.
-     * 0 means the core must be ticked normally. Covers the two
-     * steady-state regimes: a fully stalled window (pure no-op ticks)
-     * and pure plain-instruction streaming (closed-form advance).
+     * completion arrives. 0 means the core must be ticked normally.
+     * Covers the two steady-state regimes: a fully stalled window (pure
+     * no-op ticks) and pure plain-instruction streaming (closed-form
+     * advance). Neither reaches a memory access or pulls a trace item,
+     * so other cores' submissions cannot end a span.
      * Apply with fastForwardSilent(k) for any k <= the returned span.
      * Defined inline: this and fastForwardSilent are the cycle-skip
      * kernel's innermost operations.
@@ -170,7 +166,8 @@ class Core
     };
 
     void retire(Cycle now);
-    void fetch(Cycle now);
+    /** Returns true when a memory operation was submitted. */
+    bool fetch(Cycle now);
 
     ThreadId id_;
     CoreParams params_;

@@ -138,7 +138,7 @@ class MemoryController : public QueueAccess
     /**
      * Earliest cycle >= @p now at which tick() could do externally
      * visible work, assuming no new submissions before then (the
-     * simulator executes every submission cycle, then re-queries): the
+     * simulator re-queries after every cycle that submitted): the
      * minimum of the next queued arrival, the next refresh due time,
      * and the next scan slot, max(nextTryAt_, command-bus free time).
      * After a scan nextTryAt_ is the exact next legal issue time (see

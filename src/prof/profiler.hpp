@@ -132,7 +132,8 @@ struct ProfileConfig {
      * TCMSIM_PROFILE environment knob: unset or "0" = off, "1" = on
      * (report only), any other value = on with that output directory.
      * Consulted by sim::requestedProfile when SystemConfig::profile is
-     * off, so every bench and tool inherits profiling without new flags.
+     * off, only where a profile is read: manifest jobs (sweep, sweepd)
+     * and the paper drivers behind claims and their benches.
      */
     static ProfileConfig fromEnv();
 };

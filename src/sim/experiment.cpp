@@ -78,7 +78,7 @@ writeRunFiles(const Cell &cell, const RunResult &r)
         r.telemetry->writeJsonl(path(telemetryDir, ".jsonl"));
         r.telemetry->writeChromeTrace(path(telemetryDir, ".trace.json"));
     }
-    const std::string profileDir = requestedProfile(cell.config).dir;
+    const std::string &profileDir = cell.config.profile.dir;
     if (r.profile && !profileDir.empty()) {
         // The directory may come straight from TCMSIM_PROFILE, so create
         // it here rather than demanding every caller does.
@@ -123,7 +123,7 @@ runWorkload(const SystemConfig &config,
         observers.telemetry = sink.get();
     }
     std::unique_ptr<prof::Profiler> profiler;
-    if (requestedProfile(config).enabled) {
+    if (config.profile.enabled) {
         profiler = std::make_unique<prof::Profiler>();
         observers.profiler = profiler.get();
     }

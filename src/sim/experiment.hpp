@@ -91,10 +91,10 @@ struct RunResult
     std::shared_ptr<telemetry::TelemetrySink> telemetry;
 
     /**
-     * The run's self-profile, populated when SystemConfig::profile (or
-     * the TCMSIM_PROFILE fallback) enabled profiling. Excluded from
-     * every results comparison — simulation outputs are bit-identical
-     * with or without it (tests/test_prof).
+     * The run's self-profile, populated when SystemConfig::profile
+     * enabled profiling. Excluded from every results comparison —
+     * simulation outputs are bit-identical with or without it
+     * (tests/test_prof).
      */
     std::shared_ptr<prof::ProfileReport> profile;
 
@@ -110,14 +110,18 @@ struct RunResult
 
 /**
  * The self-profile a run of @p config asks for: SystemConfig::profile
- * when enabled, else the TCMSIM_PROFILE environment knob.
+ * when enabled, else the TCMSIM_PROFILE environment knob. Resolved only
+ * where a profile is read: sweepd::runJobs (per-job files, sweep's
+ * report) and the paper drivers (the results document's run block).
  */
 prof::ProfileConfig requestedProfile(const SystemConfig &config);
 
 /**
  * Simulate @p mix under @p spec (time-scaled to the run length) and
- * compute the paper's metrics against memoized alone IPCs. Writes no
- * file: the run's telemetry sink and profile come back in the result.
+ * compute the paper's metrics against memoized alone IPCs, profiling
+ * the run when SystemConfig::profile is enabled (the environment knob
+ * is not consulted here). Writes no file: the run's telemetry sink and
+ * profile come back in the result.
  */
 RunResult runWorkload(const SystemConfig &config,
                       const std::vector<workload::ThreadProfile> &mix,
@@ -134,8 +138,8 @@ struct Cell
     sched::SchedulerSpec spec;
     std::uint64_t seed = 0;
     /** Stem of the run's files, unique within its grid: `<name>.jsonl`
-     *  and `.trace.json` in telemetry.dir, `<name>.profile.json` in the
-     *  requested profile's dir. Empty writes no file. */
+     *  and `.trace.json` in telemetry.dir, `<name>.profile.json` in
+     *  profile.dir. Empty writes no file. */
     std::string name;
 };
 

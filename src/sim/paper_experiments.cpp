@@ -59,6 +59,17 @@ fig4Workloads(const SystemConfig &config, const ExperimentScale &scale)
     return workloads;
 }
 
+/** @p config with its self-profile request resolved (the TCMSIM_PROFILE
+ *  fallback): the paper drivers fold their runs' profiles into the
+ *  document's run block. */
+SystemConfig
+profiledConfig(const SystemConfig &config)
+{
+    SystemConfig profiled = config;
+    profiled.profile = requestedProfile(config);
+    return profiled;
+}
+
 /** Merged self-profile of one evaluateMatrix grid (disabled when the
  *  runs were not profiled). */
 prof::ProfileReport
@@ -77,7 +88,8 @@ fig4(const SystemConfig &config, const ExperimentScale &scale, int jobs)
 {
     auto t0 = tick();
     AloneIpcCache cache(config, scale.effectiveWarmup(), scale.effectiveMeasure());
-    auto aggs = evaluateMatrix(config, fig4Workloads(config, scale),
+    auto aggs = evaluateMatrix(profiledConfig(config),
+                               fig4Workloads(config, scale),
                                paperSchedulers(), scale, cache,
                                /*baseSeed=*/1, jobs);
 
@@ -182,8 +194,8 @@ table6(const SystemConfig &config, const ExperimentScale &scale, int jobs)
     }
 
     AloneIpcCache cache(config, scale.effectiveWarmup(), scale.effectiveMeasure());
-    auto aggs = evaluateMatrix(config, workloads, specs, scale, cache,
-                               /*baseSeed=*/13, jobs);
+    auto aggs = evaluateMatrix(profiledConfig(config), workloads, specs,
+                               scale, cache, /*baseSeed=*/13, jobs);
 
     results::ResultsDoc doc("table6", scale);
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -211,8 +223,9 @@ zoo(const SystemConfig &config, const ExperimentScale &scale, int jobs)
     };
 
     AloneIpcCache cache(config, scale.effectiveWarmup(), scale.effectiveMeasure());
-    auto aggs = evaluateMatrix(config, fig4Workloads(config, scale), specs,
-                               scale, cache, /*baseSeed=*/1, jobs);
+    auto aggs = evaluateMatrix(profiledConfig(config),
+                               fig4Workloads(config, scale), specs, scale,
+                               cache, /*baseSeed=*/1, jobs);
 
     results::ResultsDoc doc("zoo", scale);
     for (const AggregateResult &agg : aggs) {

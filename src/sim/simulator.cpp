@@ -17,6 +17,16 @@ mixSeed(std::uint64_t seed, std::uint64_t salt)
     return z ^ (z >> 31);
 }
 
+/** The profiler regime of a core that just advanced: lockstep when it
+ *  ticked, else the silent regime it is in. */
+prof::Regime
+regimeOf(const core::Core &core, bool silent)
+{
+    return !silent             ? prof::Regime::Lockstep
+           : core.dormantHead() ? prof::Regime::Dormant
+                                : prof::Regime::Streaming;
+}
+
 } // namespace
 
 Simulator::Simulator(const SystemConfig &config,
@@ -244,38 +254,26 @@ Simulator::executeCycle(Cycle now, Cycle regimeCap)
     {
         prof::ScopedPhase coreTimer(prof_ ? &prof_->phases() : nullptr,
                                     prof::Phase::CoreTick);
-        if (regimeCap > 0) {
-            // Cycle-skip mode: cores provably inside a silent regime
-            // take the O(1) closed form; the regime test runs after
-            // completions were delivered, so a just-woken core correctly
-            // falls out of the dormant regime and takes the full tick.
-            // Cached spans survive executed cycles: a regime depends
-            // only on the core's own state, which only a full tick or a
-            // completion (reset above) can disturb.
-            for (std::size_t i = 0; i < cores_.size(); ++i) {
-                if (coreSpan_[i] == 0)
-                    coreSpan_[i] = cores_[i]->silentSpan(now, regimeCap);
-                if (coreSpan_[i] > 0) {
-                    cores_[i]->fastForwardSilent(1);
-                    --coreSpan_[i];
-                    if (prof_)
-                        prof_->addRegime(i,
-                                         cores_[i]->dormantHead()
-                                             ? prof::Regime::Dormant
-                                             : prof::Regime::Streaming,
-                                         1);
-                } else {
-                    cores_[i]->tick(now);
-                    if (prof_)
-                        prof_->addRegime(i, prof::Regime::Lockstep, 1);
-                }
-            }
-        } else {
-            for (std::size_t i = 0; i < cores_.size(); ++i) {
+        // Cores provably inside a silent regime take the O(1) closed
+        // form; the regime test runs after completions were delivered,
+        // so a just-woken core correctly falls out of the dormant regime
+        // and takes the full tick. Cached spans survive executed cycles:
+        // a regime depends only on the core's own state, which only a
+        // full tick or a completion (reset above) can disturb. A
+        // regimeCap of 0 (the per-cycle oracle) opens no span, so the
+        // regime test is skipped and every core ticks.
+        for (std::size_t i = 0; i < cores_.size(); ++i) {
+            if (coreSpan_[i] == 0 && regimeCap > 0)
+                coreSpan_[i] = cores_[i]->silentSpan(now, regimeCap);
+            const bool silent = coreSpan_[i] > 0;
+            if (silent) {
+                cores_[i]->fastForwardSilent(1);
+                --coreSpan_[i];
+            } else {
                 cores_[i]->tick(now);
-                if (prof_)
-                    prof_->addRegime(i, prof::Regime::Lockstep, 1);
             }
+            if (prof_)
+                prof_->addRegime(i, regimeOf(*cores_[i], silent), 1);
         }
     }
     if (now >= telemetrySampleAt_)
@@ -313,21 +311,25 @@ Simulator::step(Cycle cycles)
     const Cycle end = now_ + cycles;
 
     if (!config_.cycleSkip) {
-        // Per-cycle oracle: the original loop, kept verbatim as the
-        // differential reference for the event-horizon kernel.
+        // Per-cycle oracle: every cycle executed in full, every core
+        // ticked; the differential reference for the event-horizon
+        // kernel.
         for (; now_ < end; ++now_)
             executeCycle(now_, /*regimeCap=*/0);
         return;
     }
 
     // Event-horizon kernel. Invariant: every cycle at which a scheduler,
-    // controller, or telemetry clock could act — and every cycle at
-    // which a core submits a memory operation — is executed through
+    // controller, or telemetry clock could act is executed through
     // executeCycle in canonical order, so all cross-component state
     // changes happen exactly as in the per-cycle loop. Cycles strictly
-    // inside a horizon span touch cores only: in-regime cores advance
-    // by the closed form, out-of-regime cores tick in lockstep (exact,
-    // just without the no-op scheduler/controller calls).
+    // inside a horizon touch cores only: in-regime cores advance by the
+    // closed form, out-of-regime cores tick in lockstep (exact, just
+    // without the no-op scheduler/controller calls). A core's one
+    // cross-component effect, a submission, only appends to its
+    // controller's in-flight list, and the controller admits it at an
+    // executed cycle its horizon schedules; so the horizon is queried
+    // again after every stretch that submitted.
     const std::size_t n = cores_.size();
     coreSpan_.assign(n, 0);
     std::vector<std::size_t> lockstep; // out-of-regime cores, ascending
@@ -338,7 +340,7 @@ Simulator::step(Cycle cycles)
         if (now_ >= end)
             break;
         prof::HorizonSource hsrc = prof::HorizonSource::Scheduler;
-        const Cycle h = horizonAt(now_, end, hsrc);
+        Cycle h = horizonAt(now_, end, hsrc);
         prof::ScopedPhase coreTimer(prof_ ? &prof_->phases() : nullptr,
                                     prof::Phase::CoreTick);
         while (now_ < h) {
@@ -356,53 +358,22 @@ Simulator::step(Cycle cycles)
                 else
                     k = std::min(k, coreSpan_[i]);
             }
-            if (lockstep.empty()) {
-                // Whole fleet in regime: one closed-form jump.
-                for (std::size_t i = 0; i < n; ++i) {
-                    cores_[i]->fastForwardSilent(k);
-                    coreSpan_[i] -= k;
-                }
-                if (prof_) {
-                    // Attribute the realized jump: a jump cut short of
-                    // the horizon was bounded by a core regime ending.
-                    prof_->recordSkip(now_ + k == h
-                                          ? hsrc
-                                          : prof::HorizonSource::Core,
-                                      k);
-                    for (std::size_t i = 0; i < n; ++i)
-                        prof_->addRegime(i,
-                                         cores_[i]->dormantHead()
-                                             ? prof::Regime::Dormant
-                                             : prof::Regime::Streaming,
-                                         k);
-                }
-                now_ += k;
-                continue;
-            }
-            // Mixed stretch: tick the out-of-regime cores cycle by
-            // cycle, then advance the in-regime ones once, by the closed
-            // form, over the cycles the stretch ran. It runs at most k
-            // cycles (the horizon, or the shortest in-regime span) and
-            // ends early before a cycle at which a ticked core would
-            // submit (a cross-component effect: the next executed cycle
-            // performs it in canonical order; only out-of-regime cores
-            // can submit, as both regimes preclude reaching a memory
-            // access), or once a ticked core enters a regime, so the
-            // next pass can jump.
-            Cycle ran = 0;
-            bool submits = false;
-            for (bool entered = false; ran < k && !entered; ++ran) {
+            // One stretch of at most k cycles (the horizon, or the
+            // shortest in-regime span). With the whole fleet in regime
+            // it is one closed-form jump of all k cycles. Otherwise the
+            // out-of-regime cores tick cycle by cycle, and the stretch
+            // ends after a cycle in which one of them submitted (only
+            // they can: both regimes preclude reaching a memory access)
+            // or entered a regime, so the next pass can jump. The
+            // in-regime cores then advance once, by the closed form,
+            // over the cycles the stretch ran.
+            Cycle ran = lockstep.empty() ? k : 0;
+            bool submitted = false;
+            for (bool entered = false; ran < k && !entered && !submitted;
+                 ++ran) {
                 const Cycle c = now_ + ran;
                 for (std::size_t i : lockstep) {
-                    if (cores_[i]->wouldSubmitAt(c)) {
-                        submits = true;
-                        break;
-                    }
-                }
-                if (submits)
-                    break;
-                for (std::size_t i : lockstep) {
-                    cores_[i]->tick(c);
+                    submitted |= cores_[i]->tick(c);
                     entered = entered ||
                               cores_[i]->silentSpan(c + 1, end - c - 1) > 0;
                 }
@@ -414,16 +385,17 @@ Simulator::step(Cycle cycles)
                     coreSpan_[i] -= ran;
                 }
                 if (prof_)
-                    prof_->addRegime(i,
-                                     !silent ? prof::Regime::Lockstep
-                                     : cores_[i]->dormantHead()
-                                         ? prof::Regime::Dormant
-                                         : prof::Regime::Streaming,
-                                     ran);
+                    prof_->addRegime(i, regimeOf(*cores_[i], silent), ran);
             }
+            // Attribute a jump: one cut short of the horizon was bounded
+            // by a core regime ending.
+            if (prof_ && lockstep.empty())
+                prof_->recordSkip(now_ + k == h ? hsrc
+                                                : prof::HorizonSource::Core,
+                                  k);
             now_ += ran;
-            if (submits)
-                break;
+            if (submitted)
+                h = horizonAt(now_, end, hsrc);
         }
     }
 

@@ -176,12 +176,14 @@ class Simulator
     void sampleTelemetry();
 
     /**
-     * One fully simulated cycle, in canonical component order.
-     * @p regimeCap > 0 selects cycle-skip mode: cores provably inside a
-     * silent regime advance via the O(1) closed form instead of a full
-     * tick (bit-identical by the regime contract, see Core::silentSpan),
-     * with fresh regimes probed up to @p regimeCap cycles ahead and
-     * cached in coreSpan_. 0 = oracle mode, plain ticks only.
+     * One fully simulated cycle, in canonical component order: the
+     * scheduler, every controller (delivering its completions), then
+     * every core. A core provably inside a silent regime advances by
+     * the O(1) closed form instead of a full tick (bit-identical by the
+     * regime contract, see Core::silentSpan), with fresh regimes probed
+     * up to @p regimeCap cycles ahead and cached in coreSpan_. A
+     * @p regimeCap of 0 opens no regime, so every core ticks: the
+     * per-cycle oracle.
      */
     void executeCycle(Cycle now, Cycle regimeCap);
 

@@ -279,7 +279,10 @@ runJobs(const Manifest &m, const SystemConfig &base, AloneCaches &caches,
         // distinct across the manifest.
         std::string point = pointOf(job);
         std::replace(point.begin(), point.end(), '/', '_');
-        cells.push_back({jobConfig(m, base, job.protocol),
+        // A job's profile is read: its file, and sweep's merged report.
+        SystemConfig config = jobConfig(m, base, job.protocol);
+        config.profile = requestedProfile(config);
+        cells.push_back({std::move(config),
                          caches.at(job.protocol).get(), mixForJob(m, job),
                          spec, job.seed,
                          point + "_" + spec.name() + "_seed" +

@@ -118,7 +118,9 @@ AloneCaches makeCaches(const Manifest &m, const SystemConfig &base);
  * on the mix the manifest contract gives its (intensity, mix index),
  * with the job's seed, against its protocol's cache in @p caches (from
  * makeCaches), as a cell named after its stream point
- * ("ddr2-800_i0.5_w0_s1_TCM_seed1"). Throws what a run throws.
+ * ("ddr2-800_i0.5_w0_s1_TCM_seed1"), profiled as sim::requestedProfile
+ * resolves @p base (so TCMSIM_PROFILE=DIR leaves one file per job).
+ * Throws what a run or a file write throws.
  */
 std::vector<RunResult>
 runJobs(const Manifest &m, const SystemConfig &base, AloneCaches &caches,

@@ -75,7 +75,8 @@ struct SystemConfig
      * cell's profile file (sim::runCells) and the ResultsDoc
      * run-provenance block. Off by default; when off,
      * sim::requestedProfile falls back to the TCMSIM_PROFILE
-     * environment knob.
+     * environment knob, which sweepd jobs and the paper drivers
+     * consult (a bare runWorkload or grid does not).
      * Purely an observer of the simulator — results are bit-identical
      * either way (tests/test_prof).
      */
@@ -85,13 +86,14 @@ struct SystemConfig
      * Event-horizon simulation kernel: Simulator::step advances time to
      * the earliest cycle any component reports it could act (controller
      * arrivals/refresh/issue, scheduler quantum or shuffle boundaries,
-     * telemetry samples, core submissions), fast-forwarding cores in
-     * closed form across the dead span. Bit-identical to the per-cycle
-     * loop — every RunResult, golden command trace, and bench JSON is
-     * unchanged — because every horizon is a conservative lower bound
-     * and any cycle with possible cross-component effect is executed
-     * normally. Off = the original per-cycle loop (kept as the
-     * differential oracle; see tests/test_cycleskip.cpp).
+     * telemetry samples), ticking or fast-forwarding cores in closed
+     * form across the dead span and re-querying after a core submits.
+     * Bit-identical to the per-cycle loop — every RunResult, golden
+     * command trace, and bench JSON is unchanged — because every
+     * horizon is a conservative lower bound and a submission only
+     * reaches a controller at a cycle its horizon schedules. Off = the
+     * per-cycle loop (kept as the differential oracle; see
+     * tests/test_cycleskip.cpp).
      */
     bool cycleSkip = true;
 

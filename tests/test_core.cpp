@@ -92,14 +92,21 @@ struct Rig
                                       &counters);
     }
 
+    /** The controller's half of cycle @p now: tick, then deliver. */
+    void
+    tickController(Cycle now)
+    {
+        mc->tick(now);
+        for (const auto &c : mc->completions())
+            core->completeMiss(c.missId, c.readyAt);
+        mc->completions().clear();
+    }
+
     void
     run(Cycle cycles, Cycle from = 0)
     {
         for (Cycle now = from; now < from + cycles; ++now) {
-            mc->tick(now);
-            for (const auto &c : mc->completions())
-                core->completeMiss(c.missId, c.readyAt);
-            mc->completions().clear();
+            tickController(now);
             core->tick(now);
         }
     }
@@ -159,10 +166,24 @@ TEST(Core, OneMemoryOpPerCycle)
     for (int i = 0; i < 10; ++i)
         items.push_back(readAt(0, 0, 5, i));
     Rig rig(std::move(items));
-    rig.run(5);
-    // Even with fetch width 3, only one miss issues per cycle.
-    EXPECT_LE(rig.counters.readMisses, 5u);
-    EXPECT_GE(rig.counters.readMisses, 4u);
+    // Even with fetch width 3, only one miss issues per cycle, and tick
+    // is true exactly on the cycles whose read reached the controller:
+    // the ten reads, then none on the compute tail.
+    int submitting = 0;
+    for (Cycle now = 0; now < 20; ++now) {
+        rig.tickController(now);
+        const std::uint64_t before = rig.counters.readMisses;
+        const bool submitted = rig.core->tick(now);
+        EXPECT_LE(rig.counters.readMisses, before + 1) << "cycle " << now;
+        EXPECT_EQ(submitted, rig.counters.readMisses == before + 1)
+            << "cycle " << now;
+        submitting += submitted ? 1 : 0;
+        if (now == 4) {
+            EXPECT_LE(rig.counters.readMisses, 5u);
+            EXPECT_GE(rig.counters.readMisses, 4u);
+        }
+    }
+    EXPECT_EQ(submitting, 10);
 }
 
 TEST(Core, WritesDoNotBlockRetirement)
@@ -182,9 +203,22 @@ TEST(Core, WriteBackpressureStallsFetch)
         items.push_back(writeAt(0, 0, 5, i % 64));
     Rig rig(std::move(items));
     // Saturate: the 64-entry write buffer fills; fetch stalls rather
-    // than dropping writes.
-    rig.run(30);
-    EXPECT_LE(rig.mc->writeLoad(), 64u);
+    // than dropping writes, and tick is false on a stalled cycle and
+    // true exactly when a write reached the controller.
+    int stalls = 0;
+    for (Cycle now = 0; now < 200; ++now) {
+        rig.tickController(now);
+        const std::size_t before = rig.mc->writeLoad();
+        const bool submitted = rig.core->tick(now);
+        EXPECT_LE(rig.mc->writeLoad(), 64u);
+        EXPECT_EQ(submitted, rig.mc->writeLoad() == before + 1)
+            << "cycle " << now;
+        if (!submitted) {
+            EXPECT_EQ(before, 64u) << "cycle " << now;
+            ++stalls;
+        }
+    }
+    EXPECT_GT(stalls, 0);
 }
 
 TEST(Core, IpcOfMemoryBoundThreadTracksServiceRate)

@@ -6,14 +6,18 @@
  * metrics, protocol verdict), same telemetry stream byte for byte, and
  * the same DRAM command trace as the committed golden file. Any
  * divergence at all, in any of the five paper schedulers or table6's
- * TCM shuffle variants, fails.
+ * TCM shuffle variants, fails. A barrier-coupled application, whose
+ * trace sources read each other's progress, must reach the same phase
+ * and spin counts on both kernels.
  */
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/sink.hpp"
 #include "workload/mixes.hpp"
+#include "workload/multithreaded.hpp"
 
 using namespace tcm;
 
@@ -215,3 +220,96 @@ TEST(CycleSkipCommandTrace, OracleMatchesGoldenAndFastPath)
                  "/cmd_trace_frfcfs_seed99.txt");
     EXPECT_EQ(off, golden);
 }
+
+// ---------------------------------------------------------------------------
+// Barrier coupling: BarrierCoupledTrace::next reads the other members'
+// progress, so it is the one trace source for which the order of trace
+// pulls across cores within a cycle is observable. Both kernels must
+// pull in the per-cycle loop's order and reach the same phases, spins
+// and IPCs.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct BarrierRun
+{
+    std::vector<double> ipc;
+    std::uint64_t phases = 0;
+    std::vector<std::uint64_t> spinReads;
+};
+
+/** An 8-thread barrier-coupled application of mixed intensity, phases
+ *  of @p phaseInstructions instructions, under @p scheduler. */
+BarrierRun
+barrierRun(bool cycleSkip, const std::string &scheduler,
+           std::uint64_t phaseInstructions)
+{
+    constexpr int kThreads = 8;
+    sim::SystemConfig config;
+    config.numCores = kThreads;
+    config.numChannels = 2;
+    config.cycleSkip = cycleSkip;
+
+    workload::BarrierGroup group(kThreads, phaseInstructions);
+    std::vector<std::unique_ptr<core::TraceSource>> traces;
+    std::vector<const workload::BarrierCoupledTrace *> members;
+    const auto mix = workload::randomMix(kThreads, 0.5, /*seed=*/7);
+    for (int m = 0; m < kThreads; ++m) {
+        auto trace = std::make_unique<workload::BarrierCoupledTrace>(
+            mix[m], config.geometry(), 100 + m, &group, m);
+        members.push_back(trace.get());
+        traces.push_back(std::move(trace));
+    }
+    sched::SpecLookup lookup = sched::specByName(scheduler);
+    EXPECT_TRUE(lookup.ok) << lookup.error;
+    lookup.spec.scaleToRun(60'000);
+    sim::Simulator sim(config, std::move(traces), lookup.spec, /*seed=*/17);
+    sim.run(/*warmup=*/10'000, /*measure=*/50'000);
+
+    BarrierRun r;
+    for (ThreadId t = 0; t < sim.numThreads(); ++t)
+        r.ipc.push_back(sim.measuredIpc(t));
+    r.phases = group.phasesCompleted();
+    for (const workload::BarrierCoupledTrace *m : members)
+        r.spinReads.push_back(m->spinReads());
+    return r;
+}
+
+using BarrierParam = std::tuple<const char *, std::uint64_t>;
+
+class BarrierCoupledDifferential
+    : public testing::TestWithParam<BarrierParam>
+{
+};
+
+} // namespace
+
+TEST_P(BarrierCoupledDifferential, KernelsReachTheSamePhases)
+{
+    const auto [scheduler, phase] = GetParam();
+    const BarrierRun on = barrierRun(true, scheduler, phase);
+    const BarrierRun off = barrierRun(false, scheduler, phase);
+
+    // The run must exercise the coupling: phases complete and some
+    // member spins on the barrier.
+    EXPECT_GT(off.phases, 0u);
+    std::uint64_t spins = 0;
+    for (std::uint64_t s : off.spinReads)
+        spins += s;
+    EXPECT_GT(spins, 0u);
+
+    EXPECT_EQ(on.phases, off.phases);
+    EXPECT_EQ(on.spinReads, off.spinReads);
+    ASSERT_EQ(on.ipc.size(), off.ipc.size());
+    for (std::size_t t = 0; t < on.ipc.size(); ++t)
+        EXPECT_EQ(on.ipc[t], off.ipc[t]) << "thread " << t;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Phases, BarrierCoupledDifferential,
+    testing::Combine(testing::Values("frfcfs", "tcm"),
+                     testing::Values(20u, 100u, 500u)),
+    [](const testing::TestParamInfo<BarrierParam> &info) {
+        return std::string(std::get<0>(info.param)) + "_phase" +
+               std::to_string(std::get<1>(info.param));
+    });

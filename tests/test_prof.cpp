@@ -445,6 +445,33 @@ TEST(ProfileConfig, Table4HonorsTheEnvironmentKnob)
     EXPECT_FALSE(doc.profileMetrics.empty());
 }
 
+TEST(ProfileConfig, OnlyProfileReadersHonorTheEnvironmentKnob)
+{
+    // The knob is resolved only where a profile is read: a plain grid
+    // attaches no profiler, while fig4 folds its runs' profiles into
+    // the document's run block.
+    sim::ExperimentScale scale;
+    scale.warmup = 1'000;
+    scale.measure = 4'000;
+    scale.workloadsPerCategory = 1;
+    sim::SystemConfig cfg;
+    cfg.numCores = 2;
+    cfg.numChannels = 1;
+    ::setenv("TCMSIM_PROFILE", "1", 1);
+    sim::AloneIpcCache cache(cfg, scale.warmup, scale.measure);
+    std::vector<sim::AggregateResult> aggs = sim::evaluateMatrix(
+        cfg, {workload::randomMix(2, 0.5, /*seed=*/8)},
+        {sched::SchedulerSpec::frfcfs(), sched::SchedulerSpec::tcmSpec()},
+        scale, cache, /*baseSeed=*/1, /*jobs=*/1);
+    sim::results::ResultsDoc doc = sim::paper::fig4(cfg, scale, /*jobs=*/1);
+    ::unsetenv("TCMSIM_PROFILE");
+
+    ASSERT_EQ(aggs.size(), 2u);
+    for (const sim::AggregateResult &agg : aggs)
+        EXPECT_FALSE(agg.profile.enabled) << agg.scheduler;
+    EXPECT_FALSE(doc.profileMetrics.empty());
+}
+
 TEST(Profiler, DetachedSitesAreInert)
 {
     // A null shard must mean "no clock read, no write": the detached

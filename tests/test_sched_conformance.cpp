@@ -16,7 +16,8 @@
  *  2. Execution-mode bit-identity: the fully naive reference (per-cycle
  *     loop, controller idle skip off) and the default kernel produce
  *     identical per-thread IPCs and byte-identical telemetry, on a
- *     mixed system and on tight-drain saturated DDR2 and DDR4 systems.
+ *     mixed system, a light DDR3 system and tight-drain saturated DDR2
+ *     and DDR4 systems.
  */
 
 #include <cstdint>
@@ -261,13 +262,16 @@ struct ModeSystem
 };
 
 /**
- * The default mixed system, plus a saturated one whose tight write
- * queue latches and unlatches write drains all run long, on DDR2 and on
- * DDR4 (bank groups): drain hysteresis is controller state that only
- * a scan re-tests.
+ * The default mixed system; a light one with no memory-intensive
+ * thread, where most submissions land inside the kernel's core-only
+ * stretches rather than at executed cycles; and a saturated one whose
+ * tight write queue latches and unlatches write drains all run long,
+ * on DDR2 and on DDR4 (bank groups): drain hysteresis is controller
+ * state that only a scan re-tests.
  */
 constexpr ModeSystem kModeSystems[] = {
     {"mixed", "ddr2-800", 0.5, false},
+    {"light", "ddr3-1600", 0.0, false},
     {"drain_ddr2", "ddr2-800", 1.0, true},
     {"drain_ddr4", "ddr4-2400", 1.0, true},
 };

@@ -50,8 +50,9 @@
  *
  * A malformed or out-of-range option value exits 2 with a message:
  * intensities must lie in [0,1]; workloads, cores, channels and cycles
- * must be >= 1; jobs, warmup and seed must be >= 0. A CSV that cannot
- * be written in full (a full disk included) exits 1 with a message.
+ * must be >= 1; jobs, warmup and seed must be >= 0. A CSV or a per-run
+ * file that cannot be written in full (a full disk included) exits 1
+ * with a message.
  *
  * Columns: scheduler,intensity,workload,seed,ws,ms,hs
  * Row order and values are independent of --jobs: runs are independently
@@ -59,6 +60,7 @@
  */
 
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -177,8 +179,16 @@ main(int argc, char **argv)
 
     ThreadPool pool(jobs);
     sim::sweepd::AloneCaches caches = sim::sweepd::makeCaches(grid, base);
-    const std::vector<sim::RunResult> runs = sim::sweepd::runJobs(
-        grid, base, caches, 0, grid.jobs.size(), pool);
+    std::vector<sim::RunResult> runs;
+    try {
+        runs = sim::sweepd::runJobs(grid, base, caches, 0, grid.jobs.size(),
+                                    pool);
+    } catch (const std::exception &e) {
+        // A failed run, or a per-run file (telemetry, profile) that
+        // cannot be written.
+        std::fprintf(stderr, "sweep: %s\n", e.what());
+        return 1;
+    }
 
     std::printf("scheduler,intensity,workload,seed,ws,ms,hs\n");
     std::uint64_t violations = 0;
