@@ -7,10 +7,11 @@
  * cycles it rotates a fixed thread priority order. It demonstrates the
  * three integration points a scheduler implementor uses:
  *
- *   1. configure()  - learn the system shape,
+ *   1. configure()  - learn the system shape (one call, one mem::Wiring),
  *   2. tick()       - advance internal state once per cycle,
- *   3. rankOf()     - publish thread ranks the controller's fixed
- *                     prioritization engine (Algorithm 3) consumes.
+ *   3. setRanks()   - publish thread ranks the controller's fixed
+ *                     prioritization engine (Algorithm 3) consumes; the
+ *                     controllers re-read them after every call.
  *
  * Everything else — DRAM timing, row hits, write drains, starvation
  * tiers — is handled by the controller.
@@ -40,29 +41,28 @@ class RotatingPriority : public mem::SchedulerPolicy
     const char *name() const override { return "RotatingPriority"; }
 
     void
-    configure(int numThreads, int numChannels, int banksPerChannel) override
+    configure(const mem::Wiring &wiring) override
     {
-        mem::SchedulerPolicy::configure(numThreads, numChannels,
-                                        banksPerChannel);
-        ranks_.resize(numThreads);
-        std::iota(ranks_.begin(), ranks_.end(), 0);
+        mem::SchedulerPolicy::configure(wiring);
+        rotation_.resize(numThreads_);
+        std::iota(rotation_.begin(), rotation_.end(), 0);
     }
 
     void
     tick(Cycle now) override
     {
         if (now >= nextRotateAt_) {
-            std::rotate(ranks_.begin(), ranks_.begin() + 1, ranks_.end());
+            std::rotate(rotation_.begin(), rotation_.begin() + 1,
+                        rotation_.end());
+            setRanks(rotation_);
             nextRotateAt_ = now + interval_;
         }
     }
 
-    int rankOf(ChannelId, ThreadId t) const override { return ranks_[t]; }
-
   private:
     Cycle interval_;
     Cycle nextRotateAt_ = 0;
-    std::vector<int> ranks_;
+    std::vector<int> rotation_; //!< rank per thread id
 };
 
 } // namespace
@@ -76,9 +76,8 @@ main()
 
     auto mix = workload::randomMix(config.numCores, 0.75, 9);
 
-    // The custom policy is driven directly through the Simulator, which
-    // accepts any SchedulerPolicy via the FixedRank escape hatch — here
-    // we build the simulation by hand to show the full wiring.
+    // sim::Simulator builds its policy from a SchedulerSpec, so a policy
+    // outside the factory is wired by hand below to show the full wiring.
     std::printf("%-18s %18s %15s\n", "scheduler", "weighted speedup",
                 "max slowdown");
 
@@ -91,22 +90,24 @@ main()
                     r.metrics.weightedSpeedup, r.metrics.maxSlowdown);
     }
 
-    // Hand-wired simulation with the custom policy.
+    // Hand-wired simulation with the custom policy: the controllers
+    // first, then one configure() call with everything the policy reads.
     RotatingPriority custom(10'000);
-    custom.configure(config.numCores, config.numChannels,
-                     config.timing.banksPerChannel);
-
     std::vector<mem::CoreCounters> counters(config.numCores);
-    custom.setCoreCounters(&counters);
+    mem::Wiring wiring{.numThreads = config.numCores,
+                       .numChannels = config.numChannels,
+                       .banksPerChannel = config.timing.banksPerChannel,
+                       .coreCounters = &counters};
 
     std::vector<std::unique_ptr<mem::MemoryController>> controllers;
     std::vector<mem::MemoryController *> mcs;
     for (ChannelId ch = 0; ch < config.numChannels; ++ch) {
         controllers.push_back(std::make_unique<mem::MemoryController>(
             ch, config.timing, config.controller, custom));
-        custom.attachQueue(ch, controllers.back().get());
+        wiring.readQueues.push_back(&controllers.back()->readQueue());
         mcs.push_back(controllers.back().get());
     }
+    custom.configure(wiring);
 
     std::vector<std::unique_ptr<workload::SyntheticTrace>> traces;
     std::vector<std::unique_ptr<core::Core>> cores;

@@ -49,7 +49,6 @@ MemoryController::submitRead(ThreadId thread, std::uint64_t missId,
     req.issuedAt = now;
     req.arrivedAt = now + timing_->cpuToMcDelay;
     req.missId = missId;
-    maxThreadSeen_ = std::max(maxThreadSeen_, thread);
     queue_.addInFlight(req);
 }
 
@@ -67,7 +66,6 @@ MemoryController::submitWrite(ThreadId thread, BankId bank, RowId row,
     req.col = col;
     req.issuedAt = now;
     req.arrivedAt = now + timing_->cpuToMcDelay;
-    maxThreadSeen_ = std::max(maxThreadSeen_, thread);
     queue_.addInFlight(req);
 }
 
@@ -129,28 +127,22 @@ MemoryController::nextIssueAt()
 void
 MemoryController::refreshPolicyCache()
 {
-    // Ranks only move when the policy says so (rank epoch); between
-    // bumps the cached vector is exact, so re-querying rankOf for every
-    // thread on every scan would be pure waste. A cache smaller than
-    // the thread population (a new thread appeared since the build) is
-    // also rebuilt, since cachedRank's out-of-range fallback is the
-    // virtual call this cache exists to avoid.
+    // The rank table only moves through setRanks, which moves the
+    // epoch; between moves the knobs and the keys stamped from the
+    // table are exact, so re-reading them on every scan would be waste.
     const std::uint64_t epoch = sched_->rankEpoch();
-    const std::size_t want = static_cast<std::size_t>(maxThreadSeen_) + 1;
-    if (epoch == policyCacheEpoch_ && rankCache_.size() >= want)
+    if (epoch == policyCacheEpoch_)
         return;
     policyCacheEpoch_ = epoch;
-    rankCache_.resize(want);
-    for (ThreadId t = 0; t <= maxThreadSeen_; ++t)
-        rankCache_[t] = sched_->rankOf(id_, t);
     agingCache_ = sched_->agingThreshold();
     rowHitAboveRankCache_ = sched_->rowHitAboveRank();
     useRowHitCache_ = sched_->useRowHit();
 
     // Rebuild the static key halves for every queued request. Rank and
-    // marked bits only move with the rank epoch (PAR-BS bumps it
-    // whenever it flips marked bits), so between rebuilds the keys
-    // stamped here — and at admit time for new arrivals — stay exact.
+    // marked bits only move with the rank epoch (PAR-BS publishes its
+    // batch ranks whenever it flips marked bits), so between rebuilds
+    // the keys stamped here — and at admit time for new arrivals — stay
+    // exact.
     stampKeys(queue_.readLane(), 0);
     stampKeys(queue_.writeLane(), 0);
 }
@@ -167,10 +159,11 @@ MemoryController::stampKeys(RequestLane &lane, std::size_t from)
     // keyLo is ~arrivedAt (older is larger); exact ties fall back to an
     // explicit seq compare in the scan.
     const std::vector<Request> &reqs = lane.requests();
+    const std::vector<int> &rank = sched_->ranks(id_);
     std::uint64_t *keyHi = lane.keyHi();
     for (std::size_t i = from; i < reqs.size(); ++i) {
         const std::uint32_t biased =
-            static_cast<std::uint32_t>(cachedRank(reqs[i].thread)) +
+            static_cast<std::uint32_t>(rank[reqs[i].thread]) +
             (std::uint32_t{1} << 31);
         keyHi[i] = std::uint64_t{biased} << 29 |
                    std::uint64_t{reqs[i].marked} << 62;
@@ -366,8 +359,8 @@ MemoryController::tick(Cycle now)
         const std::vector<Request> &arrived = queue_.admitArrivals(now);
         if (!arrived.empty()) {
             // The just-admitted requests occupy each lane's tail; stamp
-            // their static key halves with the same cached knobs the
-            // queued keys were built from.
+            // their static key halves from the current rank table (if
+            // it moved, the next scan restamps every key first).
             stampKeys(reads, oldReads);
             stampKeys(writes, oldWrites);
             for (const Request &req : arrived) {

@@ -103,7 +103,7 @@ struct ControllerStats
  * high and a low watermark, or opportunistically when no reads are
  * pending (Table 3: "reads prioritized over writes").
  */
-class MemoryController : public QueueAccess
+class MemoryController
 {
   public:
     /** One finished read, ready to wake the issuing core at readyAt. */
@@ -185,33 +185,27 @@ class MemoryController : public QueueAccess
     std::size_t readLoad() const { return queue_.readLoad(); }
     std::size_t writeLoad() const { return queue_.writeLoad(); }
 
-    // QueueAccess
-    std::vector<Request> &readQueue() override { return queue_.reads(); }
+    /** The queued (visible, not yet departed) reads; the policy gets
+     *  it in its Wiring (PAR-BS marks batches through it). */
+    std::vector<Request> &readQueue() { return queue_.reads(); }
 
   private:
     /** Next DRAM command needed to advance @p req, given bank state. */
     dram::CommandKind nextCommand(const Request &req) const;
 
     /**
-     * Snapshot scheduler knobs for the scan (hot-path devirtualization).
-     * Rebuilt only when the policy's rank epoch moves or a new thread
-     * has been seen; otherwise the cached vector is still valid.
+     * Snapshot the policy's knobs for the scan (hot-path
+     * devirtualization) and restamp every queued key from its rank
+     * table. Done only when the policy's rank epoch moved; otherwise
+     * the snapshot and the keys are still exact.
      */
     void refreshPolicyCache();
 
-    /** Cached rank lookup for the current scan. */
-    int
-    cachedRank(ThreadId thread) const
-    {
-        return thread < static_cast<ThreadId>(rankCache_.size())
-                   ? rankCache_[thread]
-                   : sched_->rankOf(id_, thread);
-    }
-
     /**
      * Stamp the static half of the packed priority key (batch bit plus
-     * biased rank) on @p lane's entries from index @p from on; the full
-     * key layout is documented at the definition.
+     * biased rank from the policy's rank table) on @p lane's entries
+     * from index @p from on; the full key layout is documented at the
+     * definition.
      */
     void stampKeys(RequestLane &lane, std::size_t from);
 
@@ -273,11 +267,9 @@ class MemoryController : public QueueAccess
 
     // Policy snapshot, valid while the policy's rank epoch stands still
     // (see refreshPolicyCache).
-    std::vector<int> rankCache_;
     Cycle agingCache_ = kCycleNever;
     bool rowHitAboveRankCache_ = false;
     bool useRowHitCache_ = true;
-    ThreadId maxThreadSeen_ = 0;
     std::uint64_t policyCacheEpoch_ = 0; //!< 0 = cache never built
 
     // Open-row snapshot the scans compare against, indexed by bank; taken

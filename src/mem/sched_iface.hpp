@@ -15,12 +15,15 @@
  *
  * PAR-BS swaps tiers 3 and 4 (row-hit above rank); FCFS disables tier 4.
  * Schedulers observe the memory system through the on* hooks and publish
- * thread ranks, which the controller reads every decision.
+ * a rank table per channel through setRanks; the controllers re-read it
+ * whenever the rank epoch moves.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -40,27 +43,27 @@ struct CoreCounters
     std::uint64_t readMisses = 0;
 };
 
-/** Mutable access to a controller's read queue (PAR-BS batch marking). */
-class QueueAccess
+/**
+ * Everything a policy is wired to, handed over once by
+ * SchedulerPolicy::configure before the first tick.
+ */
+struct Wiring
 {
-  public:
-    virtual ~QueueAccess() = default;
+    int numThreads = 0;
+    int numChannels = 0;
+    int banksPerChannel = 0;
 
-    /** The queued (visible, not yet departed) read requests. */
-    virtual std::vector<Request> &readQueue() = 0;
+    /** Each channel's queued (visible, not yet departed) reads, indexed
+     *  by channel; PAR-BS marks its batches through them. Empty, or a
+     *  null entry, for a rig without that controller. */
+    std::vector<std::vector<Request> *> readQueues{};
 
-    /**
-     * Invoke @p fn on every queued read. Templated so scheduler hot
-     * loops pay one virtual call per scan instead of one indirect
-     * std::function call per request.
-     */
-    template <typename Fn>
-    void
-    forEachRead(Fn &&fn)
-    {
-        for (Request &req : readQueue())
-            fn(req);
-    }
+    /** Per-core counters (MPKI-style metrics); null for none. */
+    const std::vector<CoreCounters> *coreCounters = nullptr;
+
+    /** OS-assigned thread weights (Section 3.6), each >= 1; empty means
+     *  all 1. Policies that do not support weights ignore them. */
+    std::vector<int> weights{};
 };
 
 /**
@@ -76,37 +79,12 @@ class SchedulerPolicy
     /** Human-readable algorithm name (for reports). */
     virtual const char *name() const = 0;
 
-    // -- wiring (called once before simulation starts) ---------------------
-
-    /** Number of threads and channels in the system. */
-    virtual void
-    configure(int numThreads, int numChannels, int banksPerChannel)
-    {
-        numThreads_ = numThreads;
-        numChannels_ = numChannels;
-        banksPerChannel_ = banksPerChannel;
-        queues_.assign(numChannels, nullptr);
-    }
-
-    /** Controller registers its queue for direct scheduler access. */
-    virtual void
-    attachQueue(ChannelId ch, QueueAccess *queue)
-    {
-        queues_.at(ch) = queue;
-    }
-
-    /** Simulator publishes per-core counters (for MPKI-style metrics). */
-    virtual void
-    setCoreCounters(const std::vector<CoreCounters> *counters)
-    {
-        coreCounters_ = counters;
-    }
-
     /**
-     * OS-assigned thread weights (Section 3.6). Called after configure();
-     * schedulers that do not support weights ignore them.
+     * Wire the policy to the system. Called once, after the controllers
+     * exist and before the first tick; overrides call the base first,
+     * which stores the wiring and publishes an all-zero rank table.
      */
-    virtual void setThreadWeights(const std::vector<int> & /*weights*/) {}
+    virtual void configure(const Wiring &wiring);
 
     /**
      * Attach a decision-trace sink (Simulator::attach wires the run's
@@ -163,22 +141,30 @@ class SchedulerPolicy
      */
     virtual void syncTo(Cycle /*now*/) {}
 
-    /**
-     * Monotonically increasing counter bumped whenever the rank vector
-     * (or any prioritization knob) may have changed. Controllers cache
-     * rankOf per scan and only rebuild when the epoch moves, so a
-     * policy MUST bump on every rank mutation. Starts at 1 so a
-     * controller's epoch-0 cache is always considered stale.
-     */
-    virtual std::uint64_t rankEpoch() const { return rankEpoch_; }
-
     // -- prioritization knobs ------------------------------------------------
 
     /**
-     * Rank of @p thread at controller @p ch; larger means higher priority.
-     * Default: all threads equal.
+     * Counter that moves on every setRanks call, the only way the rank
+     * table changes. Controllers re-read the table and the other knobs
+     * only when it moved; a policy whose knobs below can change must
+     * republish its ranks when they do (Tournament). Starts at 1, so a
+     * controller that has read nothing yet (epoch 0) always reads.
      */
-    virtual int rankOf(ChannelId /*ch*/, ThreadId /*thread*/) const { return 0; }
+    std::uint64_t rankEpoch() const { return rankEpoch_; }
+
+    /**
+     * The published rank table of channel @p ch: one rank per thread id,
+     * larger means higher priority. All zero (all threads equal) until
+     * the policy publishes.
+     */
+    const std::vector<int> &ranks(ChannelId ch) const { return ranks_[ch]; }
+
+    /** Rank of @p thread at channel @p ch. */
+    int
+    rankOf(ChannelId ch, ThreadId thread) const
+    {
+        return ranks_[ch][thread];
+    }
 
     /**
      * Age (in cycles since arrival) beyond which a request is escalated to
@@ -202,17 +188,30 @@ class SchedulerPolicy
     virtual bool prefersClosedPage() const { return false; }
 
   protected:
-    /** Record that ranks (or another knob) may have changed. */
-    void bumpRankEpoch() { ++rankEpoch_; }
+    /** Publish @p ranks (one per thread) at every channel. */
+    void setRanks(const std::vector<int> &ranks);
+
+    /** Publish @p ranks (one per thread) at channel @p ch only. */
+    void setRanks(ChannelId ch, const std::vector<int> &ranks);
+
+    /**
+     * Emit decision @p name at cycle @p now with @p args (JSON-encoded
+     * values, see telemetry::jsonArray) to the attached sink. Call sites
+     * test decisionSink_ first, so no argument is built while detached.
+     */
+    void decide(Cycle now, const char *name,
+                std::vector<std::pair<std::string, std::string>> args) const;
 
     int numThreads_ = 0;
     int numChannels_ = 0;
     int banksPerChannel_ = 0;
-    std::vector<QueueAccess *> queues_;
+    std::vector<std::vector<Request> *> readQueues_; //!< null: no queue
     const std::vector<CoreCounters> *coreCounters_ = nullptr;
+    std::vector<int> weights_; //!< per thread, all 1 unless wired
     telemetry::TelemetrySink *decisionSink_ = nullptr;
 
   private:
+    std::vector<std::vector<int>> ranks_; //!< [channel][thread]
     std::uint64_t rankEpoch_ = 1;
 };
 

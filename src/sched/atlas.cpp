@@ -1,7 +1,5 @@
 #include "sched/atlas.hpp"
 
-#include <cassert>
-
 #include "telemetry/sink.hpp"
 
 namespace tcm::sched {
@@ -12,25 +10,18 @@ Atlas::Atlas(const AtlasParams &params) : params_(params)
 }
 
 void
-Atlas::configure(int numThreads, int numChannels, int banksPerChannel)
+Atlas::configure(const Wiring &wiring)
 {
-    SchedulerPolicy::configure(numThreads, numChannels, banksPerChannel);
-    quantumAs_.assign(numThreads, 0.0);
-    totalAs_.assign(numThreads, 0.0);
-    weights_.assign(numThreads, 1);
+    SchedulerPolicy::configure(wiring);
+    quantumAs_.assign(numThreads_, 0.0);
+    totalAs_.assign(numThreads_, 0.0);
     // Before the first quantum completes there is no service history;
     // seed a deterministic total order (thread id) so the controller's
     // rank tier is well-defined from cycle 0.
-    ranks_.resize(numThreads);
-    for (ThreadId t = 0; t < numThreads; ++t)
-        ranks_[t] = numThreads - 1 - t;
-}
-
-void
-Atlas::setThreadWeights(const std::vector<int> &weights)
-{
-    assert(static_cast<int>(weights.size()) == numThreads_);
-    weights_ = weights;
+    std::vector<int> rank(numThreads_);
+    for (ThreadId t = 0; t < numThreads_; ++t)
+        rank[t] = numThreads_ - 1 - t;
+    setRanks(rank);
 }
 
 void
@@ -58,22 +49,15 @@ Atlas::tick(Cycle now)
 
     // Least attained service -> highest rank. ascendingPositions gives the
     // smallest key position 0, so invert.
-    std::vector<int> pos = ascendingPositions(key);
-    for (ThreadId t = 0; t < numThreads_; ++t)
-        ranks_[t] = numThreads_ - 1 - pos[t];
-    bumpRankEpoch();
+    std::vector<int> rank = ascendingPositions(key);
+    for (int &r : rank)
+        r = numThreads_ - 1 - r;
+    setRanks(rank);
 
-    if (decisionSink_) {
-        telemetry::DecisionEvent e;
-        e.cycle = now;
-        e.name = "atlas.rank";
-        e.category = "sched";
-        e.args = {
-            {"total_as", telemetry::jsonArray(totalAs_)},
-            {"ranks", telemetry::jsonArray(ranks_)},
-        };
-        decisionSink_->onDecision(std::move(e));
-    }
+    if (decisionSink_)
+        decide(now, "atlas.rank",
+               {{"total_as", telemetry::jsonArray(totalAs_)},
+                {"ranks", telemetry::jsonArray(rank)}});
 }
 
 } // namespace tcm::sched

@@ -43,11 +43,7 @@ class Atlas : public SchedulerPolicy
 
     const char *name() const override { return "ATLAS"; }
 
-    void configure(int numThreads, int numChannels,
-                   int banksPerChannel) override;
-
-    /** OS-assigned weights; must be called after configure(). */
-    void setThreadWeights(const std::vector<int> &weights) override;
+    void configure(const Wiring &wiring) override;
 
     void onCommand(const Request &req, dram::CommandKind kind, Cycle now,
                    Cycle occupancy) override;
@@ -55,12 +51,6 @@ class Atlas : public SchedulerPolicy
 
     /** Only timed event: the next quantum boundary. */
     Cycle nextEventAt(Cycle) const override { return nextQuantumAt_; }
-
-    int
-    rankOf(ChannelId, ThreadId thread) const override
-    {
-        return ranks_[thread];
-    }
 
     Cycle agingThreshold() const override { return params_.agingThreshold; }
 
@@ -72,8 +62,6 @@ class Atlas : public SchedulerPolicy
     AtlasParams params_;
     std::vector<double> quantumAs_;
     std::vector<double> totalAs_;
-    std::vector<int> weights_;
-    std::vector<int> ranks_;
     Cycle nextQuantumAt_ = 0;
 };
 

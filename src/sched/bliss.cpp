@@ -12,14 +12,26 @@ Bliss::Bliss(const BlissParams &params) : params_(params)
 }
 
 void
-Bliss::configure(int numThreads, int numChannels, int banksPerChannel)
+Bliss::configure(const Wiring &wiring)
 {
-    SchedulerPolicy::configure(numThreads, numChannels, banksPerChannel);
-    lastServed_.assign(numChannels, kNoThread);
-    streak_.assign(numChannels, 0);
-    blacklisted_.assign(numChannels,
-                        std::vector<std::uint8_t>(numThreads, 0));
+    SchedulerPolicy::configure(wiring);
+    lastServed_.assign(numChannels_, kNoThread);
+    streak_.assign(numChannels_, 0);
+    blacklisted_.assign(numChannels_,
+                        std::vector<std::uint8_t>(numThreads_, 0));
     pendingServed_.clear();
+    publishRanks();
+}
+
+void
+Bliss::publishRanks()
+{
+    std::vector<int> rank(numThreads_);
+    for (ChannelId ch = 0; ch < numChannels_; ++ch) {
+        for (ThreadId t = 0; t < numThreads_; ++t)
+            rank[t] = blacklisted_[ch][t] ? 0 : 1;
+        setRanks(ch, rank);
+    }
 }
 
 void
@@ -50,24 +62,17 @@ Bliss::tick(Cycle now)
                 !blacklisted_[ev.channel][ev.thread]) {
                 blacklisted_[ev.channel][ev.thread] = 1;
                 changed = true;
-                if (decisionSink_) {
-                    telemetry::DecisionEvent e;
-                    e.cycle = now;
-                    e.name = "bliss.blacklist";
-                    e.category = "sched";
-                    e.args = {
-                        {"channel",
-                         telemetry::jsonNumber(
-                             static_cast<std::int64_t>(ev.channel))},
-                        {"thread",
-                         telemetry::jsonNumber(
-                             static_cast<std::int64_t>(ev.thread))},
-                        {"streak",
-                         telemetry::jsonNumber(static_cast<std::int64_t>(
-                             streak_[ev.channel]))},
-                    };
-                    decisionSink_->onDecision(std::move(e));
-                }
+                if (decisionSink_)
+                    decide(now, "bliss.blacklist",
+                           {{"channel",
+                             telemetry::jsonNumber(
+                                 static_cast<std::int64_t>(ev.channel))},
+                            {"thread",
+                             telemetry::jsonNumber(
+                                 static_cast<std::int64_t>(ev.thread))},
+                            {"streak",
+                             telemetry::jsonNumber(static_cast<std::int64_t>(
+                                 streak_[ev.channel]))}});
             }
         }
         pendingServed_.clear();
@@ -87,21 +92,14 @@ Bliss::tick(Cycle now)
         // instantly re-blacklist.
         std::fill(lastServed_.begin(), lastServed_.end(), kNoThread);
         std::fill(streak_.begin(), streak_.end(), 0);
-        if (decisionSink_) {
-            telemetry::DecisionEvent e;
-            e.cycle = now;
-            e.name = "bliss.clear";
-            e.category = "sched";
-            e.args = {
-                {"cleared", telemetry::jsonNumber(
-                                static_cast<std::int64_t>(cleared))},
-            };
-            decisionSink_->onDecision(std::move(e));
-        }
+        if (decisionSink_)
+            decide(now, "bliss.clear",
+                   {{"cleared", telemetry::jsonNumber(
+                                    static_cast<std::int64_t>(cleared))}});
     }
 
     if (changed)
-        bumpRankEpoch();
+        publishRanks();
 }
 
 Cycle

@@ -51,20 +51,13 @@ class Bliss : public SchedulerPolicy
 
     const char *name() const override { return "BLISS"; }
 
-    void configure(int numThreads, int numChannels,
-                   int banksPerChannel) override;
+    void configure(const Wiring &wiring) override;
 
     void onDepart(const Request &req, Cycle now) override;
     void tick(Cycle now) override;
 
     /** Next clearing boundary; `now` while served events are pending. */
     Cycle nextEventAt(Cycle now) const override;
-
-    int
-    rankOf(ChannelId ch, ThreadId thread) const override
-    {
-        return blacklisted_[ch][thread] ? 0 : 1;
-    }
 
     /** Is @p thread currently blacklisted at @p ch? (tests) */
     bool
@@ -79,6 +72,9 @@ class Bliss : public SchedulerPolicy
     const BlissParams &params() const { return params_; }
 
   private:
+    /** Publish every channel's ranks: 0 blacklisted, 1 otherwise. */
+    void publishRanks();
+
     /** A read left some channel's queue; recorded by onDepart, applied
      *  in tick() so rank mutations never happen inside a hook. */
     struct ServedEvent

@@ -5,6 +5,8 @@
 
 #pragma once
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,10 +28,17 @@ class FixedRank : public SchedulerPolicy
 
     const char *name() const override { return "FixedRank"; }
 
-    int
-    rankOf(ChannelId, ThreadId thread) const override
+    /** Publishes the ranks; throws std::out_of_range when there are
+     *  fewer ranks than threads. */
+    void
+    configure(const Wiring &wiring) override
     {
-        return ranks_.at(thread);
+        SchedulerPolicy::configure(wiring);
+        if (ranks_.size() < static_cast<std::size_t>(numThreads_))
+            throw std::out_of_range(
+                "FixedRank: " + std::to_string(ranks_.size()) +
+                " ranks for " + std::to_string(numThreads_) + " threads");
+        setRanks({ranks_.begin(), ranks_.begin() + numThreads_});
     }
 
   private:

@@ -1,7 +1,6 @@
 #include "sched/fqm.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace tcm::sched {
 
@@ -11,22 +10,15 @@ Fqm::Fqm(const FqmParams &params) : params_(params)
 }
 
 void
-Fqm::configure(int numThreads, int numChannels, int banksPerChannel)
+Fqm::configure(const Wiring &wiring)
 {
-    SchedulerPolicy::configure(numThreads, numChannels, banksPerChannel);
-    vtime_.assign(numThreads, 0.0);
-    weights_.assign(numThreads, 1);
-    outstanding_.assign(numThreads, 0);
-    ranks_.assign(numThreads, 0);
-    for (ThreadId t = 0; t < numThreads; ++t)
-        ranks_[t] = numThreads - 1 - t; // deterministic initial order
-}
-
-void
-Fqm::setThreadWeights(const std::vector<int> &weights)
-{
-    assert(static_cast<int>(weights.size()) == numThreads_);
-    weights_ = weights;
+    SchedulerPolicy::configure(wiring);
+    vtime_.assign(numThreads_, 0.0);
+    outstanding_.assign(numThreads_, 0);
+    std::vector<int> rank(numThreads_);
+    for (ThreadId t = 0; t < numThreads_; ++t)
+        rank[t] = numThreads_ - 1 - t; // deterministic initial order
+    setRanks(rank);
 }
 
 void
@@ -70,10 +62,10 @@ Fqm::tick(Cycle now)
                 vtime_[t] = std::max(vtime_[t], min_active);
 
     // Smallest virtual time -> highest rank.
-    std::vector<int> pos = ascendingPositions(vtime_);
-    for (ThreadId t = 0; t < numThreads_; ++t)
-        ranks_[t] = numThreads_ - 1 - pos[t];
-    bumpRankEpoch();
+    std::vector<int> rank = ascendingPositions(vtime_);
+    for (int &r : rank)
+        r = numThreads_ - 1 - r;
+    setRanks(rank);
 }
 
 } // namespace tcm::sched

@@ -43,10 +43,7 @@ class Fqm : public SchedulerPolicy
 
     const char *name() const override { return "FQM"; }
 
-    void configure(int numThreads, int numChannels,
-                   int banksPerChannel) override;
-
-    void setThreadWeights(const std::vector<int> &weights) override;
+    void configure(const Wiring &wiring) override;
 
     void onArrival(const Request &req, Cycle now) override;
     void onDepart(const Request &req, Cycle now) override;
@@ -57,21 +54,13 @@ class Fqm : public SchedulerPolicy
     /** Only timed event: the next rank recomputation. */
     Cycle nextEventAt(Cycle) const override { return nextUpdateAt_; }
 
-    int
-    rankOf(ChannelId, ThreadId thread) const override
-    {
-        return ranks_[thread];
-    }
-
     /** Current virtual time of @p thread (tests). */
     double virtualTime(ThreadId thread) const { return vtime_[thread]; }
 
   private:
     FqmParams params_;
     std::vector<double> vtime_;
-    std::vector<int> weights_;
     std::vector<int> outstanding_;
-    std::vector<int> ranks_;
     Cycle nextUpdateAt_ = 0;
 };
 

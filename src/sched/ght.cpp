@@ -13,21 +13,20 @@ Ght::Ght(const GhtParams &params) : params_(params)
 }
 
 void
-Ght::configure(int numThreads, int numChannels, int banksPerChannel)
+Ght::configure(const Wiring &wiring)
 {
-    SchedulerPolicy::configure(numThreads, numChannels, banksPerChannel);
-    history_.assign(numThreads, std::vector<Entry>(params_.tableSize));
-    intervalReads_.assign(numThreads, 0);
-    intervalHits_.assign(numThreads, 0);
-    boosted_.assign(numThreads, 0);
+    SchedulerPolicy::configure(wiring);
+    history_.assign(numThreads_, std::vector<Entry>(params_.tableSize));
+    intervalReads_.assign(numThreads_, 0);
+    intervalHits_.assign(numThreads_, 0);
+    boosted_.assign(numThreads_, 0);
     // Before the first interval completes everyone is "intensive" with
     // no reuse history: a deterministic thread-id rotation order.
-    heavyOrder_.resize(numThreads);
-    for (ThreadId t = 0; t < numThreads; ++t)
+    heavyOrder_.resize(numThreads_);
+    for (ThreadId t = 0; t < numThreads_; ++t)
         heavyOrder_[t] = t;
-    ranks_.assign(numThreads, 0);
     rotateOffset_ = 0;
-    rebuildRanks();
+    publishRanks();
 }
 
 void
@@ -72,10 +71,8 @@ Ght::tick(Cycle now)
             changed = true;
         }
     }
-    if (changed) {
-        rebuildRanks();
-        bumpRankEpoch();
-    }
+    if (changed)
+        publishRanks();
 }
 
 void
@@ -121,16 +118,10 @@ Ght::reclassify(Cycle now)
             hits[t] = static_cast<int>(intervalHits_[t]);
             boostedArg[t] = boosted_[t];
         }
-        telemetry::DecisionEvent e;
-        e.cycle = now;
-        e.name = "ght.interval";
-        e.category = "sched";
-        e.args = {
-            {"reads", telemetry::jsonArray(reads)},
-            {"hits", telemetry::jsonArray(hits)},
-            {"boosted", telemetry::jsonArray(boostedArg)},
-        };
-        decisionSink_->onDecision(std::move(e));
+        decide(now, "ght.interval",
+               {{"reads", telemetry::jsonArray(reads)},
+                {"hits", telemetry::jsonArray(hits)},
+                {"boosted", telemetry::jsonArray(boostedArg)}});
     }
 
     // Decay instead of reset so classification has hysteresis, and halve
@@ -145,7 +136,7 @@ Ght::reclassify(Cycle now)
 }
 
 void
-Ght::rebuildRanks()
+Ght::publishRanks()
 {
     // Intensive threads occupy ranks [0, heavy); the rotated front of
     // heavyOrder_ gets the highest intensive rank. Boosted threads all
@@ -153,13 +144,15 @@ Ght::rebuildRanks()
     // FR-FCFS (row-hit, then age) arbitrates, which is exactly how the
     // exemplar treats its low-traffic CPUs.
     const int heavy = static_cast<int>(heavyOrder_.size());
+    std::vector<int> rank(numThreads_);
     for (int i = 0; i < heavy; ++i) {
         ThreadId t = heavyOrder_[(i + rotateOffset_) % heavy];
-        ranks_[t] = heavy - 1 - i;
+        rank[t] = heavy - 1 - i;
     }
     for (ThreadId t = 0; t < numThreads_; ++t)
         if (boosted_[t])
-            ranks_[t] = heavy;
+            rank[t] = heavy;
+    setRanks(rank);
 }
 
 } // namespace tcm::sched

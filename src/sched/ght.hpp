@@ -63,8 +63,7 @@ class Ght : public SchedulerPolicy
 
     const char *name() const override { return "GHT"; }
 
-    void configure(int numThreads, int numChannels,
-                   int banksPerChannel) override;
+    void configure(const Wiring &wiring) override;
 
     void onDepart(const Request &req, Cycle now) override;
     void tick(Cycle now) override;
@@ -77,17 +76,11 @@ class Ght : public SchedulerPolicy
                                                : nextRotateAt_;
     }
 
-    int
-    rankOf(ChannelId, ThreadId thread) const override
-    {
-        return ranks_[thread];
-    }
-
     const GhtParams &params() const { return params_; }
 
   private:
     void reclassify(Cycle now);
-    void rebuildRanks();
+    void publishRanks();
 
     /** One direct-mapped history entry. */
     struct Entry
@@ -102,7 +95,6 @@ class Ght : public SchedulerPolicy
     std::vector<std::uint64_t> intervalHits_;  //!< history hits this interval
     std::vector<std::uint8_t> boosted_;        //!< latency-sensitive band
     std::vector<ThreadId> heavyOrder_;         //!< intensive threads, reuse-sorted
-    std::vector<int> ranks_;
     int rotateOffset_ = 0;
     Cycle nextIntervalAt_ = 0;
     Cycle nextRotateAt_ = 0;

@@ -12,12 +12,11 @@ ParBs::ParBs(const ParBsParams &params) : params_(params)
 }
 
 void
-ParBs::configure(int numThreads, int numChannels, int banksPerChannel)
+ParBs::configure(const Wiring &wiring)
 {
-    SchedulerPolicy::configure(numThreads, numChannels, banksPerChannel);
-    markedRemaining_.assign(numChannels, 0);
-    queuedReads_.assign(numChannels, 0);
-    ranks_.assign(numChannels, std::vector<int>(numThreads, 0));
+    SchedulerPolicy::configure(wiring);
+    markedRemaining_.assign(numChannels_, 0);
+    queuedReads_.assign(numChannels_, 0);
 }
 
 void
@@ -34,16 +33,11 @@ ParBs::onDepart(const Request &req, Cycle now)
         --queuedReads_[req.channel];
     if (req.marked && !req.isWrite) {
         --markedRemaining_[req.channel];
-        if (markedRemaining_[req.channel] == 0 && decisionSink_) {
-            telemetry::DecisionEvent e;
-            e.cycle = now;
-            e.name = "parbs.batch_done";
-            e.category = "sched";
-            e.args = {{"channel", telemetry::jsonNumber(
-                                      static_cast<std::int64_t>(
-                                          req.channel))}};
-            decisionSink_->onDecision(std::move(e));
-        }
+        if (markedRemaining_[req.channel] == 0 && decisionSink_)
+            decide(now, "parbs.batch_done",
+                   {{"channel", telemetry::jsonNumber(
+                                    static_cast<std::int64_t>(
+                                        req.channel))}});
     }
 }
 
@@ -51,7 +45,7 @@ void
 ParBs::tick(Cycle now)
 {
     for (ChannelId ch = 0; ch < numChannels_; ++ch)
-        if (markedRemaining_[ch] == 0 && queues_[ch])
+        if (markedRemaining_[ch] == 0 && readQueues_[ch])
             formBatch(ch, now);
 }
 
@@ -60,7 +54,7 @@ ParBs::nextEventAt(Cycle now) const
 {
     for (ChannelId ch = 0; ch < numChannels_; ++ch)
         if (markedRemaining_[ch] == 0 && queuedReads_[ch] > 0 &&
-            queues_[ch])
+            readQueues_[ch])
             return now;
     return kCycleNever;
 }
@@ -75,14 +69,12 @@ ParBs::formBatch(ChannelId ch, Cycle now)
     };
     std::vector<Slot> slots(static_cast<std::size_t>(numThreads_) *
                             banksPerChannel_);
-    bool any = false;
-    queues_[ch]->forEachRead([&](Request &req) {
+    std::vector<Request> &reads = *readQueues_[ch];
+    for (Request &req : reads)
         slots[static_cast<std::size_t>(req.thread) * banksPerChannel_ +
               req.bank]
             .reqs.push_back(&req);
-        any = true;
-    });
-    if (!any)
+    if (reads.empty())
         return; // nothing to batch; ranks keep their previous values
 
     // Mark up to batchCap oldest requests per (thread, bank) and compute
@@ -124,24 +116,18 @@ ParBs::formBatch(ChannelId ch, Cycle now)
             return totalLoad[a] < totalLoad[b];
         return a < b;
     });
+    std::vector<int> rank(numThreads_);
     for (int i = 0; i < numThreads_; ++i)
-        ranks_[ch][order[i]] = numThreads_ - 1 - i; // lightest -> highest
-    bumpRankEpoch();
+        rank[order[i]] = numThreads_ - 1 - i; // lightest -> highest
+    setRanks(ch, rank);
 
-    if (decisionSink_) {
-        telemetry::DecisionEvent e;
-        e.cycle = now;
-        e.name = "parbs.batch";
-        e.category = "sched";
-        e.args = {
-            {"channel",
-             telemetry::jsonNumber(static_cast<std::int64_t>(ch))},
-            {"marked",
-             telemetry::jsonNumber(static_cast<std::int64_t>(marked))},
-            {"ranks", telemetry::jsonArray(ranks_[ch])},
-        };
-        decisionSink_->onDecision(std::move(e));
-    }
+    if (decisionSink_)
+        decide(now, "parbs.batch",
+               {{"channel",
+                 telemetry::jsonNumber(static_cast<std::int64_t>(ch))},
+                {"marked",
+                 telemetry::jsonNumber(static_cast<std::int64_t>(marked))},
+                {"ranks", telemetry::jsonArray(rank)}});
 }
 
 } // namespace tcm::sched

@@ -40,8 +40,7 @@ class ParBs : public SchedulerPolicy
 
     const char *name() const override { return "PAR-BS"; }
 
-    void configure(int numThreads, int numChannels,
-                   int banksPerChannel) override;
+    void configure(const Wiring &wiring) override;
 
     void onArrival(const Request &req, Cycle now) override;
     void onDepart(const Request &req, Cycle now) override;
@@ -54,12 +53,6 @@ class ParBs : public SchedulerPolicy
      * tick if any channel is batch-ready now, never otherwise.
      */
     Cycle nextEventAt(Cycle now) const override;
-
-    int
-    rankOf(ChannelId ch, ThreadId thread) const override
-    {
-        return ranks_[ch][thread];
-    }
 
     bool rowHitAboveRank() const override { return true; }
 
@@ -74,7 +67,6 @@ class ParBs : public SchedulerPolicy
     ParBsParams params_;
     std::vector<int> markedRemaining_;        //!< per channel
     std::vector<int> queuedReads_;            //!< visible reads per channel
-    std::vector<std::vector<int>> ranks_;     //!< [channel][thread]
 };
 
 } // namespace tcm::sched

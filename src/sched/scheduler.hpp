@@ -13,9 +13,9 @@
 namespace tcm::sched {
 
 using mem::CoreCounters;
-using mem::QueueAccess;
 using mem::Request;
 using mem::SchedulerPolicy;
+using mem::Wiring;
 
 /**
  * Position of each element when the vector is sorted ascending: the

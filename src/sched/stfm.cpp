@@ -13,15 +13,14 @@ Stfm::Stfm(const StfmParams &params) : params_(params)
 }
 
 void
-Stfm::configure(int numThreads, int numChannels, int banksPerChannel)
+Stfm::configure(const Wiring &wiring)
 {
-    SchedulerPolicy::configure(numThreads, numChannels, banksPerChannel);
-    monitor_.configure(numThreads, numChannels * banksPerChannel,
-                       banksPerChannel);
-    outstanding_.assign(numThreads, 0);
-    stShared_.assign(numThreads, 0.0);
-    interference_.assign(numThreads, 0.0);
-    ranks_.assign(numThreads, 0);
+    SchedulerPolicy::configure(wiring);
+    monitor_.configure(numThreads_, numChannels_ * banksPerChannel_,
+                       banksPerChannel_);
+    outstanding_.assign(numThreads_, 0);
+    stShared_.assign(numThreads_, 0.0);
+    interference_.assign(numThreads_, 0.0);
 }
 
 void
@@ -108,28 +107,21 @@ Stfm::updateRanks(Cycle now)
         minS = std::min(minS, s);
     }
 
-    std::fill(ranks_.begin(), ranks_.end(), 0);
+    std::vector<int> rank(numThreads_, 0);
     bool prioritized =
         victim != kNoThread && maxS / minS > params_.fairnessThreshold;
     if (prioritized) {
-        ranks_[victim] = 1; // prioritize the most slowed-down thread
+        rank[victim] = 1; // prioritize the most slowed-down thread
     }
-    bumpRankEpoch();
+    setRanks(rank);
 
-    if (decisionSink_) {
-        telemetry::DecisionEvent e;
-        e.cycle = now;
-        e.name = "stfm.update";
-        e.category = "sched";
-        e.args = {
-            {"slowdown", telemetry::jsonArray(slowdown)},
-            {"unfairness", telemetry::jsonNumber(maxS / minS)},
-            {"victim",
-             telemetry::jsonNumber(static_cast<std::int64_t>(
-                 prioritized ? victim : kNoThread))},
-        };
-        decisionSink_->onDecision(std::move(e));
-    }
+    if (decisionSink_)
+        decide(now, "stfm.update",
+               {{"slowdown", telemetry::jsonArray(slowdown)},
+                {"unfairness", telemetry::jsonNumber(maxS / minS)},
+                {"victim",
+                 telemetry::jsonNumber(static_cast<std::int64_t>(
+                     prioritized ? victim : kNoThread))}});
 }
 
 void

@@ -47,8 +47,7 @@ class Stfm : public SchedulerPolicy
 
     const char *name() const override { return "STFM"; }
 
-    void configure(int numThreads, int numChannels,
-                   int banksPerChannel) override;
+    void configure(const Wiring &wiring) override;
 
     void onArrival(const Request &req, Cycle now) override;
     void onDepart(const Request &req, Cycle now) override;
@@ -76,12 +75,6 @@ class Stfm : public SchedulerPolicy
      */
     void syncTo(Cycle now) override;
 
-    int
-    rankOf(ChannelId, ThreadId thread) const override
-    {
-        return ranks_[thread];
-    }
-
     /** Current slowdown estimate for @p thread (tests/benches). */
     double slowdownEstimate(ThreadId thread) const;
 
@@ -96,7 +89,6 @@ class Stfm : public SchedulerPolicy
     std::vector<double> stShared_;
     std::vector<double> interference_;
     std::unordered_set<std::uint64_t> shadowHitSeqs_;
-    std::vector<int> ranks_;
     Cycle nextUpdateAt_ = 0;
     Cycle nextIntervalAt_ = 0;
     /** Stall accrued through this cycle; kCycleNever = no tick yet

@@ -1,7 +1,6 @@
 #include "sched/tcm/tcm.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/json.hpp"
 #include "sched/tcm/niceness.hpp"
@@ -17,29 +16,18 @@ Tcm::Tcm(const TcmParams &params, std::uint64_t seed)
 }
 
 void
-Tcm::configure(int numThreads, int numChannels, int banksPerChannel)
+Tcm::configure(const Wiring &wiring)
 {
-    SchedulerPolicy::configure(numThreads, numChannels, banksPerChannel);
+    SchedulerPolicy::configure(wiring);
     // One logical monitor over all banks in the system: the per-channel
     // counters of Table 2 feed the meta-controller, which reconstructs
     // the system-wide view modelled here directly.
-    monitor_.configure(numThreads, numChannels * banksPerChannel,
-                       banksPerChannel);
-    weights_.assign(numThreads, 1);
-    baseInstructions_.assign(numThreads, 0);
-    baseMisses_.assign(numThreads, 0);
-    ranks_.assign(numThreads, 0);
-    mpki_.assign(numThreads, 0.0);
-    niceness_.assign(numThreads, 0.0);
-}
-
-void
-Tcm::setThreadWeights(const std::vector<int> &weights)
-{
-    assert(static_cast<int>(weights.size()) == numThreads_);
-    weights_ = weights;
-    for ([[maybe_unused]] int w : weights_)
-        assert(w >= 1);
+    monitor_.configure(numThreads_, numChannels_ * banksPerChannel_,
+                       banksPerChannel_);
+    baseInstructions_.assign(numThreads_, 0);
+    baseMisses_.assign(numThreads_, 0);
+    mpki_.assign(numThreads_, 0.0);
+    niceness_.assign(numThreads_, 0.0);
 }
 
 void
@@ -148,51 +136,44 @@ Tcm::quantumBoundary(Cycle now)
                                                   shuffleKey, weights_, mode,
                                                   &rng_);
     }
-    rebuildRanks();
+    publishRanks();
 
-    if (decisionSink_) {
-        telemetry::DecisionEvent e;
-        e.cycle = now;
-        e.name = "tcm.quantum";
-        e.category = "sched";
-        e.args = {
-            {"latency_cluster", telemetry::jsonArray(cluster_.latency)},
-            {"bandwidth_cluster", telemetry::jsonArray(cluster_.bandwidth)},
-            {"mpki", telemetry::jsonArray(mpki_)},
-            {"niceness", telemetry::jsonArray(niceness_)},
-            {"shuffle_mode",
-             json::quote(shuffleModeName(mode))},
-            {"cluster_thresh", telemetry::jsonNumber(thresh)},
-            {"ranks", telemetry::jsonArray(ranks_)},
-        };
-        decisionSink_->onDecision(std::move(e));
-    }
+    if (decisionSink_)
+        decide(now, "tcm.quantum",
+               {{"latency_cluster", telemetry::jsonArray(cluster_.latency)},
+                {"bandwidth_cluster",
+                 telemetry::jsonArray(cluster_.bandwidth)},
+                {"mpki", telemetry::jsonArray(mpki_)},
+                {"niceness", telemetry::jsonArray(niceness_)},
+                {"shuffle_mode", json::quote(shuffleModeName(mode))},
+                {"cluster_thresh", telemetry::jsonNumber(thresh)},
+                {"ranks", telemetry::jsonArray(ranks(0))}});
 
     nextQuantumAt_ = now + params_.quantum;
     nextShuffleAt_ = now + params_.shuffleInterval;
 }
 
 void
-Tcm::rebuildRanks()
+Tcm::publishRanks()
 {
     // Bandwidth-sensitive cluster: ranks 0 .. K-1 from the shuffle order
     // (front = lowest priority). Latency-sensitive cluster: ranks K .. N-1,
     // with the lowest-MPKI thread highest (cluster_.latency is sorted by
     // ascending scaled MPKI, so reverse it: last = highest MPKI = lowest
     // latency-cluster rank).
-    std::fill(ranks_.begin(), ranks_.end(), 0);
+    std::vector<int> rank(numThreads_, 0);
     const std::vector<ThreadId> &order = shuffle_->order();
     const int k = static_cast<int>(order.size());
     for (int i = 0; i < k; ++i)
-        ranks_[order[i]] = params_.nicestAtTop ? k - 1 - i : i;
+        rank[order[i]] = params_.nicestAtTop ? k - 1 - i : i;
 
     int base = static_cast<int>(order.size());
     const std::vector<ThreadId> &lat = cluster_.latency;
     for (std::size_t i = 0; i < lat.size(); ++i) {
         // lat[0] has the lowest MPKI -> highest rank overall.
-        ranks_[lat[i]] = base + static_cast<int>(lat.size() - 1 - i);
+        rank[lat[i]] = base + static_cast<int>(lat.size() - 1 - i);
     }
-    bumpRankEpoch();
+    setRanks(rank);
 }
 
 void
@@ -205,18 +186,11 @@ Tcm::tick(Cycle now)
     if (now >= nextShuffleAt_) {
         if (shuffle_ && shuffle_->order().size() > 1) {
             shuffle_->step();
-            rebuildRanks();
-            if (decisionSink_) {
-                telemetry::DecisionEvent e;
-                e.cycle = now;
-                e.name = "tcm.shuffle";
-                e.category = "sched";
-                e.args = {
-                    {"order", telemetry::jsonArray(shuffle_->order())},
-                    {"ranks", telemetry::jsonArray(ranks_)},
-                };
-                decisionSink_->onDecision(std::move(e));
-            }
+            publishRanks();
+            if (decisionSink_)
+                decide(now, "tcm.shuffle",
+                       {{"order", telemetry::jsonArray(shuffle_->order())},
+                        {"ranks", telemetry::jsonArray(ranks(0))}});
         }
         nextShuffleAt_ += params_.shuffleInterval;
     }

@@ -75,11 +75,7 @@ class Tcm : public SchedulerPolicy
 
     const char *name() const override { return "TCM"; }
 
-    void configure(int numThreads, int numChannels,
-                   int banksPerChannel) override;
-
-    /** OS-assigned weights; must be called after configure(). */
-    void setThreadWeights(const std::vector<int> &weights) override;
+    void configure(const Wiring &wiring) override;
 
     void onArrival(const Request &req, Cycle now) override;
     void onDepart(const Request &req, Cycle now) override;
@@ -92,12 +88,6 @@ class Tcm : public SchedulerPolicy
     nextEventAt(Cycle) const override
     {
         return std::min(nextQuantumAt_, nextShuffleAt_);
-    }
-
-    int
-    rankOf(ChannelId, ThreadId thread) const override
-    {
-        return ranks_[thread];
     }
 
     // -- introspection (tests, benches) -------------------------------------
@@ -114,12 +104,11 @@ class Tcm : public SchedulerPolicy
 
   private:
     void quantumBoundary(Cycle now);
-    void rebuildRanks();
+    void publishRanks();
 
     TcmParams params_;
     Pcg32 rng_;
     ThreadBankMonitor monitor_; //!< global-bank view (meta-controller)
-    std::vector<int> weights_;
 
     Cycle nextQuantumAt_ = 0;
     Cycle nextShuffleAt_ = 0;
@@ -132,7 +121,6 @@ class Tcm : public SchedulerPolicy
     std::vector<double> mpki_;
     std::vector<double> niceness_;
     std::unique_ptr<ShuffleState> shuffle_;
-    std::vector<int> ranks_;
 };
 
 } // namespace tcm::sched

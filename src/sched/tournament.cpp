@@ -16,41 +16,17 @@ Tournament::Tournament(
     assert(!candidates_.empty());
     scores_.assign(candidates_.size(), 0.0);
     nextQuantumAt_ = params_.quantum;
-    lastLiveEpoch_ = candidates_[0]->rankEpoch();
 }
 
 void
-Tournament::configure(int numThreads, int numChannels, int banksPerChannel)
+Tournament::configure(const Wiring &wiring)
 {
-    SchedulerPolicy::configure(numThreads, numChannels, banksPerChannel);
+    SchedulerPolicy::configure(wiring);
     for (auto &c : candidates_)
-        c->configure(numThreads, numChannels, banksPerChannel);
-    lastInstructions_.assign(numThreads, 0);
-    bestInterval_.assign(numThreads, 0);
-    lastLiveEpoch_ = live().rankEpoch();
-}
-
-void
-Tournament::attachQueue(ChannelId ch, QueueAccess *queue)
-{
-    SchedulerPolicy::attachQueue(ch, queue);
-    for (auto &c : candidates_)
-        c->attachQueue(ch, queue);
-}
-
-void
-Tournament::setCoreCounters(const std::vector<CoreCounters> *counters)
-{
-    SchedulerPolicy::setCoreCounters(counters);
-    for (auto &c : candidates_)
-        c->setCoreCounters(counters);
-}
-
-void
-Tournament::setThreadWeights(const std::vector<int> &weights)
-{
-    for (auto &c : candidates_)
-        c->setThreadWeights(weights);
+        c->configure(wiring);
+    lastInstructions_.assign(numThreads_, 0);
+    bestInterval_.assign(numThreads_, 0);
+    publishLive();
 }
 
 void
@@ -115,13 +91,18 @@ Tournament::syncTo(Cycle now)
 }
 
 void
+Tournament::publishLive()
+{
+    lastLiveEpoch_ = live().rankEpoch();
+    for (ChannelId ch = 0; ch < numChannels_; ++ch)
+        setRanks(ch, live().ranks(ch));
+}
+
+void
 Tournament::noteLiveEpoch()
 {
-    std::uint64_t e = live().rankEpoch();
-    if (e != lastLiveEpoch_) {
-        lastLiveEpoch_ = e;
-        ++epoch_;
-    }
+    if (live().rankEpoch() != lastLiveEpoch_)
+        publishLive();
 }
 
 void
@@ -172,22 +153,14 @@ Tournament::quantumBoundary(Cycle now)
     }
 
     if (next != liveIdx_) {
-        if (decisionSink_) {
-            telemetry::DecisionEvent e;
-            e.cycle = now;
-            e.name = "tournament.switch";
-            e.category = "sched";
-            e.args = {
-                {"quantum", telemetry::jsonNumber(quantumIdx_)},
-                {"from", json::quote(live().name())},
-                {"to", json::quote(candidates_[next]->name())},
-                {"scores", telemetry::jsonArray(scores_)},
-            };
-            decisionSink_->onDecision(std::move(e));
-        }
+        if (decisionSink_)
+            decide(now, "tournament.switch",
+                   {{"quantum", telemetry::jsonNumber(quantumIdx_)},
+                    {"from", json::quote(live().name())},
+                    {"to", json::quote(candidates_[next]->name())},
+                    {"scores", telemetry::jsonArray(scores_)}});
         liveIdx_ = next;
-        lastLiveEpoch_ = live().rankEpoch();
-        ++epoch_;
+        publishLive();
     }
 }
 

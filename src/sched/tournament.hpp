@@ -36,12 +36,12 @@ struct TournamentParams
 };
 
 /**
- * Runs 2–3 candidate policies as permanent shadows: every observation
- * hook, queue attachment, counter feed, and tick is forwarded to *all*
- * candidates, so each one's internal ranking stays exactly what it
- * would be had it been live all along. Only the live candidate's
- * prioritization knobs (rankOf / agingThreshold / rowHitAboveRank /
- * useRowHit) are exposed to the controllers.
+ * Runs 2–3 candidate policies as permanent shadows: the wiring, every
+ * observation hook and every tick is forwarded to *all* candidates, so
+ * each one's internal ranking stays exactly what it would be had it
+ * been live all along. Only the live candidate's prioritization knobs
+ * (its rank table, agingThreshold, rowHitAboveRank, useRowHit) are
+ * exposed to the controllers.
  *
  * At every quantum boundary the elapsed quantum is scored from the
  * per-core counters (the same counter feed the PR-3 telemetry gauges
@@ -59,8 +59,8 @@ struct TournamentParams
  * Fast-path contracts compose from the candidates': nextEventAt is the
  * min over the candidates' and the quantum boundary (a pure timer —
  * core counters are read at the boundary, which is always an executed
- * cycle); syncTo fans out; the tournament's
- * rank epoch advances whenever the live candidate's does or the live
+ * cycle); syncTo fans out; the tournament republishes the live
+ * candidate's rank table whenever that table moves or the live
  * candidate itself changes, so controller snapshot caches refresh
  * exactly when the visible knobs may have moved. Candidates must not
  * mutate shared queue state (PAR-BS marks requests even when not live,
@@ -75,12 +75,7 @@ class Tournament : public SchedulerPolicy
 
     const char *name() const override { return "Tournament"; }
 
-    void configure(int numThreads, int numChannels,
-                   int banksPerChannel) override;
-    void attachQueue(ChannelId ch, QueueAccess *queue) override;
-    void setCoreCounters(
-        const std::vector<CoreCounters> *counters) override;
-    void setThreadWeights(const std::vector<int> &weights) override;
+    void configure(const Wiring &wiring) override;
     void setDecisionSink(telemetry::TelemetrySink *sink) override;
 
     void onArrival(const Request &req, Cycle now) override;
@@ -91,13 +86,6 @@ class Tournament : public SchedulerPolicy
 
     Cycle nextEventAt(Cycle now) const override;
     void syncTo(Cycle now) override;
-    std::uint64_t rankEpoch() const override { return epoch_; }
-
-    int
-    rankOf(ChannelId ch, ThreadId thread) const override
-    {
-        return live().rankOf(ch, thread);
-    }
 
     Cycle agingThreshold() const override { return live().agingThreshold(); }
     bool rowHitAboveRank() const override { return live().rowHitAboveRank(); }
@@ -112,7 +100,10 @@ class Tournament : public SchedulerPolicy
     const TournamentParams &params() const { return params_; }
 
   private:
-    /** Fold the live candidate's epoch into ours if it moved. */
+    /** Republish the live candidate's rank table. */
+    void publishLive();
+
+    /** publishLive if the live candidate's table moved. */
     void noteLiveEpoch();
 
     /** Score the elapsed quantum and pick the next live candidate. */
@@ -125,7 +116,6 @@ class Tournament : public SchedulerPolicy
     std::vector<std::uint64_t> bestInterval_;     //!< per thread
     int liveIdx_ = 0;
     std::uint64_t lastLiveEpoch_ = 0;
-    std::uint64_t epoch_ = 1;
     std::uint64_t quantumIdx_ = 0;
     Cycle nextQuantumAt_ = 0;
 };

@@ -331,6 +331,9 @@ sampling(const SystemConfig &config, const ExperimentScale &scale, int jobs,
                                ? full.wallSeconds / sampled.wallSeconds
                                : 0.0);
     stamp(doc, t0, config);
+    // The sampled grid's self-profile (empty when unprofiled). fig4
+    // profiles the full leg alike, so the speedup compares like runs.
+    doc.profileMetrics = sampled.profileMetrics;
     return doc;
 }
 

@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace tcm::sim {
 
@@ -55,8 +54,6 @@ Simulator::Simulator(const SystemConfig &config,
                      bool enableProbe, std::vector<int> weights)
     : config_(config)
 {
-    if (weights.empty())
-        weights.assign(traces.size(), 1);
     init(std::move(traces), spec, seed, enableProbe, weights);
 }
 
@@ -66,12 +63,9 @@ Simulator::init(std::vector<std::unique_ptr<core::TraceSource>> traces,
                 bool enableProbe, const std::vector<int> &weights)
 {
     const int numThreads = static_cast<int>(traces.size());
-    assert(static_cast<int>(weights.size()) == numThreads);
     traces_ = std::move(traces);
 
     policy_ = sched::makeScheduler(spec, seed);
-    policy_->configure(numThreads, config_.numChannels,
-                       config_.timing.banksPerChannel);
     if (enableProbe) {
         // A single global-bank monitor measures exact system-wide BLP.
         probe_ = std::make_unique<sched::ThreadBankMonitor>();
@@ -81,13 +75,6 @@ Simulator::init(std::vector<std::unique_ptr<core::TraceSource>> traces,
     }
 
     counters_.resize(numThreads);
-    policy_->setCoreCounters(&counters_);
-
-    bool anyWeight = false;
-    for (int w : weights)
-        anyWeight |= w != 1;
-    if (anyWeight)
-        policy_->setThreadWeights(weights);
 
     if (config_.protocolCheck)
         checker_ = std::make_unique<dram::ProtocolChecker>(config_.timing);
@@ -97,14 +84,20 @@ Simulator::init(std::vector<std::unique_ptr<core::TraceSource>> traces,
     if (policy_->prefersClosedPage())
         config_.controller.pagePolicy = mem::PagePolicy::Closed;
 
+    mem::Wiring wiring{.numThreads = numThreads,
+                       .numChannels = config_.numChannels,
+                       .banksPerChannel = config_.timing.banksPerChannel,
+                       .coreCounters = &counters_,
+                       .weights = weights};
     controllers_.reserve(config_.numChannels);
     for (ChannelId ch = 0; ch < config_.numChannels; ++ch) {
         controllers_.push_back(std::make_unique<mem::MemoryController>(
             ch, config_.timing, config_.controller, *policy_));
-        policy_->attachQueue(ch, controllers_.back().get());
+        wiring.readQueues.push_back(&controllers_.back()->readQueue());
         if (checker_)
             checker_->observeChannel(ch);
     }
+    policy_->configure(wiring);
     observeControllers();
 
     std::vector<mem::MemoryController *> mcs;

@@ -236,10 +236,9 @@ TelemetrySink::writeJsonl(std::FILE *out) const
     events_.forEach([&](const DecisionEvent &e) {
         std::fprintf(out,
                      "{\"type\":\"event\",\"cycle\":%" PRIu64
-                     ",\"name\":%s,\"cat\":%s,\"args\":{",
+                     ",\"name\":%s,\"cat\":\"sched\",\"args\":{",
                      static_cast<std::uint64_t>(e.cycle),
-                     json::quote(e.name).c_str(),
-                     json::quote(e.category).c_str());
+                     json::quote(e.name).c_str());
         for (std::size_t i = 0; i < e.args.size(); ++i)
             std::fprintf(out, "%s%s:%s", i ? "," : "",
                          json::quote(e.args[i].first).c_str(),
@@ -369,10 +368,10 @@ TelemetrySink::writeChromeTrace(std::FILE *out) const
     events_.forEach([&](const DecisionEvent &e) {
         sep();
         std::fprintf(out,
-                     "{\"name\":%s,\"cat\":%s,\"ph\":\"i\",\"ts\":%" PRIu64
+                     "{\"name\":%s,\"cat\":\"sched\",\"ph\":\"i\","
+                     "\"ts\":%" PRIu64
                      ",\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{",
                      json::quote(e.name).c_str(),
-                     json::quote(e.category).c_str(),
                      static_cast<std::uint64_t>(e.cycle));
         for (std::size_t i = 0; i < e.args.size(); ++i)
             std::fprintf(out, "%s%s:%s", i ? "," : "",

@@ -113,8 +113,7 @@ struct SimulatorSample
 struct DecisionEvent
 {
     Cycle cycle = 0;
-    std::string name;     //!< e.g. "tcm.quantum", "parbs.batch"
-    std::string category; //!< Chrome trace category, e.g. "sched"
+    std::string name; //!< e.g. "tcm.quantum", "parbs.batch"
     std::vector<std::pair<std::string, std::string>> args;
 
     /** Raw JSON text of @p key, or empty when absent. */

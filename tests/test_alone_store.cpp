@@ -22,6 +22,7 @@
 #include "sim/alone_cache.hpp"
 #include "sim/system_config.hpp"
 #include "workload/mixes.hpp"
+#include "scratch.hpp"
 
 using namespace tcm;
 namespace fs = std::filesystem;
@@ -47,11 +48,10 @@ class AloneStoreTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = fs::temp_directory_path() /
-               ("tcmsim_alone_store_" +
-                std::string(::testing::UnitTest::GetInstance()
-                                ->current_test_info()
-                                ->name()));
+        dir_ = test::scratchPath(
+            "alone_store_" + std::string(::testing::UnitTest::GetInstance()
+                                             ->current_test_info()
+                                             ->name()));
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

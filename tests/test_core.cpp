@@ -82,7 +82,9 @@ struct Rig
     explicit Rig(std::vector<TraceItem> items, CoreParams cp = CoreParams{})
     {
         timing.refreshEnabled = false;
-        sched.configure(1, 1, timing.banksPerChannel);
+        sched.configure({.numThreads = 1,
+                         .numChannels = 1,
+                         .banksPerChannel = timing.banksPerChannel});
         mc = std::make_unique<mem::MemoryController>(0, timing, params,
                                                      sched);
         trace = std::make_unique<ScriptedTrace>(std::move(items));

@@ -30,6 +30,7 @@
 #include "telemetry/sink.hpp"
 #include "workload/mixes.hpp"
 #include "workload/multithreaded.hpp"
+#include "scratch.hpp"
 
 using namespace tcm;
 
@@ -67,8 +68,7 @@ telemetryBytes(const sim::RunResult &r, const std::string &tag)
 {
     EXPECT_TRUE(r.telemetry != nullptr);
     std::filesystem::path path =
-        std::filesystem::temp_directory_path() /
-        ("tcmsim_cycleskip_" + tag + ".jsonl");
+        test::scratchPath("cycleskip_" + tag + ".jsonl");
     r.telemetry->writeJsonl(path.string());
     std::string bytes = readFile(path.string());
     std::filesystem::remove(path);

@@ -26,6 +26,15 @@ timing(bool refresh = false)
     return t;
 }
 
+/** Wiring of a one-channel rig with @p threads threads. */
+Wiring
+oneChannel(int threads, const dram::TimingParams &t)
+{
+    return {.numThreads = threads,
+            .numChannels = 1,
+            .banksPerChannel = t.banksPerChannel};
+}
+
 /** Run the controller for @p cycles starting at @p from. */
 Cycle
 spin(MemoryController &mc, Cycle from, Cycle cycles)
@@ -110,7 +119,7 @@ TEST(Controller, UncontendedReadCompletesAtClosedBankLatency)
     dram::TimingParams t = timing();
     ControllerParams p;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     mc.submitRead(0, /*missId=*/1, /*bank=*/0, /*row=*/5, /*col=*/0, 0);
@@ -131,7 +140,7 @@ TEST(Controller, RowHitSkipsActivate)
     dram::TimingParams t = timing();
     ControllerParams p;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     mc.submitRead(0, 1, 0, 5, 0, 0);
@@ -148,7 +157,7 @@ TEST(Controller, ConflictPrechargesThenActivates)
     dram::TimingParams t = timing();
     ControllerParams p;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     mc.submitRead(0, 1, 0, 5, 0, 0);
@@ -165,7 +174,7 @@ TEST(Controller, FrFcfsPrefersRowHitOverOlderConflict)
     dram::TimingParams t = timing();
     ControllerParams p;
     sched::FrFcfs sched;
-    sched.configure(2, 1, t.banksPerChannel);
+    sched.configure(oneChannel(2, t));
     MemoryController mc(0, t, p, sched);
 
     // Open row 5 for thread 0.
@@ -187,7 +196,7 @@ TEST(Controller, FcfsIgnoresRowHits)
     dram::TimingParams t = timing();
     ControllerParams p;
     sched::Fcfs sched;
-    sched.configure(2, 1, t.banksPerChannel);
+    sched.configure(oneChannel(2, t));
     MemoryController mc(0, t, p, sched);
 
     mc.submitRead(0, 1, 0, 5, 0, 0);
@@ -207,7 +216,7 @@ TEST(Controller, HigherRankedThreadWinsOverRowHit)
     ControllerParams p;
     // Thread 1 strictly above thread 0.
     sched::FixedRank sched({0, 1});
-    sched.configure(2, 1, t.banksPerChannel);
+    sched.configure(oneChannel(2, t));
     MemoryController mc(0, t, p, sched);
 
     mc.submitRead(0, 1, 0, 5, 0, 0);
@@ -227,7 +236,7 @@ TEST(Controller, BackpressureWhenReadBufferFull)
     ControllerParams p;
     p.readQueueCap = 4;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     for (int i = 0; i < 4; ++i) {
@@ -249,7 +258,7 @@ TEST(Controller, WritesServeOpportunisticallyWhenNoReads)
     dram::TimingParams t = timing();
     ControllerParams p;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     mc.submitWrite(0, 0, 5, 0, 0);
@@ -265,7 +274,7 @@ TEST(Controller, WriteDrainTriggersAtHighWatermark)
     p.writeDrain.highWatermark = 8;
     p.writeDrain.lowWatermark = 2;
     sched::FrFcfs sched;
-    sched.configure(2, 1, t.banksPerChannel);
+    sched.configure(oneChannel(2, t));
     MemoryController mc(0, t, p, sched);
 
     // Keep a steady stream of row-hit reads from thread 0 and pile up
@@ -291,7 +300,7 @@ TEST(Controller, WriteBackpressureAtCapacity)
     p.writeDrain.highWatermark = 100; // never drain via watermark
     p.writeDrain.lowWatermark = 0;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     mc.submitWrite(0, 0, 5, 0, 0);
@@ -311,7 +320,7 @@ TEST(Controller, ClosedPageReactivatesForRepeatAccess)
     ControllerParams p;
     p.pagePolicy = PagePolicy::Closed;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     // Two same-row reads far apart in time: with closed-page the row is
@@ -331,7 +340,7 @@ TEST(Controller, SmartClosedKeepsRowForQueuedHit)
     ControllerParams p;
     p.pagePolicy = PagePolicy::Closed;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     // Two same-row reads queued together: the smart-closed policy must
@@ -349,7 +358,7 @@ TEST(Controller, OpenPageKeepsRowByDefault)
     dram::TimingParams t = timing();
     ControllerParams p; // PagePolicy::Open
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     mc.submitRead(0, 1, 0, 5, 0, 0);
@@ -369,7 +378,7 @@ TEST(Controller, RefreshHappensPeriodically)
     dram::TimingParams t = timing(/*refresh=*/true);
     ControllerParams p;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     Cycle horizon = t.tREFI * 3 + t.tRFC * 3 + 100;
@@ -382,7 +391,7 @@ TEST(Controller, ReadsStillCompleteWithRefreshEnabled)
     dram::TimingParams t = timing(/*refresh=*/true);
     ControllerParams p;
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     Cycle now = 0;
@@ -415,7 +424,7 @@ trafficFingerprint(bool idleSkip, bool refresh)
     p.writeDrain.highWatermark = 6;
     p.writeDrain.lowWatermark = 2;
     sched::FrFcfs sched;
-    sched.configure(4, 1, t.banksPerChannel);
+    sched.configure(oneChannel(4, t));
     MemoryController mc(0, t, p, sched);
 
     tcm::Pcg32 rng(12345);
@@ -465,7 +474,7 @@ TEST(Controller, OpportunisticModeCountsNoLatch)
     dram::TimingParams t = timing();
     ControllerParams p; // one write never reaches the high watermark
     sched::FrFcfs sched;
-    sched.configure(1, 1, t.banksPerChannel);
+    sched.configure(oneChannel(1, t));
     MemoryController mc(0, t, p, sched);
 
     mc.submitWrite(0, 0, 5, 0, 0);
@@ -486,7 +495,7 @@ policyFingerprint(bool idleSkip)
     p.writeDrain.highWatermark = 4;
     p.writeDrain.lowWatermark = 1;
     sched::FrFcfs sched;
-    sched.configure(4, 1, t.banksPerChannel);
+    sched.configure(oneChannel(4, t));
     MemoryController mc(0, t, p, sched);
 
     tcm::Pcg32 rng(999);
@@ -546,10 +555,11 @@ class AgingRank : public sched::SchedulerPolicy
   public:
     const char *name() const override { return "aging-test"; }
 
-    int
-    rankOf(ChannelId, ThreadId t) const override
+    void
+    configure(const mem::Wiring &wiring) override
     {
-        return t == 1 ? 1 : 0;
+        sched::SchedulerPolicy::configure(wiring);
+        setRanks({0, 1});
     }
 
     Cycle agingThreshold() const override { return 3000; }
@@ -562,7 +572,7 @@ TEST(Controller, OverAgeRequestBeatsHigherRank)
     dram::TimingParams t = timing();
     ControllerParams p;
     AgingRank sched;
-    sched.configure(2, 1, t.banksPerChannel);
+    sched.configure(oneChannel(2, t));
     MemoryController mc(0, t, p, sched);
 
     // Thread 0's request arrives first and ages past the threshold while
@@ -592,4 +602,69 @@ TEST(Controller, OverAgeRequestBeatsHigherRank)
     // Without aging the victim would starve ~forever; with a 3000-cycle
     // threshold it must finish shortly after aging out.
     EXPECT_LT(victim_done_at, 8000u);
+}
+
+// ---------------------------------------------------------------------------
+// A hand-written policy publishing ranks from tick()
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** Favours thread 0, then swaps threads 0 and 1 at tick(swapAt). */
+class SwapRanks : public sched::SchedulerPolicy
+{
+  public:
+    const char *name() const override { return "swap-test"; }
+
+    void
+    configure(const mem::Wiring &wiring) override
+    {
+        sched::SchedulerPolicy::configure(wiring);
+        setRanks({1, 0});
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        if (now == swapAt)
+            setRanks({0, 1});
+    }
+
+    Cycle swapAt = kCycleNever;
+};
+
+} // namespace
+
+TEST(Controller, RanksSetInTickReachTheNextScan)
+{
+    // Both threads queue row hits to one bank, thread 0's first, so only
+    // the rank tier can serve a thread 1 read before a thread 0 one. The
+    // policy swaps the ranks in the cycle after the first read issues:
+    // the next scan must serve thread 1, and all of thread 1's reads
+    // must go before the rest of thread 0's.
+    dram::TimingParams t = timing();
+    ControllerParams p;
+    SwapRanks sched;
+    sched.configure(oneChannel(2, t));
+    MemoryController mc(0, t, p, sched);
+
+    constexpr int kPerThread = 6;
+    for (ThreadId thread : {0, 1})
+        for (int i = 0; i < kPerThread; ++i)
+            mc.submitRead(thread, 100 * thread + i, /*bank=*/0, /*row=*/5,
+                          static_cast<ColId>(i), 0);
+
+    std::vector<ThreadId> served;
+    for (Cycle now = 0; now < 5'000; ++now) {
+        sched.tick(now);
+        mc.tick(now);
+        for (const auto &c : mc.completions()) {
+            served.push_back(c.thread);
+            if (sched.swapAt == kCycleNever)
+                sched.swapAt = now + 1;
+        }
+        mc.completions().clear();
+    }
+    EXPECT_EQ(served, (std::vector<ThreadId>{0, 1, 1, 1, 1, 1, 1, 0, 0, 0,
+                                             0, 0}));
 }

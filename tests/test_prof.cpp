@@ -28,6 +28,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/sink.hpp"
 #include "workload/mixes.hpp"
+#include "scratch.hpp"
 
 using namespace tcm;
 
@@ -132,10 +133,9 @@ observedRun(const std::string &policy, bool cycleSkip, Attached attached)
     }
     if (observed) {
         EXPECT_GT(sink.totalRecords(), 0u);
-        std::filesystem::path path =
-            std::filesystem::temp_directory_path() /
-            ("tcmsim_purity_" + std::to_string(static_cast<int>(attached)) +
-             ".jsonl");
+        std::filesystem::path path = test::scratchPath(
+            "purity_" + std::to_string(static_cast<int>(attached)) +
+            ".jsonl");
         sink.writeJsonl(path.string());
         out.jsonl = readFile(path.string());
         std::filesystem::remove(path);
@@ -399,8 +399,7 @@ TEST(ProfileConfig, FromEnvContract)
 TEST(ProfileConfig, OnlyANamedCellWritesProfileJson)
 {
     ::unsetenv("TCMSIM_PROFILE");
-    std::filesystem::path dir = std::filesystem::temp_directory_path() /
-                                "tcmsim_prof_json_test";
+    std::filesystem::path dir = test::scratchPath("prof_json_test");
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
 
@@ -472,6 +471,30 @@ TEST(ProfileConfig, OnlyProfileReadersHonorTheEnvironmentKnob)
     EXPECT_FALSE(doc.profileMetrics.empty());
 }
 
+TEST(ProfileConfig, SamplingKeepsTheProfileItMakes)
+{
+    // Under the knob both fig4 legs are profiled; the sampling document
+    // carries the sampled grid's profile in its run block.
+    sim::ExperimentScale scale;
+    scale.warmup = 1'000;
+    scale.measure = 4'000;
+    scale.workloadsPerCategory = 1;
+    scale.sampling.enabled = true;
+    scale.sampling.warmup = 1'000;
+    scale.sampling.window = 1'000;
+    scale.sampling.windows = 2;
+    sim::SystemConfig cfg;
+    cfg.numCores = 2;
+    cfg.numChannels = 1;
+    ::setenv("TCMSIM_PROFILE", "1", 1);
+    sim::results::ResultsDoc doc =
+        sim::paper::sampling(cfg, scale, /*jobs=*/1);
+    ::unsetenv("TCMSIM_PROFILE");
+
+    EXPECT_FALSE(doc.profileMetrics.empty());
+    EXPECT_NE(doc.toJson().find("\"profile\""), std::string::npos);
+}
+
 TEST(Profiler, DetachedSitesAreInert)
 {
     // A null shard must mean "no clock read, no write": the detached
@@ -507,8 +530,7 @@ TEST(SimulatorLane, ChromeTraceGainsLaneOnlyWhenProfiled)
         EXPECT_EQ(r.profile != nullptr && r.profile->enabled, profiled);
         runs.push_back(r);
         std::filesystem::path path =
-            std::filesystem::temp_directory_path() /
-            (profiled ? "tcmsim_lane_on.json" : "tcmsim_lane_off.json");
+            test::scratchPath(profiled ? "lane_on.json" : "lane_off.json");
         r.telemetry->writeChromeTrace(path.string());
         std::string bytes = readFile(path.string());
         std::filesystem::remove(path);

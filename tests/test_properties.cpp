@@ -64,12 +64,14 @@ TEST_P(ControllerConservation, EveryReadCompletesOnce)
             spec.fixedRanks.push_back(t);
     spec.scaleToRun(60'000);
     auto policy = sched::makeScheduler(spec, tc.seed);
-    policy->configure(tc.threads, 1, timing.banksPerChannel);
     std::vector<mem::CoreCounters> counters(tc.threads);
-    policy->setCoreCounters(&counters);
 
     mem::MemoryController mc(0, timing, mem::ControllerParams{}, *policy);
-    policy->attachQueue(0, &mc);
+    policy->configure({.numThreads = tc.threads,
+                       .numChannels = 1,
+                       .banksPerChannel = timing.banksPerChannel,
+                       .readQueues = {&mc.readQueue()},
+                       .coreCounters = &counters});
 
     Pcg32 rng(tc.seed);
     std::set<std::uint64_t> outstanding;
@@ -302,12 +304,14 @@ TEST_P(BlissBlacklist, EpochMonotoneAndClearingRestoresAll)
     sched::BlissParams params;
     params.clearInterval = 5'000; // several epochs in a 60k-cycle run
     sched::Bliss policy(params);
-    policy.configure(kThreads, 1, timing.banksPerChannel);
     std::vector<mem::CoreCounters> counters(kThreads);
-    policy.setCoreCounters(&counters);
 
     mem::MemoryController mc(0, timing, mem::ControllerParams{}, policy);
-    policy.attachQueue(0, &mc);
+    policy.configure({.numThreads = kThreads,
+                      .numChannels = 1,
+                      .banksPerChannel = timing.banksPerChannel,
+                      .readQueues = {&mc.readQueue()},
+                      .coreCounters = &counters});
 
     Pcg32 rng(seed);
     std::uint64_t nextId = 1;

@@ -587,13 +587,15 @@ TEST_P(AuditedController, RandomInjectionIsProtocolClean)
 
     sched::SchedulerSpec spec = sched::SchedulerSpec::frfcfs();
     auto policy = sched::makeScheduler(spec, 5);
-    policy->configure(4, 1, timing.banksPerChannel);
     std::vector<mem::CoreCounters> counters(4);
-    policy->setCoreCounters(&counters);
 
     mem::MemoryController mc(0, timing, mem::ControllerParams{}, *policy);
     mc.observe({&checker}, nullptr, nullptr, nullptr);
-    policy->attachQueue(0, &mc);
+    policy->configure({.numThreads = 4,
+                       .numChannels = 1,
+                       .banksPerChannel = timing.banksPerChannel,
+                       .readQueues = {&mc.readQueue()},
+                       .coreCounters = &counters});
 
     Pcg32 rng(5);
     std::uint64_t nextId = 1;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,9 @@
 #include "sched/factory.hpp"
 #include "sched/parbs.hpp"
 #include "sched/stfm.hpp"
+#include "sched/tournament.hpp"
+#include "sim/simulator.hpp"
+#include "workload/mixes.hpp"
 
 using namespace tcm;
 using namespace tcm::sched;
@@ -46,7 +50,7 @@ TEST(AtlasPolicy, LeastAttainedServiceRanksHighest)
     AtlasParams p;
     p.quantum = 1000;
     Atlas atlas(p);
-    atlas.configure(3, 1, 4);
+    atlas.configure({.numThreads = 3, .numChannels = 1, .banksPerChannel = 4});
 
     // Thread 2 consumed the most service, thread 0 the least.
     atlas.onCommand(readReq(0, 0, 0, 0, 0, 1), dram::CommandKind::Read, 10,
@@ -66,7 +70,7 @@ TEST(AtlasPolicy, HistoryDecaysExponentially)
     p.quantum = 1000;
     p.historyWeight = 0.875;
     Atlas atlas(p);
-    atlas.configure(1, 1, 4);
+    atlas.configure({.numThreads = 1, .numChannels = 1, .banksPerChannel = 4});
     atlas.onCommand(readReq(0, 0, 0, 0, 0, 1), dram::CommandKind::Read, 10,
                     800);
     atlas.tick(1000);
@@ -88,8 +92,10 @@ TEST(AtlasPolicy, WeightsScaleAttainedService)
     AtlasParams p;
     p.quantum = 1000;
     Atlas atlas(p);
-    atlas.configure(2, 1, 4);
-    atlas.setThreadWeights({1, 8});
+    atlas.configure({.numThreads = 2,
+                     .numChannels = 1,
+                     .banksPerChannel = 4,
+                     .weights = {1, 8}});
     // Equal raw service; the weighted thread appears under-served.
     atlas.onCommand(readReq(0, 0, 0, 0, 0, 1), dram::CommandKind::Read, 10,
                     800);
@@ -104,7 +110,7 @@ TEST(AtlasPolicy, RanksAreAPermutation)
     AtlasParams p;
     p.quantum = 100;
     Atlas atlas(p);
-    atlas.configure(5, 1, 4);
+    atlas.configure({.numThreads = 5, .numChannels = 1, .banksPerChannel = 4});
     for (Cycle now = 0; now < 1000; now += 100) {
         atlas.onCommand(readReq(now % 5, 0, 0, 0, now, now),
                         dram::CommandKind::Read, now, 100);
@@ -134,10 +140,12 @@ struct ParBsRig
         timing.refreshEnabled = false;
         params.batchCap = batchCap;
         parbs = std::make_unique<ParBs>(params);
-        parbs->configure(threads, 1, timing.banksPerChannel);
         mc = std::make_unique<mem::MemoryController>(
             0, timing, mem::ControllerParams{}, *parbs);
-        parbs->attachQueue(0, mc.get());
+        parbs->configure({.numThreads = threads,
+                          .numChannels = 1,
+                          .banksPerChannel = timing.banksPerChannel,
+                          .readQueues = {&mc->readQueue()}});
     }
 
     void
@@ -226,7 +234,7 @@ TEST(StfmPolicy, NoInterferenceMeansNoPrioritization)
 {
     StfmParams p;
     Stfm stfm(p);
-    stfm.configure(2, 1, 4);
+    stfm.configure({.numThreads = 2, .numChannels = 1, .banksPerChannel = 4});
     // Thread 0 accumulates stall time with no one interfering.
     stfm.onArrival(readReq(0, 0, 0, 1, 0, 1), 0);
     for (Cycle now = 0; now < 5000; ++now)
@@ -240,7 +248,7 @@ TEST(StfmPolicy, VictimOfBankInterferenceGetsPrioritized)
     StfmParams p;
     p.updatePeriod = 100;
     Stfm stfm(p);
-    stfm.configure(2, 1, 4);
+    stfm.configure({.numThreads = 2, .numChannels = 1, .banksPerChannel = 4});
 
     // Thread 1 waits on bank 0 while thread 0 hogs it.
     stfm.onArrival(readReq(1, 0, 0, 7, 0, 100), 0);
@@ -262,7 +270,7 @@ TEST(StfmPolicy, RowConflictInterferenceCounted)
     StfmParams p;
     p.updatePeriod = 100;
     Stfm stfm(p);
-    stfm.configure(2, 1, 4);
+    stfm.configure({.numThreads = 2, .numChannels = 1, .banksPerChannel = 4});
 
     // Thread 1 streams row 7; a shadow hit serviced via ACT signals that
     // another thread closed its row.
@@ -285,7 +293,7 @@ TEST(StfmPolicy, IntervalHalvesStatistics)
     p.intervalLength = 1000;
     p.updatePeriod = 100;
     Stfm stfm(p);
-    stfm.configure(1, 1, 4);
+    stfm.configure({.numThreads = 1, .numChannels = 1, .banksPerChannel = 4});
     stfm.onArrival(readReq(0, 0, 0, 1, 0, 1), 0);
     for (Cycle now = 0; now < 999; ++now)
         stfm.tick(now);
@@ -341,4 +349,35 @@ TEST(Factory, TournamentRejectsInvalidCandidates)
     EXPECT_THROW(makeScheduler(spec, 1), std::invalid_argument);
     spec.tournamentCandidates = {Algo::Tcm, Algo::Atlas, Algo::Bliss};
     EXPECT_NE(makeScheduler(spec, 1), nullptr);
+}
+
+TEST(TournamentPolicy, PublishesTheLiveCandidatesTable)
+{
+    // The controllers read only the tournament's own rank table, so it
+    // must follow the live candidate's through every rank move of that
+    // candidate and through every switch.
+    sim::SystemConfig config;
+    config.numCores = 8;
+    config.numChannels = 2;
+    SchedulerSpec spec = SchedulerSpec::tournamentSpec();
+    spec.scaleToRun(300'000);
+    sim::Simulator sim(config, workload::randomMix(8, 0.75, /*seed=*/3),
+                       spec, /*seed=*/5);
+    const auto &tournament =
+        dynamic_cast<const Tournament &>(sim.scheduler());
+
+    std::set<std::string> lives;
+    int moves = 0;
+    std::uint64_t epoch = tournament.rankEpoch();
+    for (int i = 1; i <= 300; ++i) {
+        sim.step(1'000);
+        lives.insert(tournament.live().name());
+        moves += tournament.rankEpoch() != epoch;
+        epoch = tournament.rankEpoch();
+        for (ChannelId ch = 0; ch < config.numChannels; ++ch)
+            ASSERT_EQ(tournament.ranks(ch), tournament.live().ranks(ch))
+                << "channel " << ch << " after cycle " << i * 1'000;
+    }
+    EXPECT_GT(lives.size(), 1u);
+    EXPECT_GT(moves, 10);
 }

@@ -3,6 +3,8 @@
  * Unit tests for scheduler helpers, simple policies and the factory.
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "sched/factory.hpp"
@@ -51,7 +53,7 @@ TEST(Helpers, RanksFromOrder)
 TEST(SimplePolicies, FrFcfsDefaults)
 {
     FrFcfs s;
-    s.configure(4, 2, 4);
+    s.configure({.numThreads = 4, .numChannels = 2, .banksPerChannel = 4});
     EXPECT_STREQ(s.name(), "FR-FCFS");
     EXPECT_EQ(s.rankOf(0, 0), s.rankOf(1, 3));
     EXPECT_EQ(s.agingThreshold(), kCycleNever);
@@ -68,10 +70,18 @@ TEST(SimplePolicies, FcfsDisablesRowHit)
 TEST(SimplePolicies, FixedRankReturnsConfiguredRanks)
 {
     FixedRank s({5, 1, 9});
-    s.configure(3, 1, 4);
+    s.configure({.numThreads = 3, .numChannels = 1, .banksPerChannel = 4});
     EXPECT_EQ(s.rankOf(0, 0), 5);
     EXPECT_EQ(s.rankOf(0, 1), 1);
     EXPECT_EQ(s.rankOf(0, 2), 9);
+}
+
+TEST(SimplePolicies, FixedRankRejectsTooFewRanksAtConfigure)
+{
+    FixedRank s({5, 1});
+    EXPECT_THROW(
+        s.configure({.numThreads = 3, .numChannels = 1, .banksPerChannel = 4}),
+        std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
@@ -93,7 +103,8 @@ TEST(Factory, BuildsEveryAlgorithm)
 TEST(Factory, FixedRankCarriesRanks)
 {
     auto policy = makeScheduler(SchedulerSpec::fixedRank({1, 0}), 1);
-    policy->configure(2, 1, 4);
+    policy->configure(
+        {.numThreads = 2, .numChannels = 1, .banksPerChannel = 4});
     EXPECT_GT(policy->rankOf(0, 0), policy->rankOf(0, 1));
 }
 

@@ -36,6 +36,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/sink.hpp"
 #include "workload/mixes.hpp"
+#include "scratch.hpp"
 
 using namespace tcm;
 
@@ -123,14 +124,17 @@ struct OracleRig
     explicit OracleRig(std::unique_ptr<mem::SchedulerPolicy> p)
         : policy(std::move(p))
     {
-        policy->configure(kThreads, kChannels, timing.banksPerChannel);
         counters.resize(kThreads);
-        policy->setCoreCounters(&counters);
+        mem::Wiring wiring{.numThreads = kThreads,
+                           .numChannels = kChannels,
+                           .banksPerChannel = timing.banksPerChannel,
+                           .coreCounters = &counters};
         for (ChannelId ch = 0; ch < kChannels; ++ch) {
             mcs.push_back(std::make_unique<mem::MemoryController>(
                 ch, timing, mem::ControllerParams{}, *policy));
-            policy->attachQueue(ch, mcs.back().get());
+            wiring.readQueues.push_back(&mcs.back()->readQueue());
         }
+        policy->configure(wiring);
     }
 
     /** Maybe inject reads this cycle (skewed toward thread 0 so
@@ -317,8 +321,8 @@ runMode(const std::string &policyName, const ModeSystem &system, bool naive,
     for (ThreadId t = 0; t < sim.numThreads(); ++t)
         r.ipc.push_back(sim.measuredIpc(t));
 
-    std::filesystem::path path = std::filesystem::temp_directory_path() /
-                                 ("tcmsim_conformance_" + tag + ".jsonl");
+    std::filesystem::path path =
+        test::scratchPath("conformance_" + tag + ".jsonl");
     sink.writeJsonl(path.string());
     r.telemetry = readFile(path.string());
     std::filesystem::remove(path);

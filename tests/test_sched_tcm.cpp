@@ -357,13 +357,17 @@ struct TcmRig
     std::unique_ptr<Tcm> tcm;
     std::vector<mem::CoreCounters> counters;
 
-    explicit TcmRig(int threads, TcmParams p = TcmParams{})
+    explicit TcmRig(int threads, TcmParams p = TcmParams{},
+                    std::vector<int> weights = {})
     {
         params = p;
         tcm = std::make_unique<Tcm>(params, 1);
-        tcm->configure(threads, 1, 4);
         counters.resize(threads);
-        tcm->setCoreCounters(&counters);
+        tcm->configure({.numThreads = threads,
+                        .numChannels = 1,
+                        .banksPerChannel = 4,
+                        .coreCounters = &counters,
+                        .weights = std::move(weights)});
     }
 };
 
@@ -538,8 +542,7 @@ TEST(TcmPolicy, WeightScalesMpkiWithinLatencyCluster)
     TcmParams p;
     p.quantum = 1000;
     p.clusterThreshOverride = 1.0; // everyone fits once bandwidth exists
-    TcmRig rig(2, p);
-    rig.tcm->setThreadWeights({1, 8});
+    TcmRig rig(2, p, /*weights=*/{1, 8});
     rig.tcm->tick(0);
 
     rig.counters[0].instructions = 100'000;

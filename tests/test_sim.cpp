@@ -16,6 +16,7 @@
 #include "sim/simulator.hpp"
 #include "workload/benchmark_table.hpp"
 #include "workload/mixes.hpp"
+#include "scratch.hpp"
 
 using namespace tcm;
 using namespace tcm::sim;
@@ -413,7 +414,7 @@ TEST(Experiment, MatrixRunsWriteNoPerRunFiles)
     // no file name could tell their runs apart: a matrix writes no
     // per-run file and hands every run's profile and sink back instead.
     namespace fs = std::filesystem;
-    const fs::path dir = fs::path(testing::TempDir()) / "tcmsim_matrix_files";
+    const fs::path dir = test::scratchPath("matrix_files");
     fs::remove_all(dir);
     fs::create_directories(dir);
     SystemConfig cfg = smallConfig();

@@ -25,6 +25,7 @@
 #include "sim/results.hpp"
 #include "sim/sweepd.hpp"
 #include "workload/mixes.hpp"
+#include "scratch.hpp"
 
 using namespace tcm;
 using sim::sweepd::JobSpec;
@@ -59,11 +60,10 @@ class SweepdTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = fs::temp_directory_path() /
-               ("tcmsim_sweepd_" + std::string(::testing::UnitTest::
-                                                   GetInstance()
-                                                       ->current_test_info()
-                                                       ->name()));
+        dir_ = test::scratchPath(
+            "sweepd_" + std::string(::testing::UnitTest::GetInstance()
+                                        ->current_test_info()
+                                        ->name()));
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }

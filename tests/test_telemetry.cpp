@@ -21,6 +21,7 @@
 #include "sim/simulator.hpp"
 #include "telemetry/sink.hpp"
 #include "workload/mixes.hpp"
+#include "scratch.hpp"
 
 using namespace tcm;
 
@@ -331,7 +332,7 @@ TEST(TelemetryLifecycle, WholeRunIdentityWithoutWarmup)
 
 TEST(TelemetrySerialization, JsonlAndChromeTraceAreWellFormed)
 {
-    std::string dir = testing::TempDir() + "tcm_telemetry";
+    std::string dir = test::scratchPath("telemetry").string();
     sim::SystemConfig config = smallConfig();
     config.telemetry.enabled = true;
     config.telemetry.sampleInterval = 5'000;
@@ -362,6 +363,7 @@ TEST(TelemetrySerialization, JsonlAndChromeTraceAreWellFormed)
     std::string base = dir + "/TCM_seed21";
     std::string jsonl = readFile(base + ".jsonl");
     std::string trace = readFile(base + ".trace.json");
+    std::filesystem::remove_all(dir, ec);
 
     // JSONL: one object per line, self-describing types, meta first.
     ASSERT_FALSE(jsonl.empty());

@@ -13,6 +13,7 @@
 #include "sim/simulator.hpp"
 #include "workload/benchmark_table.hpp"
 #include "workload/trace_file.hpp"
+#include "scratch.hpp"
 
 using namespace tcm;
 using namespace tcm::workload;
@@ -22,7 +23,7 @@ namespace {
 std::string
 tempPath(const char *name)
 {
-    return std::string("/tmp/tcmsim_test_") + name + ".trace";
+    return test::scratchPath(std::string(name) + ".trace").string();
 }
 
 } // namespace
@@ -283,7 +284,7 @@ TEST(FqmPolicy, LeastVirtualTimeRanksHighest)
     sched::FqmParams p;
     p.updatePeriod = 10;
     sched::Fqm fqm(p);
-    fqm.configure(3, 1, 4);
+    fqm.configure({.numThreads = 3, .numChannels = 1, .banksPerChannel = 4});
 
     fqm.onCommand(fqmReq(0, 1), dram::CommandKind::Read, 0, 500);
     fqm.onCommand(fqmReq(1, 2), dram::CommandKind::Read, 0, 100);
@@ -297,8 +298,10 @@ TEST(FqmPolicy, WeightsScaleVirtualTime)
     sched::FqmParams p;
     p.updatePeriod = 10;
     sched::Fqm fqm(p);
-    fqm.configure(2, 1, 4);
-    fqm.setThreadWeights({1, 4});
+    fqm.configure({.numThreads = 2,
+                   .numChannels = 1,
+                   .banksPerChannel = 4,
+                   .weights = {1, 4}});
     fqm.onCommand(fqmReq(0, 1), dram::CommandKind::Read, 0, 100);
     fqm.onCommand(fqmReq(1, 2), dram::CommandKind::Read, 0, 100);
     EXPECT_DOUBLE_EQ(fqm.virtualTime(0), 100.0);
@@ -312,7 +315,7 @@ TEST(FqmPolicy, IdleThreadCatchesUp)
     sched::FqmParams p;
     p.updatePeriod = 10;
     sched::Fqm fqm(p);
-    fqm.configure(2, 1, 4);
+    fqm.configure({.numThreads = 2, .numChannels = 1, .banksPerChannel = 4});
 
     // Thread 0 works continuously (outstanding requests present);
     // thread 1 is idle and must not fall behind the active minimum.
