@@ -26,4 +26,12 @@ std::int64_t
 envInt(const std::string &name, std::int64_t def, std::int64_t min,
        std::int64_t max = std::numeric_limits<std::int64_t>::max());
 
+/**
+ * Report that environment variable @p name holds @p text, which @p why
+ * explains is malformed, and exit 2: the one message shape and status
+ * of every rejected TCMSIM_* setting.
+ */
+[[noreturn]] void envReject(const std::string &name, const std::string &text,
+                            const std::string &why);
+
 } // namespace tcm

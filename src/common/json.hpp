@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal JSON value type and parser, for the structured results files
- * the benches and tools/claims exchange (src/sim/results.hpp).
+ * tools/paper and tools/claims exchange (src/sim/results.hpp).
  *
  * Scope: full JSON syntax on input (objects, arrays, strings with
  * escapes, numbers, bools, null); object members keep their document

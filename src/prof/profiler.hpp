@@ -133,7 +133,7 @@ struct ProfileConfig {
      * (report only), any other value = on with that output directory.
      * Consulted by sim::requestedProfile when SystemConfig::profile is
      * off, only where a profile is read: manifest jobs (sweep, sweepd)
-     * and the paper drivers behind claims and their benches.
+     * and the paper drivers behind claims and paper.
      */
     static ProfileConfig fromEnv();
 };

@@ -160,21 +160,33 @@ SchedulerSpec::tournamentSpec()
 void
 SchedulerSpec::scaleToRun(Cycle totalCycles)
 {
+    // Rescale a constant only while it holds its paper default, so a
+    // value the caller set (fig6's ATLAS quantum sweep) reaches the
+    // policy unchanged.
+    auto scale = [](Cycle &value, Cycle paperValue, Cycle scaled) {
+        if (value == paperValue)
+            value = scaled;
+    };
     // The TCM quantum must hold several full insertion-shuffle rotations
     // (2N steps of ShuffleInterval cycles each: ~38K cycles at 24
     // threads), so its floor is higher than a pure 1/100 scaling.
-    tcm.quantum = std::max<Cycle>(50'000, totalCycles / 100);
-    atlas.quantum = std::max<Cycle>(20'000, totalCycles / 10);
+    scale(tcm.quantum, TcmParams{}.quantum,
+          std::max<Cycle>(50'000, totalCycles / 100));
+    scale(atlas.quantum, AtlasParams{}.quantum,
+          std::max<Cycle>(20'000, totalCycles / 10));
     // ATLAS's aging threshold is an absolute starvation timeout tied to
     // DRAM service latencies, not to how long the experiment runs, so it
     // is deliberately NOT scaled here. Same for BLISS's clearing
     // interval (an interference time constant) and GHT's rotation
     // period (a locality-scale constant).
-    stfm.intervalLength = std::max<Cycle>(50'000, totalCycles / 6);
-    ght.interval = std::max<Cycle>(50'000, totalCycles / 8);
+    scale(stfm.intervalLength, StfmParams{}.intervalLength,
+          std::max<Cycle>(50'000, totalCycles / 6));
+    scale(ght.interval, GhtParams{}.interval,
+          std::max<Cycle>(50'000, totalCycles / 8));
     // The tournament quantum matches TCM's scaling so one exploration
     // rotation plus an exploitation stretch fits in every run.
-    tournament.quantum = std::max<Cycle>(50'000, totalCycles / 100);
+    scale(tournament.quantum, TournamentParams{}.quantum,
+          std::max<Cycle>(50'000, totalCycles / 100));
 }
 
 const std::vector<std::string> &

@@ -88,11 +88,14 @@ struct SchedulerSpec
     /**
      * Scale time-based parameters from the paper's 100M-cycle runs to a
      * run of @p totalCycles: TCM quantum = total/100, ATLAS quantum =
-     * total/10, ATLAS aging = total/1000, STFM interval = total/6, GHT
-     * interval = total/8, tournament quantum = total/100 — all with
-     * sane floors. ShuffleInterval, BLISS's clearing interval and GHT's
-     * rotation period are locality/interference-scale constants and are
-     * left alone.
+     * total/10, STFM interval = total/6, GHT interval = total/8,
+     * tournament quantum = total/100 — all with sane floors. Only a
+     * constant that still holds its paper default is rescaled, so a
+     * value the caller set survives (one set equal to the default is
+     * indistinguishable from it and scales too). ShuffleInterval,
+     * ATLAS's aging threshold, BLISS's clearing interval and GHT's
+     * rotation period are latency/locality/interference-scale constants
+     * and are left alone.
      */
     void scaleToRun(Cycle totalCycles);
 

@@ -45,7 +45,7 @@ struct TcmParams
      * often", while a literal reading of the pseudocode gives the least
      * nice thread the most time at the top). true = resolve in favour of
      * the prose (nicest thread anchors the top half of the rotation);
-     * false = literal pseudocode reading. bench_table6_shuffling
+     * false = literal pseudocode reading. `paper table6`
      * compares both empirically.
      */
     bool nicestAtTop = true;

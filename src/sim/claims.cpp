@@ -502,12 +502,13 @@ paperClaims()
     // -- Infrastructure: interval sampling ----------------------------------
     // Subjects come from the paper::sampling probe (the fig4 grid run
     // full-length and interval-sampled; every `claims` run without
-    // --sampled, bench_sampling standalone). The
-    // deterministic claims (error bands, preserved orderings, cycle
-    // ratio) are the sampling contract; the wall-clock claim is the
-    // point of the feature. Error bands were pinned from both blessed
-    // scales (ci 4/cat and default 8/cat; see EXPERIMENTS.md "Interval
-    // sampling") with headroom over the worst observed values.
+    // --sampled, `paper sampling` standalone). The claims are all
+    // deterministic (error bands, preserved orderings, cycle ratio): the
+    // probe's wall-clock speedup is a ratio of two timings on a shared
+    // host, reported in the document but not gated. Error bands were
+    // pinned from both blessed scales (ci 4/cat and default 8/cat; see
+    // EXPERIMENTS.md "Interval sampling") with headroom over the worst
+    // observed values.
     const std::string kSamplingSummary = "sampling/summary";
     claims.push_back(Claim::band(
         "sampling.ws_err",
@@ -536,12 +537,6 @@ paperClaims()
         "The sampled run simulates at least 4x fewer cycles than the "
         "full run it estimates (default: 72k vs 350k = 4.9x)",
         kSamplingSummary + "/cycle_ratio", 4.0, 1000.0));
-    claims.push_back(Claim::band(
-        "sampling.speedup",
-        "The sampled fig4 grid is at least 4x faster in wall-clock than "
-        "the full grid (the upper bound only guards against timing "
-        "artifacts)",
-        kSamplingSummary + "/speedup", 4.0, 50.0));
 
     // Fine-margin MS comparisons between bounded-slowdown schedulers
     // (Claim::fullHorizonOnly): every table6 claim (the shuffling study

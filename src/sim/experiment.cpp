@@ -104,8 +104,9 @@ runWorkload(const SystemConfig &config,
             sched::SchedulerSpec spec, const ExperimentScale &scale,
             AloneIpcCache &cache, std::uint64_t seed)
 {
-    // Time constants always scale to the FULL run length: a sampled run
+    // Default time constants scale to the FULL run length: a sampled run
     // must be a slice of the full run's dynamics, not a compressed one.
+    // A constant the caller set is kept (SchedulerSpec::scaleToRun).
     spec.scaleToRun(scale.measure);
 
     // Telemetry runs always probe, so thread samples carry measured
@@ -186,49 +187,46 @@ runCells(const std::vector<Cell> &cells, const ExperimentScale &scale,
     return results;
 }
 
-std::vector<std::vector<RunResult>>
-runMatrix(const SystemConfig &config,
-          const std::vector<std::vector<workload::ThreadProfile>> &workloads,
-          const std::vector<sched::SchedulerSpec> &specs,
-          const ExperimentScale &scale, AloneIpcCache &cache,
-          std::uint64_t baseSeed, int jobs)
+std::vector<RunResult>
+runGrid(const std::vector<GridPoint> &points, const ExperimentScale &scale,
+        int jobs)
 {
-    ThreadPool pool(jobs);
+    std::map<std::uint64_t, std::unique_ptr<AloneIpcCache>> caches;
     std::vector<Cell> cells;
-    cells.reserve(specs.size() * workloads.size());
-    for (const sched::SchedulerSpec &spec : specs)
-        for (std::size_t w = 0; w < workloads.size(); ++w)
-            cells.push_back({config, &cache, workloads[w], spec,
-                             baseSeed + w, ""});
-    std::vector<RunResult> runs = runCells(cells, scale, pool);
-
-    std::vector<std::vector<RunResult>> results(specs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        results[i / workloads.size()].push_back(std::move(runs[i]));
-    return results;
+    for (const GridPoint &p : points) {
+        std::unique_ptr<AloneIpcCache> &cache =
+            caches[AloneIpcCache::fingerprint(
+                p.config, scale.effectiveWarmup(), scale.effectiveMeasure())];
+        if (!cache)
+            cache = std::make_unique<AloneIpcCache>(
+                p.config, scale.effectiveWarmup(), scale.effectiveMeasure());
+        for (std::size_t w = 0; w < p.workloads.size(); ++w)
+            cells.push_back({p.config, cache.get(), p.workloads[w], p.spec,
+                             p.seed + w, ""});
+    }
+    ThreadPool pool(jobs);
+    return runCells(cells, scale, pool);
 }
 
 std::vector<AggregateResult>
-evaluateMatrix(const SystemConfig &config,
-               const std::vector<std::vector<workload::ThreadProfile>> &workloads,
-               const std::vector<sched::SchedulerSpec> &specs,
-               const ExperimentScale &scale, AloneIpcCache &cache,
-               std::uint64_t baseSeed, int jobs)
+evaluateGrid(const std::vector<GridPoint> &points,
+             const ExperimentScale &scale, int jobs)
 {
-    auto runs = runMatrix(config, workloads, specs, scale, cache, baseSeed,
-                          jobs);
-
-    std::vector<AggregateResult> aggregates(specs.size());
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        aggregates[s].scheduler = specs[s].name();
+    const std::vector<RunResult> runs = runGrid(points, scale, jobs);
+    std::vector<AggregateResult> aggregates(points.size());
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        AggregateResult &agg = aggregates[i];
+        agg.scheduler = points[i].spec.name();
         // Fold in workload order: Welford accumulation is order-
         // sensitive, and this order is what the serial driver used.
-        for (const RunResult &r : runs[s]) {
-            aggregates[s].weightedSpeedup.add(r.metrics.weightedSpeedup);
-            aggregates[s].maxSlowdown.add(r.metrics.maxSlowdown);
-            aggregates[s].harmonicSpeedup.add(r.metrics.harmonicSpeedup);
+        for (std::size_t w = 0; w < points[i].workloads.size(); ++w) {
+            const RunResult &r = runs[next++];
+            agg.weightedSpeedup.add(r.metrics.weightedSpeedup);
+            agg.maxSlowdown.add(r.metrics.maxSlowdown);
+            agg.harmonicSpeedup.add(r.metrics.harmonicSpeedup);
             if (r.profile)
-                aggregates[s].profile.merge(*r.profile);
+                agg.profile.merge(*r.profile);
         }
     }
     return aggregates;

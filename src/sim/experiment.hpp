@@ -29,7 +29,7 @@
 
 namespace tcm::sim {
 
-/** Run-length knobs, shared by all benches; overridable via environment:
+/** Run-length knobs, shared by every figure; overridable via environment:
  *  TCMSIM_CYCLES (measured cycles), TCMSIM_WARMUP, TCMSIM_WORKLOADS
  *  (workloads per intensity category). */
 struct ExperimentScale
@@ -117,11 +117,12 @@ struct RunResult
 prof::ProfileConfig requestedProfile(const SystemConfig &config);
 
 /**
- * Simulate @p mix under @p spec (time-scaled to the run length) and
- * compute the paper's metrics against memoized alone IPCs, profiling
- * the run when SystemConfig::profile is enabled (the environment knob
- * is not consulted here). Writes no file: the run's telemetry sink and
- * profile come back in the result.
+ * Simulate @p mix under @p spec (its default time constants scaled to
+ * the run length, SchedulerSpec::scaleToRun) and compute the paper's
+ * metrics against memoized alone IPCs, profiling the run when
+ * SystemConfig::profile is enabled (the environment knob is not
+ * consulted here). Writes no file: the run's telemetry sink and profile
+ * come back in the result.
  */
 RunResult runWorkload(const SystemConfig &config,
                       const std::vector<workload::ThreadProfile> &mix,
@@ -166,36 +167,43 @@ struct AggregateResult
     prof::ProfileReport profile;
 };
 
+/** One point of a grid: `spec` on `config` over `workloads`, workload w
+ *  seeded `seed` + w; `series` and `point` name its results row. */
+struct GridPoint
+{
+    std::string series;
+    std::string point;
+    SystemConfig config;
+    sched::SchedulerSpec spec;
+    std::uint64_t seed = 0;
+    std::vector<std::vector<workload::ThreadProfile>> workloads;
+};
+
 /**
- * Run every (scheduler, workload) pair of the grid as one runCells call
- * and return the per-run results as result[scheduler][workload].
- * Workload @p w of every scheduler uses seed baseSeed + w, so the grid
- * equals per-scheduler serial runs. The cells have no name: no run
- * writes a per-run file, and profiles come back in the results.
+ * Run every workload of every point as one runCells call and return the
+ * results in point order, workload order within a point. Each cell reads
+ * the alone-IPC cache of its configuration, one per distinct
+ * AloneIpcCache::fingerprint at the scale's effective horizon, so
+ * configurations that share alone runs share a cache. The cells have no
+ * name: no run writes a per-run file, and profiles (as each config's
+ * SystemConfig::profile asks) come back in the results.
  *
  * @param jobs pool size; <= 0 means ThreadPool::defaultJobs()
  *        (TCMSIM_JOBS, else all hardware threads); 1 runs serially
  *        on the calling thread.
  */
-std::vector<std::vector<RunResult>>
-runMatrix(const SystemConfig &config,
-          const std::vector<std::vector<workload::ThreadProfile>> &workloads,
-          const std::vector<sched::SchedulerSpec> &specs,
-          const ExperimentScale &scale, AloneIpcCache &cache,
-          std::uint64_t baseSeed, int jobs = 0);
+std::vector<RunResult> runGrid(const std::vector<GridPoint> &points,
+                               const ExperimentScale &scale, int jobs = 0);
 
 /**
- * runMatrix reduced to one AggregateResult per scheduler (in @p specs
- * order). Per-workload metrics are folded into the RunningStats in
- * workload order regardless of task completion order, so the aggregates
- * are bit-identical across thread counts.
+ * runGrid reduced to one AggregateResult per point, named by its spec.
+ * Per-workload metrics are folded into the RunningStats in workload
+ * order regardless of task completion order, so the aggregates are
+ * bit-identical across thread counts.
  */
-std::vector<AggregateResult>
-evaluateMatrix(const SystemConfig &config,
-               const std::vector<std::vector<workload::ThreadProfile>> &workloads,
-               const std::vector<sched::SchedulerSpec> &specs,
-               const ExperimentScale &scale, AloneIpcCache &cache,
-               std::uint64_t baseSeed, int jobs = 0);
+std::vector<AggregateResult> evaluateGrid(const std::vector<GridPoint> &points,
+                                          const ExperimentScale &scale,
+                                          int jobs = 0);
 
 /** The five schedulers of the paper's headline comparison (Figure 4). */
 std::vector<sched::SchedulerSpec> paperSchedulers();

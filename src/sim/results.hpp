@@ -1,7 +1,7 @@
 /**
  * @file
  * Structured bench results: the self-describing JSON document every
- * reproduction bench (and tools/claims) emits, so the paper's numbers
+ * paper figure (tools/paper, tools/claims) emits, so the paper's numbers
  * are machine-checkable instead of eyeballable free text.
  *
  * A document is a flat table: rows keyed by (series, point) — series is

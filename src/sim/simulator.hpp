@@ -77,7 +77,7 @@ class Simulator
      * @param enableProbe build the behaviour probe, a system-wide
      *        ThreadBankMonitor every controller feeds from cycle 0
      *        (small runtime cost; needed by behavior(), telemetry
-     *        behaviour gauges and the Table 4 bench)
+     *        behaviour gauges and the Table 4 driver)
      */
     Simulator(const SystemConfig &config,
               const std::vector<workload::ThreadProfile> &profiles,

@@ -17,7 +17,7 @@ namespace tcm::workload {
  * memory intensity (MPKI), row-buffer locality (RBL in [0,1]) and
  * bank-level parallelism (BLP in banks). The synthetic trace generator
  * turns a profile into an instruction stream whose *measured* MPKI/RBL/BLP
- * match these targets (verified by bench_table4_profiles).
+ * match these targets (verified by `paper table4`).
  */
 struct ThreadProfile
 {

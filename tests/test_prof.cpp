@@ -457,11 +457,12 @@ TEST(ProfileConfig, OnlyProfileReadersHonorTheEnvironmentKnob)
     cfg.numCores = 2;
     cfg.numChannels = 1;
     ::setenv("TCMSIM_PROFILE", "1", 1);
-    sim::AloneIpcCache cache(cfg, scale.warmup, scale.measure);
-    std::vector<sim::AggregateResult> aggs = sim::evaluateMatrix(
-        cfg, {workload::randomMix(2, 0.5, /*seed=*/8)},
-        {sched::SchedulerSpec::frfcfs(), sched::SchedulerSpec::tcmSpec()},
-        scale, cache, /*baseSeed=*/1, /*jobs=*/1);
+    const std::vector<std::vector<workload::ThreadProfile>> mixes = {
+        workload::randomMix(2, 0.5, /*seed=*/8)};
+    std::vector<sim::AggregateResult> aggs = sim::evaluateGrid(
+        {{"", "", cfg, sched::SchedulerSpec::frfcfs(), 1, mixes},
+         {"", "", cfg, sched::SchedulerSpec::tcmSpec(), 1, mixes}},
+        scale, /*jobs=*/1);
     sim::results::ResultsDoc doc = sim::paper::fig4(cfg, scale, /*jobs=*/1);
     ::unsetenv("TCMSIM_PROFILE");
 

@@ -120,6 +120,12 @@ TEST(Factory, ScaleToRunAdjustsQuanta)
     EXPECT_EQ(spec.atlas.quantum, 30'000u);
     // The aging threshold is an absolute timeout: never scaled.
     EXPECT_EQ(spec.atlas.agingThreshold, 100'000u);
+
+    // A value the caller set is kept.
+    SchedulerSpec set = SchedulerSpec::atlasSpec();
+    set.atlas.quantum = 15'000;
+    set.scaleToRun(300'000);
+    EXPECT_EQ(set.atlas.quantum, 15'000u);
 }
 
 TEST(Factory, DefaultsMatchPaperSectionSix)

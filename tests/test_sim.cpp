@@ -54,6 +54,19 @@ quickScale()
     return s;
 }
 
+/** One grid point per spec of @p specs on @p cfg over @p sets, base
+ *  seed @p seed. */
+std::vector<GridPoint>
+specPoints(const SystemConfig &cfg,
+           const std::vector<std::vector<workload::ThreadProfile>> &sets,
+           const std::vector<sched::SchedulerSpec> &specs, std::uint64_t seed)
+{
+    std::vector<GridPoint> points;
+    for (const sched::SchedulerSpec &spec : specs)
+        points.push_back({spec.name(), "", cfg, spec, seed, sets});
+    return points;
+}
+
 } // namespace
 
 TEST(Simulator, DeterministicAcrossRuns)
@@ -207,15 +220,40 @@ TEST(Experiment, RunWorkloadProducesConsistentMetrics)
     EXPECT_GE(r.metrics.maxSlowdown, 1.0 - 0.1);
 }
 
-TEST(Experiment, EvaluateMatrixAggregatesOneScheduler)
+TEST(Experiment, CallerSetQuantumReachesTheScheduler)
 {
+    // runWorkload scales a default spec's constants to the run, and
+    // keeps a constant the caller set (fig6's ATLAS quantum sweep).
     SystemConfig cfg = smallConfig();
     ExperimentScale scale = quickScale();
     AloneIpcCache cache(cfg, scale.warmup, scale.measure);
+    auto mix = workload::randomMix(4, 1.0, 11);
+
+    sched::SchedulerSpec scaled = sched::SchedulerSpec::atlasSpec();
+    scaled.scaleToRun(scale.measure);
+    Simulator reference(cfg, mix, scaled, 5);
+    reference.run(scale.warmup, scale.measure);
+    RunResult byDefault = runWorkload(
+        cfg, mix, sched::SchedulerSpec::atlasSpec(), scale, cache, 5);
+    for (ThreadId t = 0; t < 4; ++t)
+        EXPECT_EQ(byDefault.ipcShared[t], reference.measuredIpc(t));
+
+    sched::SchedulerSpec set = sched::SchedulerSpec::atlasSpec();
+    set.atlas.quantum = 5'000;
+    RunResult bySet = runWorkload(cfg, mix, set, scale, cache, 5);
+    EXPECT_NE(bySet.ipcShared, byDefault.ipcShared)
+        << "the caller's ATLAS quantum never reached the scheduler";
+}
+
+TEST(Experiment, EvaluateGridAggregatesOnePoint)
+{
+    SystemConfig cfg = smallConfig();
+    ExperimentScale scale = quickScale();
     auto sets = workload::workloadSet(3, 4, 0.5, 17);
     AggregateResult agg =
-        evaluateMatrix(cfg, sets, {sched::SchedulerSpec::frfcfs()}, scale,
-                       cache, 1)
+        evaluateGrid(specPoints(cfg, sets, {sched::SchedulerSpec::frfcfs()},
+                                1),
+                     scale)
             .front();
     EXPECT_EQ(agg.weightedSpeedup.count(), 3u);
     EXPECT_EQ(agg.scheduler, "FR-FCFS");
@@ -339,82 +377,67 @@ TEST(Experiment, OneSchedulerDeterministicAcrossJobCounts)
     // TCMSIM_JOBS=8 produce bit-identical aggregates.
     SystemConfig cfg = smallConfig();
     ExperimentScale scale = quickScale();
-    auto sets = workload::workloadSet(4, 4, 0.5, 17);
+    const std::vector<GridPoint> points =
+        specPoints(cfg, workload::workloadSet(4, 4, 0.5, 17),
+                   {sched::SchedulerSpec::tcmSpec()}, 5);
 
     setenv("TCMSIM_JOBS", "1", 1);
-    AloneIpcCache serialCache(cfg, scale.warmup, scale.measure);
-    AggregateResult serial =
-        evaluateMatrix(cfg, sets, {sched::SchedulerSpec::tcmSpec()}, scale,
-                       serialCache, 5)
-            .front();
-
+    AggregateResult serial = evaluateGrid(points, scale).front();
     setenv("TCMSIM_JOBS", "8", 1);
-    AloneIpcCache parallelCache(cfg, scale.warmup, scale.measure);
-    AggregateResult parallel =
-        evaluateMatrix(cfg, sets, {sched::SchedulerSpec::tcmSpec()}, scale,
-                       parallelCache, 5)
-            .front();
+    AggregateResult parallel = evaluateGrid(points, scale).front();
     unsetenv("TCMSIM_JOBS");
 
     expectAggregatesIdentical(serial, parallel);
-    EXPECT_EQ(serialCache.size(), parallelCache.size());
 }
 
-TEST(Experiment, EvaluateMatrixDeterministicAcrossJobCounts)
+TEST(Experiment, EvaluateGridDeterministicAcrossJobCounts)
 {
+    // Points on two configurations, so two alone caches fill at once.
     SystemConfig cfg = smallConfig();
+    SystemConfig ddr3 = smallConfig();
+    ASSERT_EQ(ddr3.selectProtocol("ddr3-1600"), "");
     ExperimentScale scale = quickScale();
     auto sets = workload::workloadSet(3, 4, 0.75, 29);
-    std::vector<sched::SchedulerSpec> specs = {
-        sched::SchedulerSpec::frfcfs(),
-        sched::SchedulerSpec::atlasSpec(),
-        sched::SchedulerSpec::tcmSpec(),
-    };
+    std::vector<GridPoint> points = specPoints(
+        cfg, sets,
+        {sched::SchedulerSpec::frfcfs(), sched::SchedulerSpec::atlasSpec(),
+         sched::SchedulerSpec::tcmSpec()},
+        7);
+    points.push_back({"TCM", "ddr3", ddr3, sched::SchedulerSpec::tcmSpec(),
+                      7, sets});
 
-    AloneIpcCache serialCache(cfg, scale.warmup, scale.measure);
-    auto serial =
-        evaluateMatrix(cfg, sets, specs, scale, serialCache, 7, /*jobs=*/1);
+    auto serial = evaluateGrid(points, scale, /*jobs=*/1);
+    auto parallel = evaluateGrid(points, scale, /*jobs=*/8);
 
-    AloneIpcCache parallelCache(cfg, scale.warmup, scale.measure);
-    auto parallel = evaluateMatrix(cfg, sets, specs, scale, parallelCache, 7,
-                                   /*jobs=*/8);
-
-    ASSERT_EQ(serial.size(), specs.size());
-    ASSERT_EQ(parallel.size(), specs.size());
-    for (std::size_t s = 0; s < specs.size(); ++s)
+    ASSERT_EQ(serial.size(), points.size());
+    ASSERT_EQ(parallel.size(), points.size());
+    for (std::size_t s = 0; s < points.size(); ++s)
         expectAggregatesIdentical(serial[s], parallel[s]);
 }
 
-TEST(Experiment, EvaluateMatrixEqualsPerSchedulerMatrices)
+TEST(Experiment, EvaluateGridEqualsPerPointGrids)
 {
-    // The matrix is a packing of independent one-scheduler grids: same
-    // seeds, same fold order, so bit-identical per scheduler.
+    // The grid is a packing of independent one-point grids: same seeds,
+    // same fold order, so bit-identical per point.
     SystemConfig cfg = smallConfig();
     ExperimentScale scale = quickScale();
-    auto sets = workload::workloadSet(3, 4, 0.5, 41);
-    std::vector<sched::SchedulerSpec> specs = {
-        sched::SchedulerSpec::frfcfs(),
-        sched::SchedulerSpec::tcmSpec(),
-    };
+    const std::vector<GridPoint> points = specPoints(
+        cfg, workload::workloadSet(3, 4, 0.5, 41),
+        {sched::SchedulerSpec::frfcfs(), sched::SchedulerSpec::tcmSpec()}, 3);
 
-    AloneIpcCache cacheA(cfg, scale.warmup, scale.measure);
-    auto matrix = evaluateMatrix(cfg, sets, specs, scale, cacheA, 3);
-
-    AloneIpcCache cacheB(cfg, scale.warmup, scale.measure);
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        AggregateResult single =
-            evaluateMatrix(cfg, sets, {specs[s]}, scale, cacheB, 3).front();
-        expectAggregatesIdentical(matrix[s], single);
-    }
+    auto grid = evaluateGrid(points, scale);
+    for (std::size_t s = 0; s < points.size(); ++s)
+        expectAggregatesIdentical(grid[s],
+                                  evaluateGrid({points[s]}, scale).front());
 }
 
-TEST(Experiment, MatrixRunsWriteNoPerRunFiles)
+TEST(Experiment, GridRunsWriteNoPerRunFiles)
 {
     // Two TCM shuffle variants share the display name and the seeds, so
-    // no file name could tell their runs apart: a matrix writes no
-    // per-run file and hands every run's profile and sink back instead.
+    // no file name could tell their runs apart: a grid writes no per-run
+    // file and hands every run's profile and sink back instead.
     namespace fs = std::filesystem;
-    const fs::path dir = test::scratchPath("matrix_files");
+    const fs::path dir = test::scratchPath("grid_files");
     fs::remove_all(dir);
     fs::create_directories(dir);
     SystemConfig cfg = smallConfig();
@@ -429,14 +452,15 @@ TEST(Experiment, MatrixRunsWriteNoPerRunFiles)
     insertion.tcm.shuffleMode = sched::ShuffleMode::Insertion;
     ASSERT_STREQ(random.name(), insertion.name());
 
-    AloneIpcCache cache(cfg, scale.warmup, scale.measure);
-    auto grid = runMatrix(cfg, workload::workloadSet(2, 4, 0.5, 31),
-                          {random, insertion}, scale, cache, 1, /*jobs=*/2);
-    for (const auto &row : grid)
-        for (const RunResult &r : row) {
-            EXPECT_NE(r.profile, nullptr);
-            EXPECT_NE(r.telemetry, nullptr);
-        }
+    const std::vector<RunResult> runs =
+        runGrid(specPoints(cfg, workload::workloadSet(2, 4, 0.5, 31),
+                           {random, insertion}, 1),
+                scale, /*jobs=*/2);
+    ASSERT_EQ(runs.size(), 4u);
+    for (const RunResult &r : runs) {
+        EXPECT_NE(r.profile, nullptr);
+        EXPECT_NE(r.telemetry, nullptr);
+    }
     EXPECT_TRUE(fs::is_empty(dir));
     fs::remove_all(dir);
 }

@@ -2,7 +2,7 @@
  * @file
  * Manifest-job contract (sim/sweepd.hpp): manifests parse with
  * line-numbered rejection of anything malformed; runJobs seeds every
- * job exactly as the matrix driver seeds the same grid; a run streams
+ * job exactly as the grid driver seeds the same grid; a run streams
  * one JSONL ResultsDoc record per job in manifest order; a run killed
  * mid-queue (the --stop-after hook stops between batches exactly like a
  * kill) and restarted on the same state produces a final stream
@@ -348,12 +348,12 @@ TEST_F(SweepdTest, WarmPersistentCacheEliminatesAloneRecomputation)
     EXPECT_EQ(readFile(path("warm.jsonl")), readFile(path("cold.jsonl")));
 }
 
-TEST_F(SweepdTest, JobsSeedExactlyLikeTheMatrixDriver)
+TEST_F(SweepdTest, JobsSeedExactlyLikeTheGridDriver)
 {
     // The positional seeding rule that keeps sweep, sweepd and the
-    // benches in agreement: job (intensity, w) with seed `seed + w` is
-    // workloadSet(..., seed + intensity*1000)[w] run by runMatrix at
-    // base seed `seed`, bit for bit.
+    // paper grids in agreement: job (intensity, w) with seed `seed + w` is
+    // workloadSet(..., seed + intensity*1000)[w] run by runGrid at base
+    // seed `seed`, bit for bit.
     const std::uint64_t seed = 3;
     const std::vector<std::string> names = {"frfcfs", "tcm"};
     const std::vector<double> intensities = {0.5, 1.0};
@@ -380,34 +380,27 @@ TEST_F(SweepdTest, JobsSeedExactlyLikeTheMatrixDriver)
     sim::SystemConfig config;
     config.numCores = m.cores;
     config.numChannels = m.channels;
-    const sim::ExperimentScale scale = m.scale();
-    sim::AloneIpcCache cache(config, scale.effectiveWarmup(),
-                             scale.effectiveMeasure());
-    std::vector<sched::SchedulerSpec> specs;
+    // One point per (scheduler, intensity), in job order.
+    std::vector<sim::GridPoint> points;
     for (const std::string &name : names)
-        specs.push_back(sched::specByName(name).spec);
-    std::size_t j = 0;
-    for (std::size_t s = 0; s < names.size(); ++s) {
-        for (double intensity : intensities) {
-            const auto grid = sim::runMatrix(
-                config,
-                workload::workloadSet(
-                    mixes, m.cores, intensity,
-                    seed + static_cast<std::uint64_t>(intensity * 1000)),
-                specs, scale, cache, seed, 2);
-            for (int w = 0; w < mixes; ++w, ++j) {
-                const sim::RunResult &want = grid[s][w];
-                const sim::RunResult &got = runs[j];
-                EXPECT_EQ(got.metrics.weightedSpeedup,
-                          want.metrics.weightedSpeedup)
-                    << "job " << j;
-                EXPECT_EQ(got.metrics.maxSlowdown, want.metrics.maxSlowdown)
-                    << "job " << j;
-                EXPECT_EQ(got.metrics.harmonicSpeedup,
-                          want.metrics.harmonicSpeedup)
-                    << "job " << j;
-            }
-        }
+        for (double intensity : intensities)
+            points.push_back(
+                {name, "", config, sched::specByName(name).spec, seed,
+                 workload::workloadSet(
+                     mixes, m.cores, intensity,
+                     seed + static_cast<std::uint64_t>(intensity * 1000))});
+    const std::vector<sim::RunResult> grid =
+        sim::runGrid(points, m.scale(), 2);
+    ASSERT_EQ(grid.size(), runs.size());
+    for (std::size_t j = 0; j < runs.size(); ++j) {
+        const sim::RunResult &want = grid[j];
+        const sim::RunResult &got = runs[j];
+        EXPECT_EQ(got.metrics.weightedSpeedup, want.metrics.weightedSpeedup)
+            << "job " << j;
+        EXPECT_EQ(got.metrics.maxSlowdown, want.metrics.maxSlowdown)
+            << "job " << j;
+        EXPECT_EQ(got.metrics.harmonicSpeedup, want.metrics.harmonicSpeedup)
+            << "job " << j;
     }
 }
 

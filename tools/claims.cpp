@@ -61,7 +61,7 @@ usage(std::FILE *out)
         out,
         "usage: claims [options]\n"
         "  --scale ci|default   experiment scale (ci: 300k cycles, 4\n"
-        "                       workloads/category; default: the bench\n"
+        "                       workloads/category; default: the paper\n"
         "                       defaults / TCMSIM_* environment)\n"
         "  --jobs N             worker threads (0 = hardware)\n"
         "  --out DIR            write fresh BENCH_*.json documents here\n"
